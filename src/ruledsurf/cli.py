@@ -18,6 +18,7 @@ Literal grammars (parsed and emitted bit-exactly):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,7 +28,6 @@ from pathlib import Path
 from . import bundles, cohomology, geometry, splitting
 from .geometry import CurveCycle, CycleClass, DivisorClass, SurfaceGeometry
 from .splitting import SplittingType
-from .verify import run_suite
 
 
 class CliInputError(ValueError):
@@ -565,6 +565,8 @@ _VERIFY_BOUNDS = (
 
 
 def _cmd_verify(ns):
+    from .verify import run_suite  # loaded only when a grid is run
+
     overrides = {k: getattr(ns, k) for k in _VERIFY_BOUNDS if getattr(ns, k) is not None}
     results = run_suite(ns.suite, **overrides)
     inputs = {"op": "verify", "suite": ns.suite, **overrides}
@@ -599,15 +601,7 @@ def _leaf(group_sub, name: str, handler, help_text: str) -> _Parser:
     return p
 
 
-def build_parser() -> _Parser:
-    top = _Parser(
-        prog="ruledsurf",
-        description="Exact intersection theory, cohomology, splitting types, "
-                    "and jumping-fiber counts on Hirzebruch and ruled surfaces.",
-    )
-    groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    surface = groups.add_parser("surface", help="intersection ring and polarizations")
+def _surface_leaves(surface: _Parser):
     ssub = surface.add_subparsers(dest="op", required=True, parser_class=_Parser)
 
     p = _leaf(ssub, "intersect", _cmd_surface_intersect, "intersection number of two divisors")
@@ -652,7 +646,8 @@ def build_parser() -> _Parser:
     _add_geometry(p)
     p.add_argument("--x", required=True, help="cycle (r0,h,f,p2)")
 
-    coh = groups.add_parser("coh", help="cohomology tables and derived counts")
+
+def _coh_leaves(coh: _Parser):
     csub = coh.add_subparsers(dest="op", required=True, parser_class=_Parser)
 
     p = _leaf(csub, "line", _cmd_coh_line, "cohomology of a line bundle (genus 0)")
@@ -697,7 +692,8 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    split = groups.add_parser("split", help="splitting types on the projective line")
+
+def _split_leaves(split: _Parser):
     psub = split.add_subparsers(dest="op", required=True, parser_class=_Parser)
 
     p = _leaf(psub, "rigid", _cmd_split_rigid, "balanced type of given rank and degree")
@@ -736,7 +732,8 @@ def build_parser() -> _Parser:
     p = _leaf(psub, "chain", _cmd_split_chain, "degeneration chain from the rigid type")
     p.add_argument("--type", required=True)
 
-    bundle = groups.add_parser("bundle", help="numerical vector-bundle calculus")
+
+def _bundle_leaves(bundle: _Parser):
     bsub = bundle.add_subparsers(dest="op", required=True, parser_class=_Parser)
 
     def _bundle_leaf(name, handler, help_text):
@@ -786,8 +783,15 @@ def build_parser() -> _Parser:
     p.add_argument("--sub-c2", type=int, required=True)
     p.add_argument("--R", required=True)
 
-    ver = _leaf(groups, "verify", _cmd_verify,
-                "run a property grid and report pass/fail with a counterexample")
+
+_VERIFY_HELP = "run a property grid and report pass/fail with a counterexample"
+
+
+def _verify_leaf(ver: _Parser):
+    # verify is a group and its own leaf at once.
+    ver.description = _VERIFY_HELP
+    ver.set_defaults(handler=_cmd_verify)
+    _add_common(ver)
     ver.add_argument("suite", choices=[
         "serre", "euler", "conormal", "theoremC", "dominance",
         "rigid", "lifting", "extension", "growth", "all",
@@ -802,7 +806,41 @@ def build_parser() -> _Parser:
     ):
         ver.add_argument(flag, type=int, default=None, dest=dest)
 
+
+# group name -> (help text, function that adds the group's leaves)
+_GROUPS = {
+    "surface": ("intersection ring and polarizations", _surface_leaves),
+    "coh": ("cohomology tables and derived counts", _coh_leaves),
+    "split": ("splitting types on the projective line", _split_leaves),
+    "bundle": ("numerical vector-bundle calculus", _bundle_leaves),
+    "verify": (_VERIFY_HELP, _verify_leaf),
+}
+
+
+def build_parser(group: str | None = None) -> _Parser:
+    """The argument parser, with the leaves of every group or of one.
+
+    Given a group name, only that group gets its leaves; any other string
+    gives the five group entries without leaves, which is all that
+    top-level --help and the rejection of a missing or unknown group use.
+    """
+    top = _Parser(
+        prog="ruledsurf",
+        description="Exact intersection theory, cohomology, splitting types, "
+                    "and jumping-fiber counts on Hirzebruch and ruled surfaces.",
+    )
+    groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
+    for name, (help_text, add_leaves) in _GROUPS.items():
+        entry = groups.add_parser(name, help=help_text)
+        if group is None or group == name:
+            add_leaves(entry)
     return top
+
+
+@functools.cache
+def _parser_for(group: str) -> _Parser:
+    # run() passes a group name or "", so this holds at most six parsers.
+    return build_parser(group)
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +854,12 @@ def _emit(text: str, out_path):
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute, print the rendered report, and return the exit code."""
-    parser = build_parser()
-    group = argv[0] if argv and argv[0] in ("surface", "coh", "split", "bundle", "verify") else ""
+    group = argv[0] if argv and argv[0] in _GROUPS else ""
+    # argparse enters the first word that names a group, wherever it stands;
+    # with none, it can only print top-level help or reject the group.
+    reached = next((arg for arg in argv if arg in _GROUPS), "")
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser_for(reached).parse_args(argv)
     except CliInputError as exc:
         _emit(render_report(group, {}, [{"error": str(exc)}], "input-error", "table"), None)
         return 1
@@ -838,7 +878,14 @@ def run(argv: list[str]) -> int:
     if ns.group == "verify" and any(row.get("ok") is False for row in rows):
         status = "property-violation"
         code = 2
-    _emit(render_report(ns.group, inputs, rows, status, ns.format), ns.out)
+    try:
+        text = render_report(ns.group, inputs, rows, status, ns.format)
+    except ValueError:  # Python will not turn an int this long into text
+        limit = sys.get_int_max_str_digits()
+        error = f"result has an integer of more than {limit} digits, which Python will not print"
+        text = render_report(ns.group, {}, [{"error": error}], "input-error", ns.format)
+        code = 1
+    _emit(text, ns.out)
     return code
 
 

@@ -1,10 +1,20 @@
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
+    CliInputError,
+    build_parser,
     format_bundle,
     format_cycle,
     format_divisor,
@@ -212,3 +222,208 @@ def test_summand_literal_positions():
     with pytest.raises(ValueError) as err:
         parse_summands("0*h+0*f,1*h")
     assert "position 11" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# results past Python's 4300-digit int-to-text limit
+
+HUGE = 10 ** 2999 + 2999  # 3000 digits: parses, but products of two do not print
+
+HUGE_REQUESTS = {
+    "surface intersect": ["--e", "1", "--d1", f"{HUGE}*h+{HUGE}*f",
+                          "--d2", f"{HUGE}*h-{HUGE + 1}*f"],
+    "surface cyclemul": ["--e", "2", "--x", f"({HUGE},1,{HUGE},0)",
+                         "--y", f"(1,{HUGE},1,{HUGE})"],
+    "surface chern": ["--e", "1", "--r", "2", "--c1", f"{HUGE}*h+{HUGE}*f", "--c2", "1"],
+    "bundle twist": ["--e", "1", "--r", "2", "--c1", f"{HUGE}*h+1*f", "--c2", "0",
+                     "--L", f"{HUGE}*h+{HUGE}*f"],
+    "bundle jump": ["--e", "1", "--r", "2", "--c1", f"{2 * HUGE}*h+1*f", "--c2", "0",
+                    "--a", str(HUGE)],
+    "bundle euler": ["--e", "1", "--r", "2", "--c1", f"{HUGE}*h+{HUGE}*f", "--c2", "0"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("op", sorted(HUGE_REQUESTS))
+def test_result_past_digit_limit_is_input_error(capsys, tmp_path, op, fmt):
+    target = tmp_path / "report.out"
+    argv = op.split() + HUGE_REQUESTS[op] + ["--format", fmt, "--out", str(target)]
+    code, out = _run(capsys, argv)
+    assert code == 1
+    assert target.read_text(encoding="utf-8") == out
+    assert not re.search(r"\d{100}", out)  # the huge value is not echoed
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["subcommand"] == op.split()[0]
+        assert report["inputs"] == {}
+        assert report["status"] == "input-error"
+        assert "4300 digits" in report["results"][0]["error"]
+    else:
+        assert out.startswith("status: input-error\nerror\n")
+        assert "4300 digits" in out
+
+
+def test_input_literal_past_digit_limit_is_input_error(capsys):
+    digits = "7" * 5000
+    code, out = _run(capsys, ["coh", "euler", "--e", "0", "--D", f"{digits}*h+0*f"])
+    assert (code, out.split("\n")[0]) == (1, "status: input-error")
+    code, out = _run(capsys, ["surface", "chern", "--e", "0", "--r", "1",
+                              "--c1", "0*h+0*f", "--c2", digits])
+    assert (code, out.split("\n")[0]) == (1, "status: input-error")
+
+
+# ---------------------------------------------------------------------------
+# the parser is built per group, on first use, and reused
+
+RIGID_JSON = """{
+  "subcommand": "split",
+  "inputs": {
+    "op": "rigid",
+    "r": 3,
+    "d": -2
+  },
+  "results": [
+    {
+      "type": "(0,-1,-1)"
+    }
+  ],
+  "status": "ok"
+}
+"""
+
+TOP_HELP = """usage: ruledsurf [-h] {surface,coh,split,bundle,verify} ...
+
+Exact intersection theory, cohomology, splitting types, and jumping-fiber
+counts on Hirzebruch and ruled surfaces.
+
+positional arguments:
+  {surface,coh,split,bundle,verify}
+    surface             intersection ring and polarizations
+    coh                 cohomology tables and derived counts
+    split               splitting types on the projective line
+    bundle              numerical vector-bundle calculus
+    verify              run a property grid and report pass/fail with a
+                        counterexample
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+SPLIT_HELP = """usage: ruledsurf split [-h]
+                       {rigid,h1end,isrigid,specializes,semicont,jumptype,lift,enumerate,chain}
+                       ...
+
+positional arguments:
+  {rigid,h1end,isrigid,specializes,semicont,jumptype,lift,enumerate,chain}
+    rigid               balanced type of given rank and degree
+    h1end               h1 of the endomorphism bundle
+    isrigid             rigidity test
+    specializes         dominance-order test
+    semicont            dominance via brute-force section-count semicontinuity
+    jumptype            minimal degeneration of a balanced type
+    lift                formal-neighborhood lifting obstructions
+    enumerate           all types of bounded spread
+    chain               degeneration chain from the rigid type
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+RIGID_HELP = """usage: ruledsurf split rigid [-h] [--format {table,json}] [--out PATH] --r R
+                             --d D
+
+balanced type of given rank and degree
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json}
+                        output rendering (default: table)
+  --out PATH            also write the rendered report to PATH
+  --r R
+  --d D
+"""
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    target = tmp_path / "report.json"
+    rigid = ["split", "rigid", "--r", "3", "--d", "-2"]
+    malformed = "status: input-error\nerror\nmalformed divisor literal '1*h+f': " \
+                "expected signed integer f-coefficient at position 3\n"
+    steps = [
+        (rigid + ["--format", "json", "--out", str(target)], 0, RIGID_JSON),
+        (rigid, 0, "type\n(0,-1,-1)\n"),
+        (["coh", "line", "--e", "0", "--D", "1*h+f"], 1, malformed),
+        (["--help"], 0, TOP_HELP),
+        (["split", "--help"], 0, SPLIT_HELP),
+        (["split", "rigid", "--help"], 0, RIGID_HELP),
+        (["verify", "rigid"], 0, "suite  points  ok\nrigid  356     true\n"),
+        # the group need not come first: argparse still enters split rigid
+        (["-x"] + rigid, 1, "status: input-error\nerror\nunrecognized arguments: -x\n"),
+        (rigid, 0, "type\n(0,-1,-1)\n"),
+        (["coh", "line", "--e", "0", "--D", "1*h+f"], 1, malformed),
+    ]
+    for argv, code, stdout in steps:
+        assert _run(capsys, argv) == (code, stdout), argv
+    # --out belongs to its own call: the later calls left the file alone
+    assert target.read_text(encoding="utf-8") == RIGID_JSON
+
+
+def test_importing_cli_builds_no_parser():
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    probe = textwrap.dedent("""
+        import argparse, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import ruledsurf.cli
+        print(len(built), "ruledsurf.verify" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def _subparsers(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _parse_error(parser, argv):
+    with pytest.raises(CliInputError) as err:
+        parser.parse_args(argv)
+    return str(err.value)
+
+
+def test_group_parser_matches_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = build_parser()
+    top = build_parser("")
+    assert top.format_help() == full.format_help()
+    for argv in ([], ["bogus"], ["--frobnicate"]):
+        assert _parse_error(top, argv) == _parse_error(full, argv)
+    for name, full_group in _subparsers(full).items():
+        partial = build_parser(name)
+        group = _subparsers(partial)[name]
+        assert group.format_help() == full_group.format_help()
+        full_leaves = _subparsers(full_group)
+        assert _subparsers(group).keys() == full_leaves.keys()
+        for leaf, parser in _subparsers(group).items():
+            assert parser.format_help() == full_leaves[leaf].format_help()
+        for argv in ([name, "bogus"], ["bogus"]):
+            assert _parse_error(partial, argv) == _parse_error(full, argv)
+
+
+def test_repeated_run_latency_budget(capsys):
+    argv = ["split", "rigid", "--r", "5", "--d", "7"]
+    start = time.perf_counter()
+    for _ in range(200):
+        assert run(argv) == 0
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert elapsed < 1.0, f"200 in-process runs took {elapsed:.2f} s"
