@@ -23,6 +23,7 @@ from .geometry import (
     CurveCycle,
     DivisorClass,
     SurfaceGeometry,
+    _require_int,
     canonical_class,
     chern_character,
     curve_mul,
@@ -43,6 +44,7 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self):
+        _require_int("rank and c2", self.r, self.c2)
         if self.r < 1:
             raise ValueError(f"rank must be at least 1, got {self.r}")
 
@@ -64,6 +66,8 @@ class ExtensionData:
     deg_quot: int
 
     def __post_init__(self):
+        _require_int("extension ranks, twist and degrees",
+                     self.r, self.x, self.a, self.deg_sub, self.deg_quot)
         if not 0 < self.x < self.r:
             raise ValueError(f"need 0 < x < r, got x={self.x}, r={self.r}")
 

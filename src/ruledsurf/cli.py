@@ -1,9 +1,17 @@
 """Command-line front end.
 
 Five subcommand groups (surface, coh, split, bundle, verify) expose every
-library operation.  Output is an aligned text table by default or a single
-JSON object with --format json; --out writes the rendered report verbatim
-to a file as well.  Exit codes: 0 ok, 1 input error, 2 property violation.
+library operation.  Each op is declared once, in the registry `_GROUPS`:
+its help text, its flags, and a function from the parsed flags to result
+rows.  `build_parser` and `run` both read that registry.  Literal flags
+are parsed after argparse, in the order the op reads them, and the values
+read are echoed as the report's inputs.
+
+Output is an aligned text table by default or a single JSON object with
+--format json; --out writes the rendered report verbatim to a file as
+well.  Exit codes: 0 ok, 1 input error, 2 property violation.  An error
+argparse raises is an input error too, rendered in the requested --format
+and written to --out whenever those two flags parse, else as a table.
 
 Literal grammars (parsed and emitted bit-exactly):
 
@@ -268,315 +276,248 @@ def render_report(subcommand: str, inputs: dict, rows: list[dict], status: str, 
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# the op registry
+
+class _Args:
+    """The flags of one call, as an op's row function reads them.
 
-def _geom(ns) -> SurfaceGeometry:
-    return SurfaceGeometry(ns.q, ns.e)
-
-
-def _cmd_surface_intersect(ns):
-    g = _geom(ns)
-    d1, d2 = parse_divisor(ns.d1), parse_divisor(ns.d2)
-    inputs = {"op": "intersect", "q": g.q, "e": g.e, "d1": d1, "d2": d2}
-    return inputs, [{"product": geometry.intersect(g, d1, d2)}]
-
-
-def _cmd_surface_canonical(ns):
-    g = _geom(ns)
-    inputs = {"op": "canonical", "q": g.q, "e": g.e}
-    return inputs, [{"K": geometry.canonical_class(g)}]
-
-
-def _cmd_surface_ample(ns):
-    g = _geom(ns)
-    d = parse_divisor(ns.D)
-    inputs = {"op": "ample", "q": g.q, "e": g.e, "D": d}
-    return inputs, [{"ample": geometry.is_ample(g, d)}]
-
-
-def _cmd_surface_good(ns):
-    g = _geom(ns)
-    d = parse_divisor(ns.R)
-    inputs = {"op": "good", "q": g.q, "e": g.e, "R": d}
-    return inputs, [{"good": geometry.is_good_polarization(g, d)}]
-
-
-def _cmd_surface_mintwist(ns):
-    g = _geom(ns)
-    d = parse_divisor(ns.H)
-    t = geometry.min_good_twist(g, d)
-    inputs = {"op": "mintwist", "q": g.q, "e": g.e, "H": d}
-    return inputs, [{"t": t, "polarization": d + t * geometry.FIBER}]
-
-
-def _cmd_surface_cyclemul(ns):
-    g = _geom(ns)
-    x, y = parse_cycle(ns.x), parse_cycle(ns.y)
-    inputs = {"op": "cyclemul", "q": g.q, "e": g.e, "x": x, "y": y}
-    return inputs, [{"cycle": geometry.cycle_mul(g, x, y)}]
-
-
-def _cmd_surface_chern(ns):
-    g = _geom(ns)
-    c1 = parse_divisor(ns.c1)
-    inputs = {"op": "chern", "q": g.q, "e": g.e, "r": ns.r, "c1": c1, "c2": ns.c2}
-    return inputs, [{"cycle": geometry.chern_character(g, ns.r, c1, ns.c2)}]
-
-
-def _cmd_surface_todd(ns):
-    g = _geom(ns)
-    inputs = {"op": "todd", "q": g.q, "e": g.e}
-    return inputs, [{"cycle": geometry.todd_surface(g)}]
-
-
-def _cmd_surface_toddcurve(ns):
-    inputs = {"op": "toddcurve", "q": ns.q}
-    return inputs, [{"curve_cycle": geometry.todd_curve(ns.q)}]
-
-
-def _cmd_surface_push(ns):
-    g = _geom(ns)
-    x = parse_cycle(ns.x)
-    inputs = {"op": "push", "q": g.q, "e": g.e, "x": x}
-    return inputs, [{"curve_cycle": geometry.pushforward_to_curve(g, x)}]
-
-
-def _cmd_coh_line(ns):
-    g = _geom(ns)
-    d = parse_divisor(ns.D)
-    table = cohomology.h_line(g, d)
-    inputs = {"op": "line", "q": g.q, "e": g.e, "D": d}
-    return inputs, [{"h0": table.h0, "h1": table.h1, "h2": table.h2}]
-
-
-def _cmd_coh_euler(ns):
-    g = _geom(ns)
-    d = parse_divisor(ns.D)
-    inputs = {"op": "euler", "q": g.q, "e": g.e, "D": d}
-    return inputs, [{"chi": cohomology.euler_char(g, d)}]
-
-
-def _cmd_coh_serre(ns):
-    g = _geom(ns)
-    d = parse_divisor(ns.D)
-    inputs = {"op": "serre", "q": g.q, "e": g.e, "D": d}
-    return inputs, [{"dual": cohomology.serre_dual(g, d)}]
-
-
-def _cmd_coh_conormal(ns):
-    g = _geom(ns)
-    c = cohomology.ConormalData(ns.t, ns.s)
-    inputs = {"op": "conormal", "q": g.q, "e": g.e, "t": ns.t, "s": ns.s, "n_max": ns.n_max}
-    return inputs, [{"vanishes": cohomology.conormal_vanishing(g, c, ns.n_max)}]
-
-
-def _cmd_coh_splitend(ns):
-    g = _geom(ns)
-    bundle = parse_summands(ns.summands)
-    tw = parse_divisor(ns.twist)
-    table = cohomology.h_split_end(g, bundle, tw)
-    inputs = {"op": "splitend", "q": g.q, "e": g.e, "summands": bundle, "twist": tw}
-    return inputs, [{"h0": table.h0, "h1": table.h1, "h2": table.h2}]
-
-
-def _cmd_coh_moduli(ns):
-    g = _geom(ns)
-    bundle = parse_summands(ns.summands)
-    inputs = {"op": "moduli", "q": g.q, "e": g.e, "summands": bundle}
-    return inputs, [{"dimension": cohomology.moduli_dimension_split(g, bundle)}]
-
-
-def _cmd_coh_stab(ns):
-    g = _geom(ns)
-    bundle = parse_summands(ns.summands)
-    c = cohomology.ConormalData(ns.t, ns.s)
-    index = cohomology.stabilization_index(g, bundle, c, ns.y_max)
-    inputs = {
-        "op": "stab", "q": g.q, "e": g.e, "summands": bundle,
-        "t": ns.t, "s": ns.s, "y_max": ns.y_max,
-    }
-    return inputs, [{"index": index}]
-
-
-def _cmd_coh_growth(ns):
-    g = _geom(ns)
-    bundle = parse_summands(ns.summands)
-    c = cohomology.ConormalData(ns.t, ns.s)
-    count = cohomology.endomorphism_growth(g, bundle, c, ns.n)
-    inputs = {
-        "op": "growth", "q": g.q, "e": g.e, "summands": bundle,
-        "t": ns.t, "s": ns.s, "n": ns.n,
-    }
-    return inputs, [{"sections": count}]
-
-
-def _cmd_split_rigid(ns):
-    inputs = {"op": "rigid", "r": ns.r, "d": ns.d}
-    return inputs, [{"type": splitting.rigid_type(ns.r, ns.d)}]
-
-
-def _cmd_split_h1end(ns):
-    t = parse_type(ns.type)
-    inputs = {"op": "h1end", "type": t}
-    return inputs, [{"h1": splitting.h1_end(t)}]
-
-
-def _cmd_split_isrigid(ns):
-    t = parse_type(ns.type)
-    inputs = {"op": "isrigid", "type": t}
-    return inputs, [{"rigid": splitting.is_rigid(t)}]
-
-
-def _cmd_split_specializes(ns):
-    general, special = parse_type(ns.general), parse_type(ns.special)
-    inputs = {"op": "specializes", "general": general, "special": special}
-    return inputs, [{"specializes": splitting.specializes(general, special)}]
-
-
-def _cmd_split_semicont(ns):
-    general, special = parse_type(ns.general), parse_type(ns.special)
-    inputs = {"op": "semicont", "general": general, "special": special}
-    return inputs, [{"specializes": splitting.semicontinuity_oracle(general, special)}]
-
-
-def _cmd_split_jumptype(ns):
-    inputs = {"op": "jumptype", "r": ns.r, "a": ns.a}
-    return inputs, [{"type": splitting.jumping_type(ns.r, ns.a)}]
-
-
-def _cmd_split_lift(ns):
-    t = parse_type(ns.type)
-    obs = splitting.formal_lift_obstructions(t, ns.t, ns.n_max)
-    inputs = {"op": "lift", "type": t, "t": ns.t, "n_max": ns.n_max}
-    return inputs, [{"obstructions": obs, "lifts": not any(obs)}]
-
-
-def _cmd_split_enumerate(ns):
-    types = splitting.enumerate_types(ns.r, ns.d, ns.max_spread)
-    inputs = {"op": "enumerate", "r": ns.r, "d": ns.d, "max_spread": ns.max_spread}
-    return inputs, [{"type": t} for t in types]
-
-
-def _cmd_split_chain(ns):
-    target = parse_type(ns.type)
-    chain = splitting.specialization_chain(target)
-    inputs = {"op": "chain", "type": target}
-    return inputs, [{"type": t} for t in chain]
-
-
-def _bundle_from(ns) -> bundles.BundleNumerics:
-    return bundles.BundleNumerics(_geom(ns), ns.r, parse_divisor(ns.c1), ns.c2)
-
-
-def _bundle_inputs(op: str, b: bundles.BundleNumerics) -> dict:
-    return {"op": op, "q": b.g.q, "e": b.g.e, "r": b.r, "c1": b.c1, "c2": b.c2}
-
-
-def _cmd_bundle_fiberdeg(ns):
-    b = _bundle_from(ns)
-    return _bundle_inputs("fiberdeg", b), [{"fiber_degree": bundles.fiber_degree(b)}]
-
-
-def _cmd_bundle_twist(ns):
-    b = _bundle_from(ns)
-    line = parse_divisor(ns.L)
-    inputs = _bundle_inputs("twist", b)
-    inputs["L"] = line
-    return inputs, [{"bundle": bundles.twist(b, line)}]
-
-
-def _cmd_bundle_jump(ns):
-    b = _bundle_from(ns)
-    inputs = _bundle_inputs("jump", b)
-    inputs["a"] = ns.a
-    z = bundles.jumping_count(b, ns.a)
-    m = bundles.pushforward_degree(b, ns.a)
-    return inputs, [{"z": z, "m": m}]
-
-
-def _cmd_bundle_chi(ns):
-    b = _bundle_from(ns)
-    inputs = _bundle_inputs("chi", b)
-    inputs["a"] = ns.a
-    return inputs, [{"z": bundles.jumping_count_chi_oracle(b, ns.a)}]
-
-
-def _cmd_bundle_euler(ns):
-    b = _bundle_from(ns)
-    return _bundle_inputs("euler", b), [{"chi": bundles.euler_char_bundle(b)}]
-
-
-def _cmd_bundle_grr(ns):
-    b = _bundle_from(ns)
-    inputs = _bundle_inputs("grr", b)
-    inputs["a"] = ns.a
-    report = bundles.grr_verify(b, ns.a)
-    return inputs, [{
-        "rank_ok": report.rank_ok,
-        "degree_ok": report.degree_ok,
-        "lhs_degree": report.lhs_degree,
-        "rhs_degree": report.rhs_degree,
-    }]
-
-
-def _cmd_bundle_extchern(ns):
-    g = _geom(ns)
-    ext = bundles.ExtensionData(g, ns.r, ns.x, ns.a, ns.deg_sub, ns.deg_quot)
-    inputs = {
-        "op": "extchern", "q": g.q, "e": g.e, "r": ns.r, "x": ns.x, "a": ns.a,
-        "deg_sub": ns.deg_sub, "deg_quot": ns.deg_quot,
-    }
-    return inputs, [{"bundle": bundles.extension_chern(ext)}]
-
-
-def _cmd_bundle_extdata(ns):
-    b = _bundle_from(ns)
-    inputs = _bundle_inputs("extdata", b)
-    inputs.update({"a": ns.a, "x": ns.x})
-    ext = bundles.extension_data_from_chern(b, ns.a, ns.x)
-    return inputs, [{"deg_sub": ext.deg_sub, "deg_quot": ext.deg_quot}]
-
-
-def _cmd_bundle_slope(ns):
-    b = _bundle_from(ns)
-    polarization = parse_divisor(ns.R)
-    inputs = _bundle_inputs("slope", b)
-    inputs["R"] = polarization
-    return inputs, [{"slope": bundles.slope(b, polarization)}]
-
-
-def _cmd_bundle_destab(ns):
-    g = _geom(ns)
-    sub = bundles.BundleNumerics(g, ns.sub_r, parse_divisor(ns.sub_c1), ns.sub_c2)
-    whole = bundles.BundleNumerics(g, ns.r, parse_divisor(ns.c1), ns.c2)
-    polarization = parse_divisor(ns.R)
-    inputs = {
-        "op": "destab", "q": g.q, "e": g.e,
-        "sub_r": sub.r, "sub_c1": sub.c1, "sub_c2": sub.c2,
-        "r": whole.r, "c1": whole.c1, "c2": whole.c2, "R": polarization,
-    }
-    return inputs, [{"destabilizes": bundles.destabilizes(sub, whole, polarization)}]
-
-
+    A literal flag is parsed when first read, so input errors surface in
+    the order the op reads its flags; every value read is echoed, in that
+    order, as the report's inputs.
+    """
+
+    def __init__(self, ns):
+        self._ns = ns
+        self.inputs = {"op": ns.op}
+
+    def _read(self, dest, parse=None):
+        if dest not in self.inputs:
+            value = getattr(self._ns, dest)
+            self.inputs[dest] = value if parse is None else parse(value)
+        return self.inputs[dest]
+
+    __getitem__ = _read
+
+    def divisor(self, dest):
+        return self._read(dest, parse_divisor)
+
+    def splitting(self, dest):
+        return self._read(dest, parse_type)
+
+    def cycle(self, dest):
+        return self._read(dest, parse_cycle)
+
+    def summands(self):
+        return self._read("summands", parse_summands)
+
+    @property
+    def g(self) -> SurfaceGeometry:
+        return SurfaceGeometry(self["q"], self["e"])
+
+    def conormal(self) -> cohomology.ConormalData:
+        return cohomology.ConormalData(self["t"], self["s"])
+
+    def bundle(self, prefix="") -> bundles.BundleNumerics:
+        return bundles.BundleNumerics(
+            self.g, self[prefix + "r"], self.divisor(prefix + "c1"), self[prefix + "c2"])
+
+
+def _flag(flag, help=None, **kwargs):
+    """An option as (flag, add_argument kwargs), required unless given a default."""
+    return flag, {"required": "default" not in kwargs, "help": help, **kwargs}
+
+
+def _int(flag, help=None, **kwargs):
+    return _flag(flag, help, type=int, **kwargs)
+
+
+def _row(obj, *labels) -> dict:
+    return {label: getattr(obj, label) for label in labels}
+
+
+def _mintwist_row(g, ample):
+    t = geometry.min_good_twist(g, ample)
+    return {"t": t, "polarization": ample + t * geometry.FIBER}
+
+
+def _lift_row(obstructions):
+    return {"obstructions": obstructions, "lifts": not any(obstructions)}
+
+
+_GEOM = (_int("--q", "base-curve genus (default 0)", default=0),
+         _int("--e", "ruled-surface invariant"))
+_BUNDLE_FLAGS = _GEOM + (_int("--r"), _flag("--c1"), _int("--c2"))
+_CYCLE = "cycle (r0,h,f,p2)"
+
+# op -> (help text, flags, function from the call's _Args to result rows)
+_SURFACE = {
+    "intersect": ("intersection number of two divisors",
+                  _GEOM + (_flag("--d1", "first divisor, a*h+b*f"),
+                           _flag("--d2", "second divisor, a*h+b*f")),
+                  lambda v: [{"product": geometry.intersect(
+                      v.g, v.divisor("d1"), v.divisor("d2"))}]),
+    "canonical": ("canonical divisor class", _GEOM,
+                  lambda v: [{"K": geometry.canonical_class(v.g)}]),
+    "ample": ("ampleness test", _GEOM + (_flag("--D", "divisor to test"),),
+              lambda v: [{"ample": geometry.is_ample(v.g, v.divisor("D"))}]),
+    "good": ("good-polarization test", _GEOM + (_flag("--R", "polarization to test"),),
+             lambda v: [{"good": geometry.is_good_polarization(v.g, v.divisor("R"))}]),
+    "mintwist": ("fewest fibers to add to an ample class to make it good",
+                 _GEOM + (_flag("--H", "ample starting divisor"),),
+                 lambda v: [_mintwist_row(v.g, v.divisor("H"))]),
+    "cyclemul": ("product of two truncated cycles",
+                 _GEOM + (_flag("--x", _CYCLE), _flag("--y", _CYCLE)),
+                 lambda v: [{"cycle": geometry.cycle_mul(v.g, v.cycle("x"), v.cycle("y"))}]),
+    "chern": ("Chern character of rank/c1/c2 data", _BUNDLE_FLAGS,
+              lambda v: [{"cycle": geometry.chern_character(
+                  v.g, v["r"], v.divisor("c1"), v["c2"])}]),
+    "todd": ("Todd class of the surface", _GEOM,
+             lambda v: [{"cycle": geometry.todd_surface(v.g)}]),
+    "toddcurve": ("Todd class of a genus-q curve", (_int("--q"),),
+                  lambda v: [{"curve_cycle": geometry.todd_curve(v["q"])}]),
+    "push": ("pushforward of a cycle to the base curve", _GEOM + (_flag("--x", _CYCLE),),
+             lambda v: [{"curve_cycle": geometry.pushforward_to_curve(v.g, v.cycle("x"))}]),
+}
+
+_COH = {
+    "line": ("cohomology of a line bundle (genus 0)", _GEOM + (_flag("--D"),),
+             lambda v: [_row(cohomology.h_line(v.g, v.divisor("D")), "h0", "h1", "h2")]),
+    "euler": ("Riemann-Roch Euler characteristic (any genus)", _GEOM + (_flag("--D"),),
+              lambda v: [{"chi": cohomology.euler_char(v.g, v.divisor("D"))}]),
+    "serre": ("Serre-dual divisor class K - D", _GEOM + (_flag("--D"),),
+              lambda v: [{"dual": cohomology.serre_dual(v.g, v.divisor("D"))}]),
+    "conormal": ("vanishing of conormal powers",
+                 _GEOM + (_int("--t"), _int("--s"), _int("--n-max", default=6)),
+                 lambda v: [{"vanishes": cohomology.conormal_vanishing(
+                     v.g, v.conormal(), v["n_max"])}]),
+    "splitend": ("cohomology of twisted End of a split bundle",
+                 _GEOM + (_flag("--summands", "comma-joined divisors"),
+                          _flag("--twist", default="0*h+0*f")),
+                 lambda v: [_row(cohomology.h_split_end(v.g, v.summands(), v.divisor("twist")),
+                                 "h0", "h1", "h2")]),
+    "moduli": ("local moduli dimension of a split bundle", _GEOM + (_flag("--summands"),),
+               lambda v: [{"dimension": cohomology.moduli_dimension_split(v.g, v.summands())}]),
+    "stab": ("index past which twisted End h1 vanishes",
+             _GEOM + (_flag("--summands"), _int("--t"), _int("--s"),
+                      _int("--y-max", default=10)),
+             lambda v: [{"index": cohomology.stabilization_index(
+                 v.g, v.summands(), v.conormal(), v["y_max"])}]),
+    "growth": ("global endomorphism count on the n-th neighborhood (split model)",
+               _GEOM + (_flag("--summands"), _int("--t"), _int("--s"), _int("--n")),
+               lambda v: [{"sections": cohomology.endomorphism_growth(
+                   v.g, v.summands(), v.conormal(), v["n"])}]),
+}
+
+_TYPE_PAIR = (_flag("--general"), _flag("--special"))
+
+_SPLIT = {
+    "rigid": ("balanced type of given rank and degree", (_int("--r"), _int("--d")),
+              lambda v: [{"type": splitting.rigid_type(v["r"], v["d"])}]),
+    "h1end": ("h1 of the endomorphism bundle",
+              (_flag("--type", "splitting type (b1,b2,...)"),),
+              lambda v: [{"h1": splitting.h1_end(v.splitting("type"))}]),
+    "isrigid": ("rigidity test", (_flag("--type"),),
+                lambda v: [{"rigid": splitting.is_rigid(v.splitting("type"))}]),
+    "specializes": ("dominance-order test", _TYPE_PAIR,
+                    lambda v: [{"specializes": splitting.specializes(
+                        v.splitting("general"), v.splitting("special"))}]),
+    "semicont": ("dominance via brute-force section-count semicontinuity", _TYPE_PAIR,
+                 lambda v: [{"specializes": splitting.semicontinuity_oracle(
+                     v.splitting("general"), v.splitting("special"))}]),
+    "jumptype": ("minimal degeneration of a balanced type", (_int("--r"), _int("--a")),
+                 lambda v: [{"type": splitting.jumping_type(v["r"], v["a"])}]),
+    "lift": ("formal-neighborhood lifting obstructions",
+             (_flag("--type"), _int("--t", "conormal fiber degree"),
+              _int("--n-max", default=10)),
+             lambda v: [_lift_row(splitting.formal_lift_obstructions(
+                 v.splitting("type"), v["t"], v["n_max"]))]),
+    "enumerate": ("all types of bounded spread",
+                  (_int("--r"), _int("--d"), _int("--max-spread")),
+                  lambda v: [{"type": t} for t in splitting.enumerate_types(
+                      v["r"], v["d"], v["max_spread"])]),
+    "chain": ("degeneration chain from the rigid type", (_flag("--type"),),
+              lambda v: [{"type": t}
+                         for t in splitting.specialization_chain(v.splitting("type"))]),
+}
+
+_BUNDLE_OPS = {
+    "fiberdeg": ("degree on a general fiber", _BUNDLE_FLAGS,
+                 lambda v: [{"fiber_degree": bundles.fiber_degree(v.bundle())}]),
+    "twist": ("tensor by a line bundle", _BUNDLE_FLAGS + (_flag("--L", "twisting divisor"),),
+              lambda v: [{"bundle": bundles.twist(v.bundle(), v.divisor("L"))}]),
+    "jump": ("jumping-fiber count z and pushforward degree m",
+             _BUNDLE_FLAGS + (_int("--a", "general fiber type is (a,...,a)"),),
+             lambda v: [{"z": bundles.jumping_count(v.bundle(), v["a"]),
+                         "m": bundles.pushforward_degree(v.bundle(), v["a"])}]),
+    "chi": ("jumping count via Euler characteristics", _BUNDLE_FLAGS + (_int("--a"),),
+            lambda v: [{"z": bundles.jumping_count_chi_oracle(v.bundle(), v["a"])}]),
+    "euler": ("Euler characteristic of the bundle", _BUNDLE_FLAGS,
+              lambda v: [{"chi": bundles.euler_char_bundle(v.bundle())}]),
+    "grr": ("compare the cycle-level pushforward degree with the closed form",
+            _BUNDLE_FLAGS + (_int("--a"),),
+            lambda v: [_row(bundles.grr_verify(v.bundle(), v["a"]),
+                            "rank_ok", "degree_ok", "lhs_degree", "rhs_degree")]),
+    "extchern": ("Chern data of an extension middle term",
+                 _GEOM + (_int("--r"), _int("--x", "rank of the quotient piece"), _int("--a"),
+                          _int("--deg-sub"), _int("--deg-quot")),
+                 lambda v: [{"bundle": bundles.extension_chern(bundles.ExtensionData(
+                     v.g, v["r"], v["x"], v["a"], v["deg_sub"], v["deg_quot"]))}]),
+    "extdata": ("recover extension degrees from Chern data",
+                _BUNDLE_FLAGS + (_int("--a"), _int("--x")),
+                lambda v: [_row(bundles.extension_data_from_chern(v.bundle(), v["a"], v["x"]),
+                                "deg_sub", "deg_quot")]),
+    "slope": ("slope with respect to a polarization", _BUNDLE_FLAGS + (_flag("--R"),),
+              lambda v: [{"slope": bundles.slope(v.bundle(), v.divisor("R"))}]),
+    # the sub-object is read, and so checked and echoed, before the whole
+    "destab": ("slope comparison of a sub-object",
+               _BUNDLE_FLAGS + (_int("--sub-r"), _flag("--sub-c1"), _int("--sub-c2"),
+                                _flag("--R")),
+               lambda v: [{"destabilizes": bundles.destabilizes(
+                   v.bundle("sub_"), v.bundle(), v.divisor("R"))}]),
+}
+
+_VERIFY_HELP = "run a property grid and report pass/fail with a counterexample"
+
+# verify's grid-bound overrides, as (flag, keyword of verify.run_suite)
 _VERIFY_BOUNDS = (
-    "r_max", "d_max", "e_max", "a_max", "b_max", "c2_max",
-    "t_max", "n_max", "y_max", "spread", "deg_max", "coeff_max",
+    ("--r", "r_max"), ("--d-max", "d_max"), ("--e-max", "e_max"), ("--a-max", "a_max"),
+    ("--b-max", "b_max"), ("--c2-max", "c2_max"), ("--t-max", "t_max"),
+    ("--n-max", "n_max"), ("--y-max", "y_max"), ("--spread", "spread"),
+    ("--deg-max", "deg_max"), ("--coeff-max", "coeff_max"),
 )
 
 
-def _cmd_verify(ns):
+def _verify_flags():
+    from .verify import SUITES  # loaded only when the verify parser is built
+
+    return (("suite", {"choices": [*SUITES, "all"]}),) + tuple(
+        _int(flag, "override the maximal rank of the grid" if flag == "--r" else None,
+             default=None, dest=dest)
+        for flag, dest in _VERIFY_BOUNDS)
+
+
+def _verify_rows(v):
     from .verify import run_suite  # loaded only when a grid is run
 
-    overrides = {k: getattr(ns, k) for k in _VERIFY_BOUNDS if getattr(ns, k) is not None}
-    results = run_suite(ns.suite, **overrides)
-    inputs = {"op": "verify", "suite": ns.suite, **overrides}
     rows = []
-    for res in results:
+    for res in run_suite(v["suite"], **{dest: v[dest] for _, dest in _VERIFY_BOUNDS}):
         row = {"suite": res.suite, "points": res.points, "ok": res.ok}
         if not res.ok:
             row["counterexample"] = res.counterexample
         rows.append(row)
-    return inputs, rows
+    return rows
+
+
+# group -> (help text, its ops).  A group holding an op of its own name
+# (verify) is that op's leaf itself, with no subcommand; its flags are
+# built on demand because the suite names live in the verify module.
+_GROUPS = {
+    "surface": ("intersection ring and polarizations", _SURFACE),
+    "coh": ("cohomology tables and derived counts", _COH),
+    "split": ("splitting types on the projective line", _SPLIT),
+    "bundle": ("numerical vector-bundle calculus", _BUNDLE_OPS),
+    "verify": (_VERIFY_HELP, {"verify": (_VERIFY_HELP, _verify_flags, _verify_rows)}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -589,232 +530,11 @@ def _add_common(p: _Parser):
                    help="also write the rendered report to PATH")
 
 
-def _add_geometry(p: _Parser, require_e=True):
-    p.add_argument("--q", type=int, default=0, help="base-curve genus (default 0)")
-    p.add_argument("--e", type=int, required=require_e, help="ruled-surface invariant")
-
-
-def _leaf(group_sub, name: str, handler, help_text: str) -> _Parser:
-    p = group_sub.add_parser(name, help=help_text, description=help_text)
-    p.set_defaults(handler=handler)
+def _add_op(p: _Parser, help_text: str, flags):
+    p.description = help_text
     _add_common(p)
-    return p
-
-
-def _surface_leaves(surface: _Parser):
-    ssub = surface.add_subparsers(dest="op", required=True, parser_class=_Parser)
-
-    p = _leaf(ssub, "intersect", _cmd_surface_intersect, "intersection number of two divisors")
-    _add_geometry(p)
-    p.add_argument("--d1", required=True, help="first divisor, a*h+b*f")
-    p.add_argument("--d2", required=True, help="second divisor, a*h+b*f")
-
-    p = _leaf(ssub, "canonical", _cmd_surface_canonical, "canonical divisor class")
-    _add_geometry(p)
-
-    p = _leaf(ssub, "ample", _cmd_surface_ample, "ampleness test")
-    _add_geometry(p)
-    p.add_argument("--D", required=True, help="divisor to test")
-
-    p = _leaf(ssub, "good", _cmd_surface_good, "good-polarization test")
-    _add_geometry(p)
-    p.add_argument("--R", required=True, help="polarization to test")
-
-    p = _leaf(ssub, "mintwist", _cmd_surface_mintwist,
-              "fewest fibers to add to an ample class to make it good")
-    _add_geometry(p)
-    p.add_argument("--H", required=True, help="ample starting divisor")
-
-    p = _leaf(ssub, "cyclemul", _cmd_surface_cyclemul, "product of two truncated cycles")
-    _add_geometry(p)
-    p.add_argument("--x", required=True, help="cycle (r0,h,f,p2)")
-    p.add_argument("--y", required=True, help="cycle (r0,h,f,p2)")
-
-    p = _leaf(ssub, "chern", _cmd_surface_chern, "Chern character of rank/c1/c2 data")
-    _add_geometry(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c1", required=True)
-    p.add_argument("--c2", type=int, required=True)
-
-    p = _leaf(ssub, "todd", _cmd_surface_todd, "Todd class of the surface")
-    _add_geometry(p)
-
-    p = _leaf(ssub, "toddcurve", _cmd_surface_toddcurve, "Todd class of a genus-q curve")
-    p.add_argument("--q", type=int, required=True)
-
-    p = _leaf(ssub, "push", _cmd_surface_push, "pushforward of a cycle to the base curve")
-    _add_geometry(p)
-    p.add_argument("--x", required=True, help="cycle (r0,h,f,p2)")
-
-
-def _coh_leaves(coh: _Parser):
-    csub = coh.add_subparsers(dest="op", required=True, parser_class=_Parser)
-
-    p = _leaf(csub, "line", _cmd_coh_line, "cohomology of a line bundle (genus 0)")
-    _add_geometry(p)
-    p.add_argument("--D", required=True)
-
-    p = _leaf(csub, "euler", _cmd_coh_euler, "Riemann-Roch Euler characteristic (any genus)")
-    _add_geometry(p)
-    p.add_argument("--D", required=True)
-
-    p = _leaf(csub, "serre", _cmd_coh_serre, "Serre-dual divisor class K - D")
-    _add_geometry(p)
-    p.add_argument("--D", required=True)
-
-    p = _leaf(csub, "conormal", _cmd_coh_conormal, "vanishing of conormal powers")
-    _add_geometry(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=6)
-
-    p = _leaf(csub, "splitend", _cmd_coh_splitend, "cohomology of twisted End of a split bundle")
-    _add_geometry(p)
-    p.add_argument("--summands", required=True, help="comma-joined divisors")
-    p.add_argument("--twist", default="0*h+0*f")
-
-    p = _leaf(csub, "moduli", _cmd_coh_moduli, "local moduli dimension of a split bundle")
-    _add_geometry(p)
-    p.add_argument("--summands", required=True)
-
-    p = _leaf(csub, "stab", _cmd_coh_stab, "index past which twisted End h1 vanishes")
-    _add_geometry(p)
-    p.add_argument("--summands", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--y-max", type=int, default=10)
-
-    p = _leaf(csub, "growth", _cmd_coh_growth,
-              "global endomorphism count on the n-th neighborhood (split model)")
-    _add_geometry(p)
-    p.add_argument("--summands", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-
-def _split_leaves(split: _Parser):
-    psub = split.add_subparsers(dest="op", required=True, parser_class=_Parser)
-
-    p = _leaf(psub, "rigid", _cmd_split_rigid, "balanced type of given rank and degree")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = _leaf(psub, "h1end", _cmd_split_h1end, "h1 of the endomorphism bundle")
-    p.add_argument("--type", required=True, help="splitting type (b1,b2,...)")
-
-    p = _leaf(psub, "isrigid", _cmd_split_isrigid, "rigidity test")
-    p.add_argument("--type", required=True)
-
-    p = _leaf(psub, "specializes", _cmd_split_specializes, "dominance-order test")
-    p.add_argument("--general", required=True)
-    p.add_argument("--special", required=True)
-
-    p = _leaf(psub, "semicont", _cmd_split_semicont,
-              "dominance via brute-force section-count semicontinuity")
-    p.add_argument("--general", required=True)
-    p.add_argument("--special", required=True)
-
-    p = _leaf(psub, "jumptype", _cmd_split_jumptype, "minimal degeneration of a balanced type")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = _leaf(psub, "lift", _cmd_split_lift, "formal-neighborhood lifting obstructions")
-    p.add_argument("--type", required=True)
-    p.add_argument("--t", type=int, required=True, help="conormal fiber degree")
-    p.add_argument("--n-max", type=int, default=10)
-
-    p = _leaf(psub, "enumerate", _cmd_split_enumerate, "all types of bounded spread")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-spread", type=int, required=True)
-
-    p = _leaf(psub, "chain", _cmd_split_chain, "degeneration chain from the rigid type")
-    p.add_argument("--type", required=True)
-
-
-def _bundle_leaves(bundle: _Parser):
-    bsub = bundle.add_subparsers(dest="op", required=True, parser_class=_Parser)
-
-    def _bundle_leaf(name, handler, help_text):
-        leaf = _leaf(bsub, name, handler, help_text)
-        _add_geometry(leaf)
-        leaf.add_argument("--r", type=int, required=True)
-        leaf.add_argument("--c1", required=True)
-        leaf.add_argument("--c2", type=int, required=True)
-        return leaf
-
-    _bundle_leaf("fiberdeg", _cmd_bundle_fiberdeg, "degree on a general fiber")
-
-    p = _bundle_leaf("twist", _cmd_bundle_twist, "tensor by a line bundle")
-    p.add_argument("--L", required=True, help="twisting divisor")
-
-    p = _bundle_leaf("jump", _cmd_bundle_jump,
-                     "jumping-fiber count z and pushforward degree m")
-    p.add_argument("--a", type=int, required=True, help="general fiber type is (a,...,a)")
-
-    p = _bundle_leaf("chi", _cmd_bundle_chi, "jumping count via Euler characteristics")
-    p.add_argument("--a", type=int, required=True)
-
-    _bundle_leaf("euler", _cmd_bundle_euler, "Euler characteristic of the bundle")
-
-    p = _bundle_leaf("grr", _cmd_bundle_grr,
-                     "compare the cycle-level pushforward degree with the closed form")
-    p.add_argument("--a", type=int, required=True)
-
-    p = _leaf(bsub, "extchern", _cmd_bundle_extchern, "Chern data of an extension middle term")
-    _add_geometry(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--x", type=int, required=True, help="rank of the quotient piece")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--deg-sub", type=int, required=True)
-    p.add_argument("--deg-quot", type=int, required=True)
-
-    p = _bundle_leaf("extdata", _cmd_bundle_extdata, "recover extension degrees from Chern data")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-
-    p = _bundle_leaf("slope", _cmd_bundle_slope, "slope with respect to a polarization")
-    p.add_argument("--R", required=True)
-
-    p = _bundle_leaf("destab", _cmd_bundle_destab, "slope comparison of a sub-object")
-    p.add_argument("--sub-r", type=int, required=True)
-    p.add_argument("--sub-c1", required=True)
-    p.add_argument("--sub-c2", type=int, required=True)
-    p.add_argument("--R", required=True)
-
-
-_VERIFY_HELP = "run a property grid and report pass/fail with a counterexample"
-
-
-def _verify_leaf(ver: _Parser):
-    # verify is a group and its own leaf at once.
-    ver.description = _VERIFY_HELP
-    ver.set_defaults(handler=_cmd_verify)
-    _add_common(ver)
-    ver.add_argument("suite", choices=[
-        "serre", "euler", "conormal", "theoremC", "dominance",
-        "rigid", "lifting", "extension", "growth", "all",
-    ])
-    ver.add_argument("--r", type=int, default=None, dest="r_max",
-                     help="override the maximal rank of the grid")
-    for flag, dest in (
-        ("--d-max", "d_max"), ("--e-max", "e_max"), ("--a-max", "a_max"),
-        ("--b-max", "b_max"), ("--c2-max", "c2_max"), ("--t-max", "t_max"),
-        ("--n-max", "n_max"), ("--y-max", "y_max"), ("--spread", "spread"),
-        ("--deg-max", "deg_max"), ("--coeff-max", "coeff_max"),
-    ):
-        ver.add_argument(flag, type=int, default=None, dest=dest)
-
-
-# group name -> (help text, function that adds the group's leaves)
-_GROUPS = {
-    "surface": ("intersection ring and polarizations", _surface_leaves),
-    "coh": ("cohomology tables and derived counts", _coh_leaves),
-    "split": ("splitting types on the projective line", _split_leaves),
-    "bundle": ("numerical vector-bundle calculus", _bundle_leaves),
-    "verify": (_VERIFY_HELP, _verify_leaf),
-}
+    for flag, kwargs in flags() if callable(flags) else flags:
+        p.add_argument(flag, **kwargs)
 
 
 def build_parser(group: str | None = None) -> _Parser:
@@ -830,10 +550,17 @@ def build_parser(group: str | None = None) -> _Parser:
                     "and jumping-fiber counts on Hirzebruch and ruled surfaces.",
     )
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
-    for name, (help_text, add_leaves) in _GROUPS.items():
+    for name, (help_text, ops) in _GROUPS.items():
         entry = groups.add_parser(name, help=help_text)
-        if group is None or group == name:
-            add_leaves(entry)
+        if group is not None and group != name:
+            continue
+        if name in ops:
+            _add_op(entry, *ops[name][:2])
+            entry.set_defaults(op=name)
+            continue
+        leaves = entry.add_subparsers(dest="op", required=True, parser_class=_Parser)
+        for op, (op_help, flags, _) in ops.items():
+            _add_op(leaves.add_parser(op, help=op_help), op_help, flags)
     return top
 
 
@@ -841,6 +568,17 @@ def build_parser(group: str | None = None) -> _Parser:
 def _parser_for(group: str) -> _Parser:
     # run() passes a group name or "", so this holds at most six parsers.
     return build_parser(group)
+
+
+def _requested_output(argv: list[str]) -> tuple[str, str | None]:
+    """--format and --out as argv gives them, or a table and no file if they do not parse."""
+    p = _Parser(add_help=False)
+    _add_common(p)
+    try:
+        ns, _ = p.parse_known_args(argv)
+    except CliInputError:
+        return "table", None
+    return ns.format, ns.out
 
 
 # ---------------------------------------------------------------------------
@@ -861,18 +599,23 @@ def run(argv: list[str]) -> int:
     try:
         ns = _parser_for(reached).parse_args(argv)
     except CliInputError as exc:
-        _emit(render_report(group, {}, [{"error": str(exc)}], "input-error", "table"), None)
+        fmt, out = _requested_output(argv)
+        _emit(render_report(group, {}, [{"error": str(exc)}], "input-error", fmt), out)
         return 1
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else int(exc.code)
 
+    _, _, rows_of = _GROUPS[ns.group][1][ns.op]
+    args = _Args(ns)
     try:
-        inputs, rows = ns.handler(ns)
+        rows = rows_of(args)
     except (CliInputError, ValueError) as exc:
         text = render_report(ns.group, {}, [{"error": str(exc)}], "input-error", ns.format)
         _emit(text, ns.out)
         return 1
 
+    # verify's bounds left unset are not echoed
+    inputs = {k: value for k, value in args.inputs.items() if value is not None}
     status = "ok"
     code = 0
     if ns.group == "verify" and any(row.get("ok") is False for row in rows):

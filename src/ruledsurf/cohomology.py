@@ -26,6 +26,7 @@ from .geometry import (
     ZERO,
     DivisorClass,
     SurfaceGeometry,
+    _require_int,
     canonical_class,
     intersect,
 )
@@ -98,6 +99,7 @@ class ConormalData:
     s: int
 
     def __post_init__(self):
+        _require_int("conormal degrees", self.t, self.s)
         if self.t <= 0:
             raise ValueError(f"conormal h-degree must be positive, got t={self.t}")
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import _require_int
+
 
 @dataclass(frozen=True)
 class SplittingType:
@@ -25,6 +27,7 @@ class SplittingType:
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("a splitting type needs at least one part")
+        _require_int("splitting-type parts", *parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be nonincreasing, got {parts}")
         object.__setattr__(self, "parts", parts)

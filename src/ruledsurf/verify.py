@@ -21,6 +21,7 @@ from .bundles import (
     pushforward_degree,
     twist,
 )
+from .cli import format_divisor, format_type
 from .cohomology import (
     ConormalData,
     SplitBundle,
@@ -57,14 +58,6 @@ class SuiteResult:
     counterexample: dict | None = field(default=None)
 
 
-def _divisor_text(d: DivisorClass) -> str:
-    return f"{d.a}*h{d.b:+d}*f"
-
-
-def _type_text(t: SplittingType) -> str:
-    return "(" + ",".join(str(b) for b in t.parts) + ")"
-
-
 def run_serre(e_max: int = 4, coeff_max: int = 8) -> SuiteResult:
     points = 0
     for e in range(e_max + 1):
@@ -81,7 +74,7 @@ def run_serre(e_max: int = 4, coeff_max: int = 8) -> SuiteResult:
                         "serre",
                         points,
                         False,
-                        {"e": e, "D": _divisor_text(d)},
+                        {"e": e, "D": format_divisor(d)},
                     )
     return SuiteResult("serre", points, True)
 
@@ -99,7 +92,7 @@ def run_euler(e_max: int = 4, coeff_max: int = 8) -> SuiteResult:
                         "euler",
                         points,
                         False,
-                        {"e": e, "D": _divisor_text(d)},
+                        {"e": e, "D": format_divisor(d)},
                     )
     return SuiteResult("euler", points, True)
 
@@ -157,7 +150,7 @@ def run_theorem_c(
                                     "e": e,
                                     "r": r,
                                     "a": a,
-                                    "c1": _divisor_text(bundle.c1),
+                                    "c1": format_divisor(bundle.c1),
                                     "c2": c2,
                                     "z": z,
                                     "z_twist": z_twist,
@@ -187,15 +180,15 @@ def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> SuiteResul
                             {
                                 "r": r,
                                 "d": d,
-                                "general": _type_text(types[i]),
-                                "special": _type_text(types[j]),
+                                "general": format_type(types[i]),
+                                "special": format_type(types[j]),
                             },
                         )
             for i in range(n):
                 if not rel[i][i]:
                     return SuiteResult(
                         "dominance", points, False,
-                        {"axiom": "reflexive", "type": _type_text(types[i])},
+                        {"axiom": "reflexive", "type": format_type(types[i])},
                     )
                 for j in range(n):
                     if i != j and rel[i][j] and rel[j][i]:
@@ -203,8 +196,8 @@ def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> SuiteResul
                             "dominance", points, False,
                             {
                                 "axiom": "antisymmetric",
-                                "first": _type_text(types[i]),
-                                "second": _type_text(types[j]),
+                                "first": format_type(types[i]),
+                                "second": format_type(types[j]),
                             },
                         )
                     if rel[i][j]:
@@ -214,9 +207,9 @@ def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> SuiteResul
                                     "dominance", points, False,
                                     {
                                         "axiom": "transitive",
-                                        "first": _type_text(types[i]),
-                                        "second": _type_text(types[j]),
-                                        "third": _type_text(types[k]),
+                                        "first": format_type(types[i]),
+                                        "second": format_type(types[j]),
+                                        "third": format_type(types[k]),
                                     },
                                 )
     return SuiteResult("dominance", points, True)
@@ -256,19 +249,19 @@ def run_rigid(
             if flat != [balanced]:
                 return SuiteResult(
                     "rigid", points, False,
-                    {"r": r, "d": d, "h1_end_zero": [_type_text(t) for t in flat]},
+                    {"r": r, "d": d, "h1_end_zero": [format_type(t) for t in flat]},
                 )
             for t in types:
                 points += 1
                 if not specializes(balanced, t):
                     return SuiteResult(
                         "rigid", points, False,
-                        {"r": r, "d": d, "unreachable": _type_text(t)},
+                        {"r": r, "d": d, "unreachable": format_type(t)},
                     )
                 if not _chain_valid(t, specialization_chain(t)):
                     return SuiteResult(
                         "rigid", points, False,
-                        {"r": r, "d": d, "bad_chain_target": _type_text(t)},
+                        {"r": r, "d": d, "bad_chain_target": format_type(t)},
                     )
     for r in range(2, jump_r_max + 1):
         for a in range(-jump_a_max, jump_a_max + 1):
@@ -293,7 +286,7 @@ def run_lifting(
                 if any(formal_lift_obstructions(balanced, t, n_max)):
                     return SuiteResult(
                         "lifting", points, False,
-                        {"type": _type_text(balanced), "t": t},
+                        {"type": format_type(balanced), "t": t},
                     )
     points += 1
     if formal_lift_obstructions(SplittingType((1, -1)), 1, 1) != [1]:

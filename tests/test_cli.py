@@ -125,6 +125,36 @@ def test_unknown_flag_rejected(capsys):
     assert "unrecognized" in out or "frobnicate" in out
 
 
+ARGPARSE_ERRORS = {
+    "bad int": (["split", "rigid", "--r", "x", "--d", "1"],
+                "argument --r: invalid int value: 'x'"),
+    "missing required": (["split", "rigid", "--d", "1"],
+                         "the following arguments are required: --r"),
+    "unknown flag": (["split", "rigid", "--r", "5", "--d", "1", "--frobnicate", "1"],
+                     "unrecognized arguments: --frobnicate 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGPARSE_ERRORS))
+def test_argparse_error_honours_format_and_out(capsys, tmp_path, case):
+    argv, error = ARGPARSE_ERRORS[case]
+    target = tmp_path / "report.json"
+    code, out = _run(capsys, argv + ["--format", "json", "--out", str(target)])
+    assert code == 1
+    assert json.loads(out) == {"subcommand": "split", "inputs": {},
+                               "results": [{"error": error}], "status": "input-error"}
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_argparse_error_falls_back_to_table(capsys, tmp_path):
+    target = tmp_path / "report.out"
+    code, out = _run(capsys, ["split", "rigid", "--r", "x", "--d", "1",
+                              "--format", "xml", "--out", str(target)])
+    assert code == 1
+    assert out.startswith("status: input-error\nerror\nargument --r: invalid int value")
+    assert not target.exists()
+
+
 def test_unknown_suite_rejected(capsys):
     code, out = _run(capsys, ["verify", "nonsense"])
     assert code == 1

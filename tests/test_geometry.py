@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ruledsurf.bundles import BundleNumerics, ExtensionData
+from ruledsurf.cohomology import ConormalData
 from ruledsurf.geometry import (
     FIBER,
     SECTION,
@@ -22,6 +24,7 @@ from ruledsurf.geometry import (
     todd_curve,
     todd_surface,
 )
+from ruledsurf.splitting import SplittingType, h1_end
 
 
 def test_intersection_ground_truth():
@@ -149,6 +152,29 @@ def test_geometry_invariants_enforced():
 def test_divisor_coefficients_must_be_integers():
     with pytest.raises(TypeError):
         DivisorClass(Fraction(1, 2), 0)
+
+
+G0 = SurfaceGeometry(0, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: h1_end(SplittingType((2.5, 0))),
+    lambda: SplittingType((1, Fraction(0))),
+    lambda: SurfaceGeometry(True, False),
+    lambda: SurfaceGeometry(0, 1.0),
+    lambda: DivisorClass(True, 0),
+    lambda: BundleNumerics(G0, 2.0, DivisorClass(0, 0), 1),
+    lambda: BundleNumerics(G0, 2, DivisorClass(0, 0), 1.5),
+    lambda: ConormalData(1.0, 2),
+    lambda: ConormalData(1, 2.5),
+    lambda: ExtensionData(G0, 3, 1, Fraction(1, 2), 0, 0),
+    lambda: ExtensionData(G0, 3, True, 1, 0, 0),
+], ids=["h1_end-float", "type-fraction", "geometry-bool", "geometry-float", "divisor-bool",
+        "bundle-rank-float", "bundle-c2-float", "conormal-t-float", "conormal-s-float",
+        "extension-fraction", "extension-bool"])
+def test_constructors_take_exact_integers_only(build):
+    with pytest.raises(TypeError, match="must be integers"):
+        build()
 
 
 def _cycle(r0, dh, df, p2):
