@@ -1,7 +1,7 @@
 """The CLI's bytes, pinned: stdout, exit code and --out file of a fixed argv corpus.
 
 `cli_golden.json` holds, for every argv that `corpus()` builds, what
-`cli.run` printed, the code it returned and the bytes it wrote to the
+`cli.run` printed, the code it returned and the text it wrote to the
 --out file (null where it wrote none).  The corpus covers top-level,
 group and leaf --help, one table call and one JSON call with --out for
 every op, the argparse error shapes of every leaf, and malformed literals
