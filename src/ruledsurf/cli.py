@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 _INT = re.compile(r"[+-]?\d+")
 _SIGNED_INT = re.compile(r"[+-]\d+")
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL = re.compile(r"[+-]?\d+(?:/(\d+))?")
 
 
 def _fail(text: str, pos: int, expected: str, kind: str):
@@ -138,8 +138,12 @@ def _parse_rational_list(text: str, count: int, kind: str) -> list[Fraction]:
     pos = 1
     for chunk in chunks:
         stripped = chunk.strip()
-        if not _RATIONAL.fullmatch(stripped):
+        m = _RATIONAL.fullmatch(stripped)
+        if not m:
             _fail(text, pos, "exact rational p or p/q", kind)
+        if m.group(1) is not None and not m.group(1).strip("0"):
+            lead = len(chunk) - len(chunk.lstrip())
+            _fail(text, pos + lead + m.start(1), "nonzero denominator", kind)
         values.append(Fraction(stripped))
         pos += len(chunk) + 1
     return values

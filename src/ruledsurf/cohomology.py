@@ -1,10 +1,12 @@
 """Line-bundle cohomology on Hirzebruch surfaces and quantities built on it.
 
 For genus zero the ruling pushes O(a*h + b*f) down to a sum of line bundles
-on the base P^1, so every h^i is a finite lattice count: h0 and h1 sum the
-section and obstruction counts of the summands O(b - k*e) for k = 0..a, h2
-vanishes whenever a >= -1, and the remaining case a <= -2 reduces to the
-a >= 0 case through Serre duality in a single step.
+on the base P^1, so for a >= 0 the dimensions h0 and h1 are the section and
+obstruction counts of the summands O(b - k*e), k = 0..a.  Those counts are
+arithmetic series with closed forms, so h_line does a fixed number of
+integer operations whatever the coefficients.  h2 vanishes whenever
+a >= -1, and the remaining case a <= -2 reduces to the a >= 0 case through
+Serre duality in a single step.
 
 On top of the line-bundle table this module evaluates the endomorphism
 cohomology of split bundles, the dimension of their local moduli space,
@@ -125,9 +127,19 @@ def _h_line_nonneg(e: int, a: int, b: int) -> CohomologyTable:
         return CohomologyTable(0, 0, 0)
     if a < 0:
         raise ArithmeticError(f"duality reduction failed to reach a >= -1 (a={a})")
-    h0 = sum(max(0, b - k * e + 1) for k in range(a + 1))
-    h1 = sum(max(0, k * e - b - 1) for k in range(a + 1))
-    return CohomologyTable(h0, h1, 0)
+    # h0 sums b - k*e + 1 over the k in 0..a where it is positive, which are
+    # k = 0..top (e >= 0 in genus zero); h1 sums minus the other terms, so
+    # the sum over all k is chi = h0 - h1.  Both are arithmetic series, and
+    # n*(n+1) is even, so each division is exact.
+    if b < 0:
+        top = -1
+    elif e == 0:
+        top = a
+    else:
+        top = min(a, b // e)
+    h0 = (top + 1) * (b + 1) - e * top * (top + 1) // 2
+    chi = (a + 1) * (b + 1) - e * a * (a + 1) // 2
+    return CohomologyTable(h0, h0 - chi, 0)
 
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:

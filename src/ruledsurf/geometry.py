@@ -116,18 +116,13 @@ def is_good_polarization(g: SurfaceGeometry, d: DivisorClass) -> bool:
 def min_good_twist(g: SurfaceGeometry, d: DivisorClass) -> int:
     """Smallest t >= 0 such that d + t*f is a good polarization.
 
-    Adding fibers keeps an ample class ample and strictly raises the
-    right-hand side of the good-polarization inequality, so the loop
-    always terminates.  Non-ample input is rejected.
+    Adding fibers keeps an ample class ample, so d + t*f is good exactly
+    when a(e + 2q - 1) < 2(b + t), and the least such t is read off in
+    closed form.  Non-ample input is rejected.
     """
     if not is_ample(g, d):
         raise ValueError(f"{d!r} is not ample on (q={g.q}, e={g.e})")
-    t = 0
-    current = d
-    while not is_good_polarization(g, current):
-        t += 1
-        current = current + FIBER
-    return t
+    return max(0, (d.a * (g.e + 2 * g.q - 1) - 2 * d.b) // 2 + 1)
 
 
 @dataclass(frozen=True)

@@ -242,8 +242,34 @@ def test_rational_and_cycle_literals():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     cycle = parse_cycle("(2,1/2,-1,0)")
     assert format_cycle(cycle) == "(2,1/2,-1,0)"
+    assert parse_cycle("(1,1,1,1/010)").p2 == Fraction(1, 10)
     with pytest.raises(ValueError):
         parse_cycle("(1,2,3)")
+
+
+ZERO_DENOMINATORS = {
+    "push": (["surface", "push", "--e", "0", "--x", "(1,1,1,1/0)"],
+             "malformed cycle literal '(1,1,1,1/0)': expected nonzero denominator at position 9"),
+    "cyclemul": (["surface", "cyclemul", "--e", "1", "--x", "(1,0,0,0)",
+                  "--y", "(1, -3/00,0,0)"],
+                 "malformed cycle literal '(1, -3/00,0,0)': "
+                 "expected nonzero denominator at position 7"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("case", sorted(ZERO_DENOMINATORS))
+def test_zero_denominator_is_input_error(capsys, tmp_path, case, fmt):
+    argv, error = ZERO_DENOMINATORS[case]
+    target = tmp_path / "report.out"
+    code, out = _run(capsys, argv + ["--format", fmt, "--out", str(target)])
+    assert code == 1
+    assert target.read_text(encoding="utf-8") == out
+    if fmt == "json":
+        assert json.loads(out) == {"subcommand": "surface", "inputs": {},
+                                   "results": [{"error": error}], "status": "input-error"}
+    else:
+        assert out == f"status: input-error\nerror\n{error}\n"
 
 
 def test_summand_literal_positions():
@@ -457,3 +483,25 @@ def test_repeated_run_latency_budget(capsys):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert elapsed < 1.0, f"200 in-process runs took {elapsed:.2f} s"
+
+
+# Ops whose work once grew with a coefficient; each now runs in closed form
+# or in O(n * r^2) line-bundle lookups.
+LARGE_COEFFICIENT_OPS = {
+    "mintwist": (["surface", "mintwist", "--q", "100000000", "--e", "0", "--H", "1*h+1*f"],
+                 "99999999 1*h+100000000*f"),
+    "line": (["coh", "line", "--e", "1", "--D", "10000000*h+0*f"], "1 49999995000000 0"),
+    "growth": (["coh", "growth", "--e", "1", "--summands", "0*h+0*f,1*h+5*f,-1*h+3*f",
+                "--t", "1", "--s", "2", "--n", "3000"], "121540518012"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(LARGE_COEFFICIENT_OPS))
+def test_large_coefficient_latency_budget(capsys, op):
+    argv, values = LARGE_COEFFICIENT_OPS[op]
+    start = time.perf_counter()
+    code, out = _run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.splitlines()[1].split() == values.split()
+    assert elapsed < 2.0, f"{' '.join(argv[:2])} took {elapsed:.2f} s"

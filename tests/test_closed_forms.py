@@ -1,0 +1,149 @@
+"""The closed forms of h_line and min_good_twist against the loops they replaced.
+
+`h_line_loop` sums the section and obstruction counts of the summands
+O(b - k*e), k = 0..a, of the pushed-down bundle one term at a time, and
+`min_good_twist_loop` adds one fiber at a time until the class is good.
+Both do work in proportion to a coefficient, so they are checked at
+moderate sizes; the structural identities are checked at 5000 digits.
+"""
+
+import itertools
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ruledsurf.cohomology import CohomologyTable, euler_char, h_line
+from ruledsurf.geometry import (
+    FIBER,
+    DivisorClass,
+    SurfaceGeometry,
+    canonical_class,
+    is_ample,
+    is_good_polarization,
+    min_good_twist,
+)
+
+PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# Every draw of DIGITS_5000 has 5000 digits on purpose, so even the smallest
+# example is large.
+AT_5000_DIGITS = settings(
+    PROPERTIES, max_examples=150, suppress_health_check=[HealthCheck.large_base_example]
+)
+
+DIGITS_5000 = st.integers(10 ** 4999, 10 ** 5000 - 1)
+
+
+def h_line_loop(e: int, a: int, b: int) -> CohomologyTable:
+    """h^i(O(a*h + b*f)) on the Hirzebruch surface F_e for a >= -1, term by term."""
+    if a == -1:
+        return CohomologyTable(0, 0, 0)
+    h0 = sum(max(0, b - k * e + 1) for k in range(a + 1))
+    h1 = sum(max(0, k * e - b - 1) for k in range(a + 1))
+    return CohomologyTable(h0, h1, 0)
+
+
+def min_good_twist_loop(g: SurfaceGeometry, d: DivisorClass) -> int:
+    """Smallest t >= 0 with d + t*f good, found by adding one fiber at a time."""
+    assert is_ample(g, d)
+    t = 0
+    while not is_good_polarization(g, d + t * FIBER):
+        t += 1
+    return t
+
+
+def least_ample_b(g: SurfaceGeometry, a: int) -> int:
+    return a * g.e + 1 if g.e >= 0 else (a * g.e) // 2 + 1
+
+
+def test_h_line_matches_loop_on_small_grid():
+    for e, a, b in itertools.product(range(7), range(-1, 13), range(-30, 61)):
+        assert h_line(SurfaceGeometry(0, e), DivisorClass(a, b)) == h_line_loop(e, a, b)
+
+
+@st.composite
+def hirzebruch_points(draw):
+    """(e, a, b) with e in [0, 50], a in [-1, 2000], |b| <= 1e6, often near b = k*e."""
+    e = draw(st.integers(0, 50))
+    a = draw(st.integers(-1, 2000))
+    near_break = e * draw(st.integers(0, max(a, 0))) + draw(st.integers(-2, 2))
+    b = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.just(near_break)))
+    return e, a, b
+
+
+@PROPERTIES
+@given(hirzebruch_points())
+def test_h_line_matches_loop(point):
+    e, a, b = point
+    assert h_line(SurfaceGeometry(0, e), DivisorClass(a, b)) == h_line_loop(e, a, b)
+
+
+def test_min_good_twist_matches_loop_on_small_grid():
+    for q in range(4):
+        for e, a in itertools.product(range(-q, 6), range(1, 7)):
+            g = SurfaceGeometry(q, e)
+            low = least_ample_b(g, a)
+            for b in range(low, low + 25):
+                d = DivisorClass(a, b)
+                assert min_good_twist(g, d) == min_good_twist_loop(g, d)
+
+
+@st.composite
+def ample_classes(draw):
+    """q in [0, 5], e in [-q, 50], a in [1, 200], up to 1000 fibers past ampleness."""
+    q = draw(st.integers(0, 5))
+    g = SurfaceGeometry(q, draw(st.integers(-q, 50)))
+    a = draw(st.integers(1, 200))
+    return g, DivisorClass(a, least_ample_b(g, a) + draw(st.integers(0, 1000)))
+
+
+@PROPERTIES
+@given(ample_classes())
+def test_min_good_twist_matches_loop(case):
+    g, d = case
+    assert min_good_twist(g, d) == min_good_twist_loop(g, d)
+
+
+@st.composite
+def huge_divisors(draw):
+    """e in [0, 50] and a class whose coefficients have 5000 digits, of either sign."""
+    e = draw(st.integers(0, 50))
+    a = draw(DIGITS_5000) * draw(st.sampled_from([1, -1]))
+    b = draw(st.one_of(
+        DIGITS_5000.map(lambda n: n * (e + 1)),
+        DIGITS_5000.map(lambda n: -n * (e + 1)),
+        st.integers(-3, 3).map(lambda off: e * (abs(a) // 2) + off),
+    ))
+    return SurfaceGeometry(0, e), DivisorClass(a, b)
+
+
+@AT_5000_DIGITS
+@given(huge_divisors())
+def test_h_line_riemann_roch_and_serre_at_5000_digits(case):
+    g, d = case
+    table = h_line(g, d)
+    assert min(table.h0, table.h1, table.h2) >= 0
+    assert table.euler() == euler_char(g, d)
+    dual = h_line(g, canonical_class(g) - d)
+    assert (dual.h0, dual.h1, dual.h2) == (table.h2, table.h1, table.h0)
+
+
+@st.composite
+def huge_ample_classes(draw):
+    """Any genus and e >= -q, with q, e, a and the excess over ampleness at 5000 digits."""
+    q = draw(st.one_of(st.integers(0, 5), DIGITS_5000))
+    e = draw(st.one_of(st.integers(-q, q + 5), st.just(-q), DIGITS_5000))
+    g = SurfaceGeometry(q, e)
+    a = draw(st.one_of(st.integers(1, 5), DIGITS_5000))
+    room = draw(st.one_of(st.integers(0, 5), DIGITS_5000))
+    return g, DivisorClass(a, least_ample_b(g, a) + room)
+
+
+@AT_5000_DIGITS
+@given(huge_ample_classes())
+def test_min_good_twist_is_least_at_5000_digits(case):
+    g, d = case
+    t = min_good_twist(g, d)
+    assert t >= 0
+    assert is_good_polarization(g, d + t * FIBER)
+    if t > 0:
+        assert not is_good_polarization(g, d + (t - 1) * FIBER)
