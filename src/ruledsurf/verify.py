@@ -1,13 +1,23 @@
 """Property grids cross-checking the library against its independent oracles.
 
-Each suite walks a finite deterministic grid, counts the points it checks,
-and short-circuits at the first failure with a minimal counterexample.
-Defaults reproduce the documented grids; bounds can be overridden where a
-suite accepts them.
+Each suite is a generator that walks a finite deterministic grid.  It
+yields None for every point it counts and, at the first failure, a
+minimal counterexample as a dict.  A check that counts no point of its
+own, such as dominance's order axioms, yields its counterexample with no
+None before it.  One runner drives every suite: it counts the Nones,
+stops at the first dict and builds the SuiteResult.
+
+`_suite(name)` registers a suite under its name in SUITES and makes its
+public `run_*` function that runner, with the suite's own signature.  The
+bounds a suite accepts are the parameters of that signature; the
+defaults reproduce the documented grids.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .bundles import (
@@ -49,6 +59,9 @@ from .splitting import (
     specializes,
 )
 
+# What a suite yields: None per counted point, then a counterexample if one fails.
+Grid = Iterator["dict | None"]
+
 
 @dataclass
 class SuiteResult:
@@ -58,8 +71,34 @@ class SuiteResult:
     counterexample: dict | None = field(default=None)
 
 
-def run_serre(e_max: int = 4, coeff_max: int = 8) -> SuiteResult:
-    points = 0
+# suite name -> (its run function, the bounds it accepts), in registration order
+SUITES: dict[str, tuple[Callable[..., SuiteResult], frozenset[str]]] = {}
+
+
+def _suite(name: str):
+    """Register a grid generator as suite `name` and return the runner that drives it."""
+
+    def register(grid: Callable[..., Grid]) -> Callable[..., SuiteResult]:
+        signature = inspect.signature(grid)
+
+        @functools.wraps(grid)
+        def run(*args, **bounds) -> SuiteResult:
+            points = 0
+            for counterexample in grid(*args, **bounds):
+                if counterexample is not None:
+                    return SuiteResult(name, points, False, counterexample)
+                points += 1
+            return SuiteResult(name, points, True)
+
+        run.__signature__ = signature.replace(return_annotation="SuiteResult")
+        SUITES[name] = (run, frozenset(signature.parameters))
+        return run
+
+    return register
+
+
+@_suite("serre")
+def run_serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         k = canonical_class(g)
@@ -68,60 +107,42 @@ def run_serre(e_max: int = 4, coeff_max: int = 8) -> SuiteResult:
                 d = DivisorClass(a, b)
                 lhs = h_line(g, d)
                 rhs = h_line(g, k - d)
-                points += 1
+                yield None
                 if (lhs.h0, lhs.h1, lhs.h2) != (rhs.h2, rhs.h1, rhs.h0):
-                    return SuiteResult(
-                        "serre",
-                        points,
-                        False,
-                        {"e": e, "D": format_divisor(d)},
-                    )
-    return SuiteResult("serre", points, True)
+                    yield {"e": e, "D": format_divisor(d)}
 
 
-def run_euler(e_max: int = 4, coeff_max: int = 8) -> SuiteResult:
-    points = 0
+@_suite("euler")
+def run_euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for a in range(-coeff_max, coeff_max + 1):
             for b in range(-coeff_max, coeff_max + 1):
                 d = DivisorClass(a, b)
-                points += 1
+                yield None
                 if h_line(g, d).euler() != euler_char(g, d):
-                    return SuiteResult(
-                        "euler",
-                        points,
-                        False,
-                        {"e": e, "D": format_divisor(d)},
-                    )
-    return SuiteResult("euler", points, True)
+                    yield {"e": e, "D": format_divisor(d)}
 
 
-def run_conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> SuiteResult:
-    points = 0
+@_suite("conormal")
+def run_conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for t in range(1, t_max + 1):
             for s in range(e * t + 1, e * t + 5):
-                points += 1
+                yield None
                 if not conormal_vanishing(g, ConormalData(t, s), n_max):
-                    return SuiteResult(
-                        "conormal",
-                        points,
-                        False,
-                        {"e": e, "t": t, "s": s},
-                    )
-    return SuiteResult("conormal", points, True)
+                    yield {"e": e, "t": t, "s": s}
 
 
+@_suite("theoremC")
 def run_theorem_c(
     e_max: int = 3,
     r_max: int = 5,
     a_max: int = 2,
     b_max: int = 5,
     c2_max: int = 5,
-) -> SuiteResult:
-    points = 0
+) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for r in range(2, r_max + 1):
@@ -134,7 +155,7 @@ def run_theorem_c(
                         z_chi = jumping_count_chi_oracle(bundle, a)
                         m = pushforward_degree(bundle, a)
                         report = grr_verify(bundle, a)
-                        points += 1
+                        yield None
                         ok = (
                             z == z_twist == z_chi
                             and report.rank_ok
@@ -142,28 +163,22 @@ def run_theorem_c(
                             and report.lhs_degree == m
                         )
                         if not ok:
-                            return SuiteResult(
-                                "theoremC",
-                                points,
-                                False,
-                                {
-                                    "e": e,
-                                    "r": r,
-                                    "a": a,
-                                    "c1": format_divisor(bundle.c1),
-                                    "c2": c2,
-                                    "z": z,
-                                    "z_twist": z_twist,
-                                    "z_chi": z_chi,
-                                    "m": m,
-                                    "grr_degree": str(report.lhs_degree),
-                                },
-                            )
-    return SuiteResult("theoremC", points, True)
+                            yield {
+                                "e": e,
+                                "r": r,
+                                "a": a,
+                                "c1": format_divisor(bundle.c1),
+                                "c2": c2,
+                                "z": z,
+                                "z_twist": z_twist,
+                                "z_chi": z_chi,
+                                "m": m,
+                                "grr_degree": str(report.lhs_degree),
+                            }
 
 
-def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> SuiteResult:
-    points = 0
+@_suite("dominance")
+def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, spread)
@@ -171,48 +186,34 @@ def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> SuiteResul
             rel = [[specializes(types[i], types[j]) for j in range(n)] for i in range(n)]
             for i in range(n):
                 for j in range(n):
-                    points += 1
+                    yield None
                     if rel[i][j] != semicontinuity_oracle(types[i], types[j]):
-                        return SuiteResult(
-                            "dominance",
-                            points,
-                            False,
-                            {
-                                "r": r,
-                                "d": d,
-                                "general": format_type(types[i]),
-                                "special": format_type(types[j]),
-                            },
-                        )
+                        yield {
+                            "r": r,
+                            "d": d,
+                            "general": format_type(types[i]),
+                            "special": format_type(types[j]),
+                        }
+            # the order axioms are checked on the points above and count none of their own
             for i in range(n):
                 if not rel[i][i]:
-                    return SuiteResult(
-                        "dominance", points, False,
-                        {"axiom": "reflexive", "type": format_type(types[i])},
-                    )
+                    yield {"axiom": "reflexive", "type": format_type(types[i])}
                 for j in range(n):
                     if i != j and rel[i][j] and rel[j][i]:
-                        return SuiteResult(
-                            "dominance", points, False,
-                            {
-                                "axiom": "antisymmetric",
-                                "first": format_type(types[i]),
-                                "second": format_type(types[j]),
-                            },
-                        )
+                        yield {
+                            "axiom": "antisymmetric",
+                            "first": format_type(types[i]),
+                            "second": format_type(types[j]),
+                        }
                     if rel[i][j]:
                         for k in range(n):
                             if rel[j][k] and not rel[i][k]:
-                                return SuiteResult(
-                                    "dominance", points, False,
-                                    {
-                                        "axiom": "transitive",
-                                        "first": format_type(types[i]),
-                                        "second": format_type(types[j]),
-                                        "third": format_type(types[k]),
-                                    },
-                                )
-    return SuiteResult("dominance", points, True)
+                                yield {
+                                    "axiom": "transitive",
+                                    "first": format_type(types[i]),
+                                    "second": format_type(types[j]),
+                                    "third": format_type(types[k]),
+                                }
 
 
 def _is_elementary_move(before: SplittingType, after: SplittingType) -> bool:
@@ -233,73 +234,54 @@ def _chain_valid(target: SplittingType, chain: list[SplittingType]) -> bool:
     return True
 
 
+@_suite("rigid")
 def run_rigid(
     r_max: int = 4,
     d_max: int = 4,
     jump_r_max: int = 6,
     jump_a_max: int = 3,
-) -> SuiteResult:
-    points = 0
+) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, r + 2)
             balanced = rigid_type(r, d)
             flat = [t for t in types if h1_end(t) == 0]
-            points += 1
+            yield None
             if flat != [balanced]:
-                return SuiteResult(
-                    "rigid", points, False,
-                    {"r": r, "d": d, "h1_end_zero": [format_type(t) for t in flat]},
-                )
+                yield {"r": r, "d": d, "h1_end_zero": [format_type(t) for t in flat]}
             for t in types:
-                points += 1
+                yield None
                 if not specializes(balanced, t):
-                    return SuiteResult(
-                        "rigid", points, False,
-                        {"r": r, "d": d, "unreachable": format_type(t)},
-                    )
+                    yield {"r": r, "d": d, "unreachable": format_type(t)}
                 if not _chain_valid(t, specialization_chain(t)):
-                    return SuiteResult(
-                        "rigid", points, False,
-                        {"r": r, "d": d, "bad_chain_target": format_type(t)},
-                    )
+                    yield {"r": r, "d": d, "bad_chain_target": format_type(t)}
     for r in range(2, jump_r_max + 1):
         for a in range(-jump_a_max, jump_a_max + 1):
-            points += 1
+            yield None
             if h1_end(jumping_type(r, a)) != 1:
-                return SuiteResult(
-                    "rigid", points, False,
-                    {"jumping_r": r, "jumping_a": a},
-                )
-    return SuiteResult("rigid", points, True)
+                yield {"jumping_r": r, "jumping_a": a}
 
 
+@_suite("lifting")
 def run_lifting(
     r_max: int = 6, d_max: int = 6, t_max: int = 3, n_max: int = 10
-) -> SuiteResult:
-    points = 0
+) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             balanced = rigid_type(r, d)
             for t in range(1, t_max + 1):
-                points += 1
+                yield None
                 if any(formal_lift_obstructions(balanced, t, n_max)):
-                    return SuiteResult(
-                        "lifting", points, False,
-                        {"type": format_type(balanced), "t": t},
-                    )
-    points += 1
+                    yield {"type": format_type(balanced), "t": t}
+    yield None
     if formal_lift_obstructions(SplittingType((1, -1)), 1, 1) != [1]:
-        return SuiteResult(
-            "lifting", points, False, {"type": "(1,-1)", "t": 1, "expected": [1]}
-        )
-    return SuiteResult("lifting", points, True)
+        yield {"type": "(1,-1)", "t": 1, "expected": [1]}
 
 
+@_suite("extension")
 def run_extension(
     e_max: int = 3, r_max: int = 5, a_max: int = 2, deg_max: int = 5
-) -> SuiteResult:
-    points = 0
+) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for r in range(2, r_max + 1):
@@ -309,20 +291,16 @@ def run_extension(
                         for deg_quot in range(-deg_max, deg_max + 1):
                             ext = ExtensionData(g, r, x, a, deg_sub, deg_quot)
                             bundle = extension_chern(ext)
-                            points += 1
+                            yield None
                             if extension_data_from_chern(bundle, a, x) != ext:
-                                return SuiteResult(
-                                    "extension", points, False,
-                                    {
-                                        "e": e,
-                                        "r": r,
-                                        "x": x,
-                                        "a": a,
-                                        "deg_sub": deg_sub,
-                                        "deg_quot": deg_quot,
-                                    },
-                                )
-    return SuiteResult("extension", points, True)
+                                yield {
+                                    "e": e,
+                                    "r": r,
+                                    "x": x,
+                                    "a": a,
+                                    "deg_sub": deg_sub,
+                                    "deg_quot": deg_quot,
+                                }
 
 
 def growth_samples() -> list[tuple[SurfaceGeometry, SplitBundle, ConormalData]]:
@@ -343,39 +321,20 @@ def growth_samples() -> list[tuple[SurfaceGeometry, SplitBundle, ConormalData]]:
     return samples
 
 
-def run_growth(n_max: int = 10, y_max: int = 10) -> SuiteResult:
-    points = 0
+@_suite("growth")
+def run_growth(n_max: int = 10, y_max: int = 10) -> Grid:
     for g, bundle, c in growth_samples():
         values = [endomorphism_growth(g, bundle, c, n) for n in range(1, n_max + 1)]
-        points += 1
+        yield None
         if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
-            return SuiteResult(
-                "growth", points, False,
-                {"e": g.e, "rank": bundle.rank(), "values": values},
-            )
-    points += 1
+            yield {"e": g.e, "rank": bundle.rank(), "values": values}
+    yield None
     fiverf = SplitBundle((DivisorClass(0, 0), DivisorClass(0, 5)))
     index = stabilization_index(
         SurfaceGeometry(0, 1), fiverf, ConormalData(1, 2), y_max
     )
     if index != 4:
-        return SuiteResult(
-            "growth", points, False, {"stabilization_index": index, "expected": 4}
-        )
-    return SuiteResult("growth", points, True)
-
-
-SUITES: dict[str, tuple] = {
-    "serre": (run_serre, {"e_max", "coeff_max"}),
-    "euler": (run_euler, {"e_max", "coeff_max"}),
-    "conormal": (run_conormal, {"e_max", "t_max", "n_max"}),
-    "theoremC": (run_theorem_c, {"e_max", "r_max", "a_max", "b_max", "c2_max"}),
-    "dominance": (run_dominance, {"r_max", "d_max", "spread"}),
-    "rigid": (run_rigid, {"r_max", "d_max"}),
-    "lifting": (run_lifting, {"r_max", "d_max", "t_max", "n_max"}),
-    "extension": (run_extension, {"e_max", "r_max", "a_max", "deg_max"}),
-    "growth": (run_growth, {"n_max", "y_max"}),
-}
+        yield {"stabilization_index": index, "expected": 4}
 
 
 def run_suite(name: str, **overrides) -> list[SuiteResult]:
