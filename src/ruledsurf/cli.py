@@ -501,10 +501,21 @@ def _verify_flags():
 
 
 def _verify_rows(v):
-    from .verify import run_suite  # loaded only when a grid is run
+    from .verify import SUITES, run_suite  # loaded only when a grid is run
 
+    suite = v["suite"]
+    bounds = {dest: v[dest] for _, dest in _VERIFY_BOUNDS}
+    # `all` gives each bound to the suites that take it; one suite takes only its own
+    if suite != "all":
+        accepted = SUITES[suite][1]
+        refused = [flag for flag, dest in _VERIFY_BOUNDS
+                   if bounds[dest] is not None and dest not in accepted]
+        if refused:
+            own = [flag for flag, dest in _VERIFY_BOUNDS if dest in accepted]
+            raise CliInputError(f"suite {suite} takes no {', '.join(refused)}; "
+                                f"its bounds are {', '.join(own)}")
     rows = []
-    for res in run_suite(v["suite"], **{dest: v[dest] for _, dest in _VERIFY_BOUNDS}):
+    for res in run_suite(suite, **bounds):
         row = {"suite": res.suite, "points": res.points, "ok": res.ok}
         if not res.ok:
             row["counterexample"] = res.counterexample

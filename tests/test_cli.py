@@ -13,6 +13,7 @@ import pytest
 
 import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
+    _VERIFY_BOUNDS,
     CliInputError,
     build_parser,
     format_bundle,
@@ -505,3 +506,45 @@ def test_large_coefficient_latency_budget(capsys, op):
     assert code == 0
     assert out.splitlines()[1].split() == values.split()
     assert elapsed < 2.0, f"{' '.join(argv[:2])} took {elapsed:.2f} s"
+
+
+def test_verify_refuses_a_bound_the_suite_does_not_take(capsys, tmp_path):
+    code, out = _run(capsys, ["verify", "rigid", "--e-max", "1"])
+    assert (code, out) == (1, "status: input-error\nerror\n"
+                              "suite rigid takes no --e-max; its bounds are --r, --d-max\n")
+    target = tmp_path / "report.json"
+    code, out = _run(capsys, ["verify", "serre", "--r", "3", "--spread", "2",
+                              "--format", "json", "--out", str(target)])
+    assert code == 1
+    assert json.loads(out) == {
+        "subcommand": "verify",
+        "inputs": {},
+        "results": [{"error": "suite serre takes no --r, --spread; "
+                              "its bounds are --e-max, --coeff-max"}],
+        "status": "input-error",
+    }
+    assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("suite", sorted(verify_mod.SUITES))
+def test_verify_refusal_follows_the_suite_signature(capsys, suite):
+    accepted = verify_mod.SUITES[suite][1]
+    for flag, dest in _VERIFY_BOUNDS:
+        if dest not in accepted:
+            code, out = _run(capsys, ["verify", suite, flag, "1"])
+            assert code == 1, flag
+            assert f"suite {suite} takes no {flag};" in out
+    # a bound the suite takes is applied, not refused
+    flag = next(flag for flag, dest in _VERIFY_BOUNDS if dest in accepted)
+    code, out = _run(capsys, ["verify", suite, flag, "0", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["inputs"][dict(_VERIFY_BOUNDS)[flag]] == 0
+
+
+def test_verify_all_applies_each_bound_where_it_is_taken(capsys):
+    code, out = _run(capsys, ["verify", "all", "--e-max", "0", "--r", "2", "--format", "json"])
+    assert code == 0
+    points = {row["suite"]: row["points"] for row in json.loads(out)["results"]}
+    assert points == {"serre": 289, "euler": 289, "conormal": 12, "theoremC": 605,
+                      "dominance": 70, "rigid": 85, "lifting": 79, "extension": 605,
+                      "growth": 21}
