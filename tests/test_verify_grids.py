@@ -26,10 +26,6 @@ def _lie_at(monkeypatch, name, when, wrong):
     monkeypatch.setattr(verify, name, patched)
 
 
-def _replace(monkeypatch, name, fake):
-    monkeypatch.setattr(verify, name, fake)
-
-
 def _spread_step(general, special):
     # reflexive and antisymmetric, but (0,-4) is two steps from (-2,-2)
     return general == special or special.spread() - general.spread() == 2
@@ -63,16 +59,16 @@ INJECTED = {
                            lambda ok: not ok),
         179, {"r": 3, "d": 0, "general": "(1,0,-1)", "special": "(2,-1,-1)"}),
     "dominance-reflexive": (
-        lambda mp: (_replace(mp, "specializes", lambda s, t: False),
-                    _replace(mp, "semicontinuity_oracle", lambda s, t: False)),
+        lambda mp: (mp.setattr(verify, "specializes", lambda s, t: False),
+                    mp.setattr(verify, "semicontinuity_oracle", lambda s, t: False)),
         1, {"axiom": "reflexive", "type": "(-4)"}),
     "dominance-antisymmetric": (
-        lambda mp: (_replace(mp, "specializes", lambda s, t: True),
-                    _replace(mp, "semicontinuity_oracle", lambda s, t: True)),
+        lambda mp: (mp.setattr(verify, "specializes", lambda s, t: True),
+                    mp.setattr(verify, "semicontinuity_oracle", lambda s, t: True)),
         18, {"axiom": "antisymmetric", "first": "(-2,-2)", "second": "(-1,-3)"}),
     "dominance-transitive": (
-        lambda mp: (_replace(mp, "specializes", _spread_step),
-                    _replace(mp, "semicontinuity_oracle", _spread_step)),
+        lambda mp: (mp.setattr(verify, "specializes", _spread_step),
+                    mp.setattr(verify, "semicontinuity_oracle", _spread_step)),
         18, {"axiom": "transitive", "first": "(-2,-2)", "second": "(-1,-3)",
              "third": "(0,-4)"}),
     "rigid-flat": (
