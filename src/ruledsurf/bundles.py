@@ -9,7 +9,11 @@ pulled-back piece twisted by (a-1)h by a pulled-back piece twisted by ah.
 The jumping count deliberately travels three independent roads: the
 closed form, c2 of the normalizing twist, and minus the Euler
 characteristic of the once-more twisted bundle; grr_verify adds a fourth
-by pushing the Chern character through the truncated cycle ring.  The
+by pushing the Chern character times the Todd class to the base
+(Grothendieck-Riemann-Roch).  That road holds the truncated cycle ring in
+integers scaled by 2, since every denominator there divides 2; the
+public Fraction ring of geometry (chern_character, cycle_mul,
+pushforward_to_curve, curve_mul) is its oracle in the tests.  The
 verification grids compare all of them.
 """
 
@@ -20,17 +24,11 @@ from fractions import Fraction
 
 from .geometry import (
     SECTION,
-    CurveCycle,
     DivisorClass,
     SurfaceGeometry,
     _require_int,
     canonical_class,
-    chern_character,
-    curve_mul,
-    cycle_mul,
     intersect,
-    pushforward_to_curve,
-    todd_surface,
 )
 
 
@@ -44,7 +42,8 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self):
-        _require_int("rank and c2", self.r, self.c2)
+        if type(self.r) is not int or type(self.c2) is not int:
+            _require_int("rank and c2", self.r, self.c2)
         if self.r < 1:
             raise ValueError(f"rank must be at least 1, got {self.r}")
 
@@ -66,8 +65,10 @@ class ExtensionData:
     deg_quot: int
 
     def __post_init__(self):
-        _require_int("extension ranks, twist and degrees",
-                     self.r, self.x, self.a, self.deg_sub, self.deg_quot)
+        if not (type(self.r) is type(self.x) is type(self.a) is type(self.deg_sub)
+                is type(self.deg_quot) is int):
+            _require_int("extension ranks, twist and degrees",
+                         self.r, self.x, self.a, self.deg_sub, self.deg_quot)
         if not 0 < self.x < self.r:
             raise ValueError(f"need 0 < x < r, got x={self.x}, r={self.r}")
 
@@ -161,43 +162,58 @@ class GrrReport:
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     """Push ch(twisted bundle) * td(surface) to the base and compare degrees.
 
-    The left side is computed purely in the truncated cycle ring, then
-    corrected by the inverse curve Todd class; in the balanced regime the
-    higher direct image vanishes, so its degree-1 part is the pushforward
-    degree and its degree-0 part the rank.
+    The left side is ch * td of the normalized twist, pushed along the
+    ruling and corrected by the inverse curve Todd class; in the balanced
+    regime the higher direct image vanishes, so its degree-1 part is the
+    pushforward degree and its degree-0 part the rank.  The only
+    denominators of this truncated ring are the halves in K/2 and
+    (c1^2 - 2c2)/2, so ch and td are held as integers scaled by 2, their
+    product as integers scaled by 4, and only lhs_degree becomes a
+    Fraction.  geometry's public cycle ring computes the same product in
+    Fractions and is the oracle for this one in the tests.
     """
     _require_balanced_regime(bundle, a)
     g = bundle.g
     normalized = twist(bundle, -a * SECTION)
-    ch = chern_character(g, normalized.r, normalized.c1, normalized.c2)
-    pushed = pushforward_to_curve(g, cycle_mul(g, ch, todd_surface(g)))
-    lhs = curve_mul(pushed, CurveCycle(Fraction(1), Fraction(g.q - 1)))
+    c1 = normalized.c1
+    # 2*ch = (2r, 2*c1, c1^2 - 2c2); 2*td = (2, -K, 2(1 - q)) with -K = 2h + (e + 2 - 2q)f
+    ch_r, ch_h, ch_f = 2 * normalized.r, 2 * c1.a, 2 * c1.b
+    ch_pt = intersect(g, c1, c1) - 2 * normalized.c2
+    td_r, td_h, td_f, td_pt = 2, 2, g.e + 2 - 2 * g.q, 2 * (1 - g.q)
+    # 4 * pi_*(ch * td): the h part maps onto the base, the point part to a
+    # point, and the degree-0 and f parts die
+    rank4 = ch_r * td_h + td_r * ch_h
+    pushed_pt4 = (
+        ch_r * td_pt + td_r * ch_pt
+        - g.e * ch_h * td_h + ch_h * td_f + td_h * ch_f
+    )
+    # times todd_curve(q)^-1 = 1 + (q - 1)[pt]
+    degree4 = pushed_pt4 + (g.q - 1) * rank4
     rhs = pushforward_degree(bundle, a)
     return GrrReport(
-        rank_ok=lhs.r0 == bundle.r,
-        degree_ok=lhs.p1 == rhs,
-        lhs_degree=lhs.p1,
+        rank_ok=rank4 == 4 * bundle.r,
+        degree_ok=degree4 == 4 * rhs,
+        lhs_degree=Fraction(degree4, 4),
         rhs_degree=rhs,
     )
 
 
-def _pullback_twist_chern(g, rank, twist_by, base_deg):
-    # Pullback of a rank-`rank` bundle of degree base_deg, twisted by twist_by * h.
-    c1 = DivisorClass(rank * twist_by, base_deg)
-    c2 = -g.e * twist_by * twist_by * (rank * (rank - 1) // 2) + (
+def _pullback_twist_chern(e, rank, twist_by, base_deg):
+    # (c1.a, c1.b, c2) of a pullback of rank `rank` and degree base_deg, twisted by twist_by*h
+    c2 = -e * twist_by * twist_by * (rank * (rank - 1) // 2) + (
         rank - 1
     ) * twist_by * base_deg
-    return c1, c2
+    return rank * twist_by, base_deg, c2
 
 
 def extension_chern(ext: ExtensionData) -> BundleNumerics:
     """Chern data of the extension middle term, by Whitney's formula."""
-    g = ext.g
-    c1_sub, c2_sub = _pullback_twist_chern(g, ext.r - ext.x, ext.a, ext.deg_sub)
-    c1_quot, c2_quot = _pullback_twist_chern(g, ext.x, ext.a - 1, ext.deg_quot)
-    c1 = c1_sub + c1_quot
-    c2 = c2_sub + c2_quot + intersect(g, c1_sub, c1_quot)
-    return BundleNumerics(g, ext.r, c1, c2)
+    e = ext.g.e
+    sub_a, sub_b, c2_sub = _pullback_twist_chern(e, ext.r - ext.x, ext.a, ext.deg_sub)
+    quot_a, quot_b, c2_quot = _pullback_twist_chern(e, ext.x, ext.a - 1, ext.deg_quot)
+    # c2 = c2(sub) + c2(quot) + c1(sub).c1(quot), the pairing written out as in intersect
+    c2 = c2_sub + c2_quot - e * sub_a * quot_a + sub_a * quot_b + quot_a * sub_b
+    return BundleNumerics(ext.g, ext.r, DivisorClass(sub_a + quot_a, sub_b + quot_b), c2)
 
 
 def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> ExtensionData:

@@ -5,7 +5,10 @@ yields None for every point it counts and, at the first failure, a
 minimal counterexample as a dict.  A check that counts no point of its
 own, such as dominance's order axioms, yields its counterexample with no
 None before it.  One runner drives every suite: it counts the Nones,
-stops at the first dict and builds the SuiteResult.
+stops at the first dict and builds the SuiteResult.  A grid that raises
+fails with the exception's type and message as its counterexample, after
+the points it counted; a grid that counts no point fails as empty, since
+a check of nothing is no pass.
 
 `_suite(name)` registers a suite under its name in SUITES and makes its
 public `run_*` function that runner, with the suite's own signature.  The
@@ -28,7 +31,6 @@ from .bundles import (
     grr_verify,
     jumping_count,
     jumping_count_chi_oracle,
-    pushforward_degree,
     twist,
 )
 from .cli import format_divisor, format_type
@@ -84,10 +86,18 @@ def _suite(name: str):
         @functools.wraps(grid)
         def run(*args, **bounds) -> SuiteResult:
             points = 0
-            for counterexample in grid(*args, **bounds):
-                if counterexample is not None:
-                    return SuiteResult(name, points, False, counterexample)
-                points += 1
+            walk = grid(*args, **bounds)  # a bound the grid does not take raises here
+            try:
+                for counterexample in walk:
+                    if counterexample is not None:
+                        return SuiteResult(name, points, False, counterexample)
+                    points += 1
+            except Exception as exc:  # a self-check, or an input the library refuses
+                return SuiteResult(name, points, False,
+                                   {"exception": type(exc).__name__, "message": str(exc)})
+            if not points:
+                return SuiteResult(name, 0, False,
+                                   {"error": "empty grid: the bounds leave no points"})
             return SuiteResult(name, points, True)
 
         run.__signature__ = signature.replace(return_annotation="SuiteResult")
@@ -153,8 +163,8 @@ def run_theorem_c(
                         z = jumping_count(bundle, a)
                         z_twist = twist(bundle, -a * SECTION).c2
                         z_chi = jumping_count_chi_oracle(bundle, a)
-                        m = pushforward_degree(bundle, a)
                         report = grr_verify(bundle, a)
+                        m = report.rhs_degree  # grr_verify computed pushforward_degree(bundle, a)
                         yield None
                         ok = (
                             z == z_twist == z_chi

@@ -204,3 +204,18 @@ def test_destabilizes_errors():
     other = BundleNumerics(G1, 3, ZERO, 0)
     with pytest.raises(ValueError):
         destabilizes(sub, other, DivisorClass(1, 1))
+
+
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("wrong", [True, 1.0, Fraction(1)])
+def test_integer_fields_reject_every_non_int(field, wrong):
+    # both constructors test the types inline; each field must still be checked
+    ext = [3, 1, 1, 0, 0]
+    ext[field] = wrong
+    with pytest.raises(TypeError, match="must be integers"):
+        ExtensionData(G0, *ext)
+    if field < 2:
+        bundle = [2, 1]
+        bundle[field] = wrong
+        with pytest.raises(TypeError, match="must be integers"):
+            BundleNumerics(G0, bundle[0], ZERO, bundle[1])

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ruledsurf.bundles as bundles_mod
 import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
     _VERIFY_BOUNDS,
@@ -536,9 +537,47 @@ def test_verify_refusal_follows_the_suite_signature(capsys, suite):
             assert f"suite {suite} takes no {flag};" in out
     # a bound the suite takes is applied, not refused
     flag = next(flag for flag, dest in _VERIFY_BOUNDS if dest in accepted)
-    code, out = _run(capsys, ["verify", suite, flag, "0", "--format", "json"])
+    code, out = _run(capsys, ["verify", suite, flag, "2", "--format", "json"])
     assert code == 0
-    assert json.loads(out)["inputs"][dict(_VERIFY_BOUNDS)[flag]] == 0
+    assert json.loads(out)["inputs"][dict(_VERIFY_BOUNDS)[flag]] == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "theoremC", "--r", "1"],
+                                  ["verify", "serre", "--e-max", "-1"]])
+def test_verify_empty_grid_is_a_violation(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert out.splitlines()[0] == "status: property-violation"
+    assert '{"error":"empty grid: the bounds leave no points"}' in out
+
+
+def test_verify_all_reports_a_raising_suite_in_its_row(capsys):
+    code, out = _run(capsys, ["verify", "all", "--y-max", "3", "--format", "json"])
+    assert code == 2
+    rows = json.loads(out)["results"]
+    assert [(row["suite"], row["ok"]) for row in rows] == [
+        (suite, suite != "growth") for suite in verify_mod.SUITES]
+    assert rows[-1] == {"suite": "growth", "points": 21, "ok": False, "counterexample": {
+        "exception": "StabilizationError",
+        "message": "no stabilization within y_max=3: the certified tail was not reached"}}
+
+
+def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
+    real = bundles_mod.twist
+
+    def lying(bundle, line):  # jumping_count's twist cross-check raises at one point
+        twisted = real(bundle, line)
+        if (bundle.g.e, bundle.r, bundle.c1.b, bundle.c2) == (1, 3, 2, -1):
+            return bundles_mod.BundleNumerics(twisted.g, twisted.r, twisted.c1, twisted.c2 + 1)
+        return twisted
+
+    monkeypatch.setattr(bundles_mod, "twist", lying)
+    code, out = _run(capsys, ["verify", "theoremC", "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["results"] == [{
+        "suite": "theoremC", "points": 3106, "ok": False, "counterexample": {
+            "exception": "ArithmeticError",
+            "message": "closed form z=19 disagrees with twist bookkeeping 20"}}]
 
 
 def test_verify_all_applies_each_bound_where_it_is_taken(capsys):

@@ -4,10 +4,17 @@ Each case breaks one oracle that `ruledsurf.verify` calls, at one input or
 everywhere, and pins what the suite reports: how many points it counted
 before it stopped, and the counterexample it stopped at.  The default
 grids passing, with their point counts, is pinned by test_acceptance.
+The last tests pin what the runner reports for a grid that counts no
+point, and how often a theoremC point calls into bundles; tests/test_cli.py
+pins what it reports for a grid that raises.
 """
+
+from collections import Counter
 
 import pytest
 
+import ruledsurf.bundles as bundles
+import ruledsurf.geometry as geometry
 import ruledsurf.verify as verify
 from ruledsurf.bundles import ExtensionData
 from ruledsurf.cohomology import CohomologyTable
@@ -139,3 +146,42 @@ def test_all_routes_each_bound_to_the_suites_that_take_it():
         ("extension", 2420, True),
         ("growth", 21, True),
     ]
+
+
+# theoremC at --r 1 and serre at --e-max -1 are pinned through the CLI in test_cli
+@pytest.mark.parametrize("suite, bounds", [
+    ("dominance", {"r_max": 0}), ("extension", {"r_max": 1}), ("conormal", {"t_max": 0}),
+])
+def test_an_empty_grid_fails(suite, bounds):
+    (result,) = verify.run_suite(suite, **bounds)
+    assert (result.points, result.ok, result.counterexample) == (
+        0, False, {"error": "empty grid: the bounds leave no points"})
+
+
+def test_theorem_c_call_structure(monkeypatch):
+    """Per theoremC point: no Fraction cycle ring, two jumping counts and five twists.
+
+    One jumping count is the grid's own, the other grr_verify's pushforward
+    degree; each carries its twist cross-check.  The other three twists are
+    the grid's z_twist, the chi oracle's and grr_verify's normalization.
+    """
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("jumping_count", "twist"):
+        wrapper = counting(name, getattr(bundles, name))
+        monkeypatch.setattr(bundles, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper)
+    wrapper = counting("cycle_mul", geometry.cycle_mul)
+    monkeypatch.setattr(geometry, "cycle_mul", wrapper)
+    monkeypatch.setattr(bundles, "cycle_mul", wrapper, raising=False)
+    (result,) = verify.run_suite("theoremC", r_max=2)
+    assert (result.points, result.ok) == (2420, True)
+    assert calls["cycle_mul"] == 0
+    assert calls["jumping_count"] <= 2 * result.points
+    assert calls["twist"] <= 5 * result.points
