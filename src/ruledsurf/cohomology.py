@@ -171,6 +171,8 @@ def conormal_vanishing(g: SurfaceGeometry, c: ConormalData, n_max: int) -> bool:
     """Whether h1 and h2 of every conormal power n*(t,s), n = 1..n_max, vanish."""
     _require_genus_zero(g)
     check_conormal(g, c)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     for n in range(1, n_max + 1):
         table = h_line(g, DivisorClass(n * c.t, n * c.s))
         if table.h1 or table.h2:
@@ -204,11 +206,11 @@ def stabilization_index(
 ) -> int:
     """Smallest x >= 1 with h1(End(bundle) ⊗ O(y*(t,s))) = 0 for all y >= x.
 
-    The claim for y beyond y_max rests on a certificate: once every summand
+    The claim for y >= cert_y rests on a certificate: once every summand
     difference satisfies y*t + Δa >= -1 and y*s + Δb >= e*(y*t + Δa) - 1,
     the corresponding h1 term is zero, and both inequalities are preserved
-    under y -> y+1 because s > e*t.  If no y <= y_max is certified the
-    search fails with StabilizationError.
+    under y -> y+1 because s > e*t; h1 is evaluated only below cert_y.  If
+    no y <= y_max is certified the search fails with StabilizationError.
     """
     _require_genus_zero(g)
     check_conormal(g, c)
@@ -237,11 +239,6 @@ def stabilization_index(
     def h1_at(y: int) -> int:
         return h_split_end(g, bundle, DivisorClass(y * c.t, y * c.s)).h1
 
-    for y in range(cert_y, y_max + 1):
-        if h1_at(y):
-            raise ArithmeticError(
-                f"certified tail has nonzero h1 at y={y}: the cohomology engine is broken"
-            )
     x = cert_y
     while x > 1 and h1_at(x - 1) == 0:
         x -= 1

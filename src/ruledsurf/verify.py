@@ -92,7 +92,7 @@ def _suite(name: str):
                     if counterexample is not None:
                         return SuiteResult(name, points, False, counterexample)
                     points += 1
-            except Exception as exc:  # a self-check, or an input the library refuses
+            except Exception as exc:  # an input the library or the grid refuses
                 return SuiteResult(name, points, False,
                                    {"exception": type(exc).__name__, "message": str(exc)})
             if not points:
@@ -140,8 +140,9 @@ def run_conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
         g = SurfaceGeometry(0, e)
         for t in range(1, t_max + 1):
             for s in range(e * t + 1, e * t + 5):
+                vanishes = conormal_vanishing(g, ConormalData(t, s), n_max)
                 yield None
-                if not conormal_vanishing(g, ConormalData(t, s), n_max):
+                if not vanishes:
                     yield {"e": e, "t": t, "s": s}
 
 
@@ -333,6 +334,8 @@ def growth_samples() -> list[tuple[SurfaceGeometry, SplitBundle, ConormalData]]:
 
 @_suite("growth")
 def run_growth(n_max: int = 10, y_max: int = 10) -> Grid:
+    if n_max < 2:  # monotonicity compares consecutive neighborhoods
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     for g, bundle, c in growth_samples():
         values = [endomorphism_growth(g, bundle, c, n) for n in range(1, n_max + 1)]
         yield None

@@ -495,6 +495,8 @@ LARGE_COEFFICIENT_OPS = {
     "line": (["coh", "line", "--e", "1", "--D", "10000000*h+0*f"], "1 49999995000000 0"),
     "growth": (["coh", "growth", "--e", "1", "--summands", "0*h+0*f,1*h+5*f,-1*h+3*f",
                 "--t", "1", "--s", "2", "--n", "3000"], "121540518012"),
+    "stab": (["coh", "stab", "--e", "1", "--summands", "0*h+0*f,0*h+5*f", "--t", "1",
+              "--s", "2", "--y-max", "3000000"], "4"),
 }
 
 
@@ -551,6 +553,25 @@ def test_verify_empty_grid_is_a_violation(capsys, argv):
     assert '{"error":"empty grid: the bounds leave no points"}' in out
 
 
+@pytest.mark.parametrize("n_max", ["0", "-5"])
+def test_conormal_refuses_an_empty_range_of_powers(capsys, n_max):
+    code, out = _run(capsys, ["coh", "conormal", "--e", "1", "--t", "1", "--s", "2",
+                              "--n-max", n_max])
+    assert code == 1
+    assert out == f"status: input-error\nerror\nn_max must be at least 1, got {n_max}\n"
+
+
+@pytest.mark.parametrize("suite, n_max, least", [
+    ("conormal", "0", 1), ("growth", "1", 2), ("growth", "0", 2),
+])
+def test_verify_refuses_a_grid_that_checks_nothing(capsys, suite, n_max, least):
+    code, out = _run(capsys, ["verify", suite, "--n-max", n_max, "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["results"] == [{
+        "suite": suite, "points": 0, "ok": False, "counterexample": {
+            "exception": "ValueError", "message": f"n_max must be at least {least}, got {n_max}"}}]
+
+
 def test_verify_all_reports_a_raising_suite_in_its_row(capsys):
     code, out = _run(capsys, ["verify", "all", "--y-max", "3", "--format", "json"])
     assert code == 2
@@ -562,22 +583,42 @@ def test_verify_all_reports_a_raising_suite_in_its_row(capsys):
         "message": "no stabilization within y_max=3: the certified tail was not reached"}}
 
 
-def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
+def _twist_at_one_point(monkeypatch, wrong):
+    """Make bundles.twist answer wrong(twisted) for one theoremC bundle, truly elsewhere."""
     real = bundles_mod.twist
 
-    def lying(bundle, line):  # jumping_count's twist cross-check raises at one point
+    def patched(bundle, line):
         twisted = real(bundle, line)
         if (bundle.g.e, bundle.r, bundle.c1.b, bundle.c2) == (1, 3, 2, -1):
-            return bundles_mod.BundleNumerics(twisted.g, twisted.r, twisted.c1, twisted.c2 + 1)
+            return wrong(twisted)
         return twisted
 
-    monkeypatch.setattr(bundles_mod, "twist", lying)
+    monkeypatch.setattr(bundles_mod, "twist", patched)
+
+
+def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
+    # the chi oracle and grr_verify twist through bundles; the grid's z_twist does not
+    _twist_at_one_point(monkeypatch, lambda twisted: bundles_mod.BundleNumerics(
+        twisted.g, twisted.r, twisted.c1, twisted.c2 + 1))
     code, out = _run(capsys, ["verify", "theoremC", "--format", "json"])
     assert code == 2
     assert json.loads(out)["results"] == [{
+        "suite": "theoremC", "points": 3107, "ok": False, "counterexample": {
+            "e": 1, "r": 3, "a": -2, "c1": "-6*h+2*f", "c2": -1, "z": 19, "z_twist": 19,
+            "z_chi": 20, "m": -17, "grr_degree": "-18"}}]
+
+
+def test_verify_raising_twist_gives_an_exception_row(capsys, monkeypatch):
+    def raising(twisted):
+        raise ArithmeticError("twist refused at one point")
+
+    _twist_at_one_point(monkeypatch, raising)
+    code = run(["verify", "theoremC", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert json.loads(out)["results"] == [{
         "suite": "theoremC", "points": 3106, "ok": False, "counterexample": {
-            "exception": "ArithmeticError",
-            "message": "closed form z=19 disagrees with twist bookkeeping 20"}}]
+            "exception": "ArithmeticError", "message": "twist refused at one point"}}]
 
 
 def test_verify_all_applies_each_bound_where_it_is_taken(capsys):

@@ -5,14 +5,24 @@ O(b - k*e), k = 0..a, of the pushed-down bundle one term at a time, and
 `min_good_twist_loop` adds one fiber at a time until the class is good.
 Both do work in proportion to a coefficient, so they are checked at
 moderate sizes; the structural identities are checked at 5000 digits.
+The certified index of stabilization_index is checked against the h1
+values past it, which it no longer evaluates itself.
 """
 
+import functools
 import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ruledsurf.cohomology import CohomologyTable, euler_char, h_line
+from ruledsurf.cohomology import (
+    CohomologyTable,
+    ConormalData,
+    SplitBundle,
+    euler_char,
+    h_line,
+    stabilization_index,
+)
 from ruledsurf.geometry import (
     FIBER,
     DivisorClass,
@@ -147,3 +157,47 @@ def test_min_good_twist_is_least_at_5000_digits(case):
     assert is_good_polarization(g, d + t * FIBER)
     if t > 0:
         assert not is_good_polarization(g, d + (t - 1) * FIBER)
+
+
+def small_split_bundles():
+    """Split bundles of rank <= 3 with summand coefficients in [-3, 3].
+
+    End of a split bundle sees only the summand differences, so one bundle
+    per multiset of differences covers the grid.
+    """
+    classes = [DivisorClass(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    seen = set()
+    for rank in (1, 2, 3):
+        for summands in itertools.combinations_with_replacement(classes, rank):
+            diffs = tuple(sorted((dj.a - di.a, dj.b - di.b)
+                                 for di in summands for dj in summands))
+            if diffs not in seen:
+                seen.add(diffs)
+                yield SplitBundle(summands)
+
+
+# the largest index on the grid below is 23, so 64 twists cover index + 20
+TWISTS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def h1_support(e, t, s, da, db):
+    """The y in [0, TWISTS) where h1(O(da*h + db*f) ⊗ O(y*(t,s))) is nonzero on F_e."""
+    g = SurfaceGeometry(0, e)
+    return frozenset(y for y in range(TWISTS)
+                     if h_line(g, DivisorClass(da + y * t, db + y * s)).h1)
+
+
+def test_stabilization_index_is_the_start_of_the_vanishing_tail():
+    bundles = list(small_split_bundles())
+    for e in range(4):
+        g = SurfaceGeometry(0, e)
+        for t, s in ((1, e + 1), (1, e + 2), (2, 2 * e + 1)):
+            for bundle in bundles:
+                x = stabilization_index(g, bundle, ConormalData(t, s), 100)
+                nonzero = set().union(*(
+                    h1_support(e, t, s, dj.a - di.a, dj.b - di.b)
+                    for di in bundle.summands for dj in bundle.summands))
+                assert x + 20 < TWISTS
+                assert nonzero.isdisjoint(range(x, x + 21)), (e, t, s, bundle, x)
+                assert x == 1 or x - 1 in nonzero, (e, t, s, bundle, x)

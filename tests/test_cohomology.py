@@ -91,6 +91,12 @@ def test_conormal_vanishing():
         ConormalData(0, 5)
 
 
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_conormal_vanishing_needs_a_power(n_max):
+    with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+        conormal_vanishing(SurfaceGeometry(0, 1), ConormalData(1, 2), n_max)
+
+
 def test_h_split_end():
     two_trivial = SplitBundle((ZERO, ZERO))
     for e in range(4):

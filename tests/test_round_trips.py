@@ -1,7 +1,8 @@
 """Algebraic round trips over unbounded integers.
 
-Twisting composes, the extension bookkeeping inverts itself, and the
-divisor and splitting-type literals parse back to what was formatted.
+Twisting composes, the closed-form jumping count is c2 of the normalizing
+twist, the extension bookkeeping inverts itself in both directions, and
+the divisor and splitting-type literals parse back to what was formatted.
 The draws mix hypothesis's unbounded integers with 5000-digit ones, and
 the literals reach Python's int-to-text limit, past which the CLI refuses
 to print a result.
@@ -17,10 +18,11 @@ from ruledsurf.bundles import (
     ExtensionData,
     extension_chern,
     extension_data_from_chern,
+    jumping_count,
     twist,
 )
 from ruledsurf.cli import format_divisor, format_type, parse_divisor, parse_type
-from ruledsurf.geometry import DivisorClass, SurfaceGeometry
+from ruledsurf.geometry import SECTION, DivisorClass, SurfaceGeometry
 from ruledsurf.splitting import SplittingType
 
 # Many draws are 5000 digits on purpose, so even small examples can be large.
@@ -65,6 +67,23 @@ def test_twist_composes(bundle, first, second):
 
 
 @st.composite
+def balanced_bundles(draw):
+    """Genus zero, and c1 = (r*a, b) so that the general fiber type is (a,...,a)."""
+    g = SurfaceGeometry(0, draw(st.one_of(st.integers(0, 5), st.integers(min_value=0),
+                                          DIGITS_5000)))
+    rank = draw(st.one_of(st.integers(1, 8), st.integers(min_value=1), DIGITS_5000))
+    a = draw(ANY_INT)
+    return BundleNumerics(g, rank, DivisorClass(rank * a, draw(ANY_INT)), draw(ANY_INT)), a
+
+
+@PROPERTIES
+@given(balanced_bundles())
+def test_jumping_count_is_c2_of_the_normalizing_twist(case):
+    bundle, a = case
+    assert jumping_count(bundle, a) == twist(bundle, -a * SECTION).c2
+
+
+@st.composite
 def extensions(draw):
     """Ranks up to 8 or at 5000 digits; the twist a and both degrees at 5000 digits."""
     r = draw(st.one_of(st.integers(2, 8), DIGITS_5000))
@@ -77,6 +96,23 @@ def extensions(draw):
 @given(extensions())
 def test_extension_round_trip(ext):
     assert extension_data_from_chern(extension_chern(ext), ext.a, ext.x) == ext
+
+
+@st.composite
+def extension_middle_terms(draw):
+    """A bundle whose c1 fiber part r*a - x fits an extension of shape (a, x)."""
+    r = draw(st.one_of(st.integers(2, 8), DIGITS_5000))
+    x = draw(st.one_of(st.integers(1, r - 1), st.just(r - 1)))
+    a = draw(st.one_of(HUGE, st.integers(-3, 3)))
+    c1 = DivisorClass(r * a - x, draw(ANY_INT))
+    return BundleNumerics(draw(geometries()), r, c1, draw(ANY_INT)), a, x
+
+
+@PROPERTIES
+@given(extension_middle_terms())
+def test_extension_reverse_round_trip(case):
+    bundle, a, x = case
+    assert extension_chern(extension_data_from_chern(bundle, a, x)) == bundle
 
 
 @PROPERTIES

@@ -5,8 +5,8 @@ everywhere, and pins what the suite reports: how many points it counted
 before it stopped, and the counterexample it stopped at.  The default
 grids passing, with their point counts, is pinned by test_acceptance.
 The last tests pin what the runner reports for a grid that counts no
-point, and how often a theoremC point calls into bundles; tests/test_cli.py
-pins what it reports for a grid that raises.
+point, and how often a theoremC or extension point calls into bundles;
+tests/test_cli.py pins what it reports for a grid that raises.
 """
 
 from collections import Counter
@@ -158,30 +158,42 @@ def test_an_empty_grid_fails(suite, bounds):
         0, False, {"error": "empty grid: the bounds leave no points"})
 
 
-def test_theorem_c_call_structure(monkeypatch):
-    """Per theoremC point: no Fraction cycle ring, two jumping counts and five twists.
+def _count_calls(monkeypatch, calls, module, *names):
+    """Count the calls to module.<name>, also where bundles or verify import it by name."""
+    for name in names:
+        real = getattr(module, name)
 
-    One jumping count is the grid's own, the other grr_verify's pushforward
-    degree; each carries its twist cross-check.  The other three twists are
-    the grid's z_twist, the chi oracle's and grr_verify's normalization.
+        def wrapper(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        for importer in (bundles, verify):
+            monkeypatch.setattr(importer, name, wrapper, raising=False)
+
+
+def test_theorem_c_call_structure(monkeypatch):
+    """Per theoremC point: no Fraction cycle ring, one jumping count and three twists.
+
+    The jumping count is the grid's own: pushforward_degree is closed-form
+    arithmetic.  The three twists are the grid's z_twist, the chi oracle's
+    and grr_verify's normalization; jumping_count does not twist.
     """
     calls = Counter()
-
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in ("jumping_count", "twist"):
-        wrapper = counting(name, getattr(bundles, name))
-        monkeypatch.setattr(bundles, name, wrapper)
-        monkeypatch.setattr(verify, name, wrapper)
-    wrapper = counting("cycle_mul", geometry.cycle_mul)
-    monkeypatch.setattr(geometry, "cycle_mul", wrapper)
-    monkeypatch.setattr(bundles, "cycle_mul", wrapper, raising=False)
+    _count_calls(monkeypatch, calls, bundles, "jumping_count", "twist")
+    _count_calls(monkeypatch, calls, geometry, "cycle_mul")
     (result,) = verify.run_suite("theoremC", r_max=2)
     assert (result.points, result.ok) == (2420, True)
     assert calls["cycle_mul"] == 0
-    assert calls["jumping_count"] <= 2 * result.points
-    assert calls["twist"] <= 5 * result.points
+    assert calls["jumping_count"] <= result.points
+    assert calls["twist"] <= 3 * result.points
+
+
+def test_extension_call_structure(monkeypatch):
+    """Per extension point, one extension_chern and one inverse: the grid's round trip."""
+    calls = Counter()
+    _count_calls(monkeypatch, calls, bundles, "extension_chern", "extension_data_from_chern")
+    (result,) = verify.run_suite("extension", r_max=2)
+    assert (result.points, result.ok) == (2420, True)
+    assert calls["extension_chern"] == result.points
+    assert calls["extension_data_from_chern"] == result.points
