@@ -208,30 +208,25 @@ def stabilization_index(
 
     The claim for y >= cert_y rests on a certificate: once every summand
     difference satisfies y*t + Δa >= -1 and y*s + Δb >= e*(y*t + Δa) - 1,
-    the corresponding h1 term is zero, and both inequalities are preserved
-    under y -> y+1 because s > e*t; h1 is evaluated only below cert_y.  If
-    no y <= y_max is certified the search fails with StabilizationError.
+    the corresponding h1 term is zero.  Both inequalities are linear in y
+    with positive slopes t and s - e*t, so cert_y, the least y >= 1 that
+    satisfies them all, is read off in closed form; h1 is evaluated only in
+    the descent below cert_y.  If cert_y > y_max the search fails with
+    StabilizationError.
     """
     _require_genus_zero(g)
     check_conormal(g, c)
     if y_max < 1:
         raise ValueError(f"y_max must be at least 1, got {y_max}")
 
-    diffs = [
-        d_j - d_i for d_i in bundle.summands for d_j in bundle.summands
-    ]
-
-    def certified(y: int) -> bool:
-        for delta in diffs:
-            fiber_deg = y * c.t + delta.a
-            if fiber_deg < -1:
-                return False
-            if y * c.s + delta.b < g.e * fiber_deg - 1:
-                return False
-        return True
-
-    cert_y = next((y for y in range(1, y_max + 1) if certified(y)), None)
-    if cert_y is None:
+    slope = c.s - g.e * c.t  # > 0 by check_conormal
+    cert_y = 1
+    for d_i in bundle.summands:
+        for d_j in bundle.summands:
+            da, db = d_j.a - d_i.a, d_j.b - d_i.b
+            # ceilings of (-1 - Δa)/t and (e*Δa - Δb - 1)/(s - e*t)
+            cert_y = max(cert_y, -((da + 1) // c.t), -((db + 1 - g.e * da) // slope))
+    if cert_y > y_max:
         raise StabilizationError(
             f"no stabilization within y_max={y_max}: the certified tail was not reached"
         )

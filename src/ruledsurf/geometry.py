@@ -21,7 +21,7 @@ from fractions import Fraction
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # bool is a subclass of int, so no isinstance
         return Fraction(value)
     raise TypeError(f"expected an exact integer or rational, got {value!r}")
 
@@ -172,6 +172,7 @@ def curve_mul(x: CurveCycle, y: CurveCycle) -> CurveCycle:
 
 def chern_character(g: SurfaceGeometry, rank: int, c1: DivisorClass, c2: int) -> CycleClass:
     """Chern character rank + c1 + (c1^2 - 2*c2)/2 of a rank/c1/c2 triple."""
+    _require_int("rank and c2", rank, c2)
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
     top = Fraction(intersect(g, c1, c1) - 2 * c2, 2)
@@ -188,6 +189,7 @@ def todd_surface(g: SurfaceGeometry) -> CycleClass:
 
 def todd_curve(q: int) -> CurveCycle:
     """Todd class 1 + (1-q)*[pt] of a genus-q curve."""
+    _require_int("genus values", q)
     if q < 0:
         raise ValueError(f"genus must be nonnegative, got {q}")
     return CurveCycle(Fraction(1), Fraction(1 - q))

@@ -4,7 +4,7 @@ A bundle on P^1 splits as a sum of line bundles; its type is the
 nonincreasing degree sequence.  This module implements the combinatorics
 the surface-level theory leans on: the rigid (balanced) type of given rank
 and degree, h1 of the endomorphism bundle, the Shatz dominance order with
-a brute-force semicontinuity oracle as its independent twin, explicit
+a section-count semicontinuity oracle as its independent twin, explicit
 degeneration chains down from the rigid type, and the fiberwise
 obstruction count for lifting a splitting through the formal neighborhood
 of a fiber inside a threefold.
@@ -98,11 +98,14 @@ def specializes(general: SplittingType, special: SplittingType) -> bool:
 
 
 def semicontinuity_oracle(general: SplittingType, special: SplittingType) -> bool:
-    """Brute-force specialization test via section counts of all relevant twists.
+    """Specialization test via the section counts of all twists, independent of specializes.
 
-    Checks h0(type(k)) for every twist k in a window outside of which both
-    counts saturate (to 0 below, to d + r(k+1) above), so the window is
-    exhaustive.  Rank or degree mismatch is an error, not False.
+    special specializes from general iff h0(special(k)) >= h0(general(k))
+    for every twist k.  h0(type(k)) = sum of max(0, b + k + 1) is piecewise
+    linear in k with kinks only at k = -b - 1, and the two counts agree
+    past both ends (0 below, d + r(k+1) above), so comparing them at the
+    kinks of both types is exhaustive.  Rank or degree mismatch is an
+    error, not False.
     """
     if general.rank() != special.rank():
         raise ValueError("semicontinuity comparison needs equal ranks")
@@ -112,14 +115,8 @@ def semicontinuity_oracle(general: SplittingType, special: SplittingType) -> boo
     def h0(t: SplittingType, k: int) -> int:
         return sum(max(0, b + k + 1) for b in t.parts)
 
-    everything = general.parts + special.parts
-    lo = -max(everything) - 1
-    hi = -min(everything) + 1
-    if h0(general, lo) != 0 or h0(special, lo) != 0:
-        raise ArithmeticError("twist window lower bound failed to saturate")
-    if h0(general, hi) != h0(special, hi):
-        raise ArithmeticError("twist window upper bound failed to saturate")
-    return all(h0(special, k) >= h0(general, k) for k in range(lo, hi + 1))
+    kinks = {-b - 1 for b in general.parts + special.parts}
+    return all(h0(special, k) >= h0(general, k) for k in kinks)
 
 
 def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> list[int]:

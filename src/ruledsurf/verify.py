@@ -10,6 +10,10 @@ fails with the exception's type and message as its counterexample, after
 the points it counted; a grid that counts no point fails as empty, since
 a check of nothing is no pass.
 
+A counterexample holds library values (ints, DivisorClass, SplittingType
+and lists of them), not text: the CLI renders them as literals, with the
+same renderer as every other op, so this module never imports the CLI.
+
 `_suite(name)` registers a suite under its name in SUITES and makes its
 public `run_*` function that runner, with the suite's own signature.  The
 bounds a suite accepts are the parameters of that signature; the
@@ -33,7 +37,6 @@ from .bundles import (
     jumping_count_chi_oracle,
     twist,
 )
-from .cli import format_divisor, format_type
 from .cohomology import (
     ConormalData,
     SplitBundle,
@@ -119,7 +122,7 @@ def run_serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
                 rhs = h_line(g, k - d)
                 yield None
                 if (lhs.h0, lhs.h1, lhs.h2) != (rhs.h2, rhs.h1, rhs.h0):
-                    yield {"e": e, "D": format_divisor(d)}
+                    yield {"e": e, "D": d}
 
 
 @_suite("euler")
@@ -131,7 +134,7 @@ def run_euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
                 d = DivisorClass(a, b)
                 yield None
                 if h_line(g, d).euler() != euler_char(g, d):
-                    yield {"e": e, "D": format_divisor(d)}
+                    yield {"e": e, "D": d}
 
 
 @_suite("conormal")
@@ -178,7 +181,7 @@ def run_theorem_c(
                                 "e": e,
                                 "r": r,
                                 "a": a,
-                                "c1": format_divisor(bundle.c1),
+                                "c1": bundle.c1,
                                 "c2": c2,
                                 "z": z,
                                 "z_twist": z_twist,
@@ -202,28 +205,28 @@ def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
                         yield {
                             "r": r,
                             "d": d,
-                            "general": format_type(types[i]),
-                            "special": format_type(types[j]),
+                            "general": types[i],
+                            "special": types[j],
                         }
             # the order axioms are checked on the points above and count none of their own
             for i in range(n):
                 if not rel[i][i]:
-                    yield {"axiom": "reflexive", "type": format_type(types[i])}
+                    yield {"axiom": "reflexive", "type": types[i]}
                 for j in range(n):
                     if i != j and rel[i][j] and rel[j][i]:
                         yield {
                             "axiom": "antisymmetric",
-                            "first": format_type(types[i]),
-                            "second": format_type(types[j]),
+                            "first": types[i],
+                            "second": types[j],
                         }
                     if rel[i][j]:
                         for k in range(n):
                             if rel[j][k] and not rel[i][k]:
                                 yield {
                                     "axiom": "transitive",
-                                    "first": format_type(types[i]),
-                                    "second": format_type(types[j]),
-                                    "third": format_type(types[k]),
+                                    "first": types[i],
+                                    "second": types[j],
+                                    "third": types[k],
                                 }
 
 
@@ -246,12 +249,7 @@ def _chain_valid(target: SplittingType, chain: list[SplittingType]) -> bool:
 
 
 @_suite("rigid")
-def run_rigid(
-    r_max: int = 4,
-    d_max: int = 4,
-    jump_r_max: int = 6,
-    jump_a_max: int = 3,
-) -> Grid:
+def run_rigid(r_max: int = 4, d_max: int = 4) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, r + 2)
@@ -259,15 +257,15 @@ def run_rigid(
             flat = [t for t in types if h1_end(t) == 0]
             yield None
             if flat != [balanced]:
-                yield {"r": r, "d": d, "h1_end_zero": [format_type(t) for t in flat]}
+                yield {"r": r, "d": d, "h1_end_zero": flat}
             for t in types:
                 yield None
                 if not specializes(balanced, t):
-                    yield {"r": r, "d": d, "unreachable": format_type(t)}
+                    yield {"r": r, "d": d, "unreachable": t}
                 if not _chain_valid(t, specialization_chain(t)):
-                    yield {"r": r, "d": d, "bad_chain_target": format_type(t)}
-    for r in range(2, jump_r_max + 1):
-        for a in range(-jump_a_max, jump_a_max + 1):
+                    yield {"r": r, "d": d, "bad_chain_target": t}
+    for r in range(2, 7):
+        for a in range(-3, 4):
             yield None
             if h1_end(jumping_type(r, a)) != 1:
                 yield {"jumping_r": r, "jumping_a": a}
@@ -283,10 +281,10 @@ def run_lifting(
             for t in range(1, t_max + 1):
                 yield None
                 if any(formal_lift_obstructions(balanced, t, n_max)):
-                    yield {"type": format_type(balanced), "t": t}
+                    yield {"type": balanced, "t": t}
     yield None
     if formal_lift_obstructions(SplittingType((1, -1)), 1, 1) != [1]:
-        yield {"type": "(1,-1)", "t": 1, "expected": [1]}
+        yield {"type": SplittingType((1, -1)), "t": 1, "expected": [1]}
 
 
 @_suite("extension")

@@ -447,6 +447,20 @@ def test_importing_cli_builds_no_parser():
     assert proc.stdout.split() == ["0", "False"]
 
 
+def test_importing_verify_loads_no_cli():
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    probe = textwrap.dedent("""
+        import sys
+        import ruledsurf.verify
+        print(*(name in sys.modules for name in ("ruledsurf.cli", "argparse", "json")))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["False", "False", "False"]
+
+
 def _subparsers(parser):
     return next((a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)), {})
@@ -497,6 +511,12 @@ LARGE_COEFFICIENT_OPS = {
                 "--t", "1", "--s", "2", "--n", "3000"], "121540518012"),
     "stab": (["coh", "stab", "--e", "1", "--summands", "0*h+0*f,0*h+5*f", "--t", "1",
               "--s", "2", "--y-max", "3000000"], "4"),
+    "stab-certificate": (["coh", "stab", "--e", "1", "--summands", "0*h+0*f,0*h+100000000*f",
+                          "--t", "1", "--s", "2", "--y-max", "300000000"], "99999999"),
+    "semicont": (["split", "semicont", "--general", "(0,0)",
+                  "--special", "(1000000,-1000000)"], "true"),
+    "semicont-1e8": (["split", "semicont", "--general", "(0,0)",
+                      "--special", "(100000000,-100000000)"], "true"),
 }
 
 
@@ -606,6 +626,18 @@ def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
         "suite": "theoremC", "points": 3107, "ok": False, "counterexample": {
             "e": 1, "r": 3, "a": -2, "c1": "-6*h+2*f", "c2": -1, "z": 19, "z_twist": 19,
             "z_chi": 20, "m": -17, "grr_degree": "-18"}}]
+
+
+def test_verify_rigid_renders_a_list_of_types(capsys, monkeypatch):
+    # the grid yields the SplittingType values; the CLI renders them as literals
+    real = verify_mod.h1_end
+    flat = SplittingType((2, 0, -1))
+    monkeypatch.setattr(verify_mod, "h1_end", lambda t: 0 if t == flat else real(t))
+    code, out = _run(capsys, ["verify", "rigid", "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["results"] == [{
+        "suite": "rigid", "points": 91, "ok": False, "counterexample": {
+            "r": 3, "d": 1, "h1_end_zero": ["(1,0,0)", "(2,0,-1)"]}}]
 
 
 def test_verify_raising_twist_gives_an_exception_row(capsys, monkeypatch):

@@ -6,7 +6,9 @@ O(b - k*e), k = 0..a, of the pushed-down bundle one term at a time, and
 Both do work in proportion to a coefficient, so they are checked at
 moderate sizes; the structural identities are checked at 5000 digits.
 The certified index of stabilization_index is checked against the h1
-values past it, which it no longer evaluates itself.
+values past it, which it no longer evaluates itself.  semicontinuity_oracle
+compares section counts only at their kinks; `semicontinuity_window`
+compares them at every twist of a window outside which both saturate.
 """
 
 import functools
@@ -31,6 +33,12 @@ from ruledsurf.geometry import (
     is_ample,
     is_good_polarization,
     min_good_twist,
+)
+from ruledsurf.splitting import (
+    SplittingType,
+    enumerate_types,
+    semicontinuity_oracle,
+    specializes,
 )
 
 PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -201,3 +209,57 @@ def test_stabilization_index_is_the_start_of_the_vanishing_tail():
                 assert x + 20 < TWISTS
                 assert nonzero.isdisjoint(range(x, x + 21)), (e, t, s, bundle, x)
                 assert x == 1 or x - 1 in nonzero, (e, t, s, bundle, x)
+
+
+def semicontinuity_window(general: SplittingType, special: SplittingType) -> bool:
+    """h0(special(k)) >= h0(general(k)) at every twist k of the saturation window."""
+
+    def h0(t: SplittingType, k: int) -> int:
+        return sum(max(0, b + k + 1) for b in t.parts)
+
+    everything = general.parts + special.parts
+    lo = -max(everything) - 1
+    hi = -min(everything) + 1
+    # outside [lo, hi] both counts are 0 (below) or d + r(k+1) (above)
+    assert h0(general, lo) == h0(special, lo) == 0
+    assert h0(general, hi) == h0(special, hi)
+    return all(h0(special, k) >= h0(general, k) for k in range(lo, hi + 1))
+
+
+def test_semicontinuity_oracle_matches_window_on_small_grid():
+    pairs = 0
+    for r in range(1, 5):
+        for d in range(-4, 5):
+            types = enumerate_types(r, d, 6)
+            for general, special in itertools.product(types, repeat=2):
+                expected = semicontinuity_window(general, special)
+                assert semicontinuity_oracle(general, special) == expected, (general, special)
+                assert specializes(general, special) == expected, (general, special)
+                pairs += 1
+    assert pairs == 4931
+
+
+@st.composite
+def type_pairs(draw):
+    """Two types of equal rank <= 4 and degree, with spreads up to 10^6.
+
+    The special type moves the general one's parts by a vector summing to
+    zero: parts lie in [0, size], all moves but the balancing last one in
+    [-size/4, size/4], so every part lies in [-3*size/4, 7*size/4].
+    """
+    r = draw(st.integers(1, 4))
+    size = draw(st.sampled_from([40, 4 * 10 ** 3, 4 * 10 ** 5]))
+    parts = draw(st.lists(st.integers(0, size), min_size=r, max_size=r))
+    moves = draw(st.lists(st.integers(-size // 4, size // 4), min_size=r - 1, max_size=r - 1))
+    moves.append(-sum(moves))
+    general = SplittingType(tuple(sorted(parts, reverse=True)))
+    special = SplittingType(tuple(sorted((b + m for b, m in zip(parts, moves)),
+                                         reverse=True)))
+    return general, special
+
+
+@settings(PROPERTIES, max_examples=40)
+@given(type_pairs())
+def test_semicontinuity_oracle_matches_window(pair):
+    general, special = pair
+    assert semicontinuity_oracle(general, special) == semicontinuity_window(general, special)

@@ -169,11 +169,27 @@ G0 = SurfaceGeometry(0, 0)
     lambda: ConormalData(1, 2.5),
     lambda: ExtensionData(G0, 3, 1, Fraction(1, 2), 0, 0),
     lambda: ExtensionData(G0, 3, True, 1, 0, 0),
+    lambda: chern_character(G0, 2.5, DivisorClass(1, 0), 0),
+    lambda: chern_character(G0, 2, DivisorClass(1, 0), Fraction(1)),
+    lambda: todd_curve(1.5),
+    lambda: todd_curve(True),
 ], ids=["h1_end-float", "type-fraction", "geometry-bool", "geometry-float", "divisor-bool",
         "bundle-rank-float", "bundle-c2-float", "conormal-t-float", "conormal-s-float",
-        "extension-fraction", "extension-bool"])
+        "extension-fraction", "extension-bool", "chern-rank-float", "chern-c2-fraction",
+        "todd-curve-float", "todd-curve-bool"])
 def test_constructors_take_exact_integers_only(build):
     with pytest.raises(TypeError, match="must be integers"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CycleClass(True, 0, 0, 0),
+    lambda: CycleClass(0, 0, 0, 0.5),
+    lambda: CurveCycle(True, False),
+    lambda: CurveCycle(1, 1.0),
+], ids=["cycle-bool", "cycle-float", "curve-cycle-bool", "curve-cycle-float"])
+def test_cycles_take_exact_integers_or_rationals_only(build):
+    with pytest.raises(TypeError, match="exact integer or rational"):
         build()
 
 

@@ -2,10 +2,11 @@
 
 Each case breaks one oracle that `ruledsurf.verify` calls, at one input or
 everywhere, and pins what the suite reports: how many points it counted
-before it stopped, and the counterexample it stopped at.  The default
-grids passing, with their point counts, is pinned by test_acceptance.
-The last tests pin what the runner reports for a grid that counts no
-point, and how often a theoremC or extension point calls into bundles;
+before it stopped, and the counterexample it stopped at, as the CLI
+renders the library values it holds.  The default grids passing, with
+their point counts, is pinned by test_acceptance.  The last tests pin
+what the runner reports for a grid that counts no point, and how often a
+theoremC or extension point calls into bundles;
 tests/test_cli.py pins what it reports for a grid that raises.
 """
 
@@ -14,6 +15,7 @@ from collections import Counter
 import pytest
 
 import ruledsurf.bundles as bundles
+import ruledsurf.cli as cli
 import ruledsurf.geometry as geometry
 import ruledsurf.verify as verify
 from ruledsurf.bundles import ExtensionData
@@ -130,7 +132,8 @@ def test_first_counterexample(monkeypatch, case):
     inject, points, counterexample = INJECTED[case]
     inject(monkeypatch)
     (result,) = verify.run_suite(case.split("-")[0])
-    assert (result.points, result.ok, result.counterexample) == (points, False, counterexample)
+    assert (result.points, result.ok, cli._encode(result.counterexample)) == (
+        points, False, counterexample)
 
 
 def test_all_routes_each_bound_to_the_suites_that_take_it():
