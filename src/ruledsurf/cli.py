@@ -425,7 +425,7 @@ _SPLIT = {
     "specializes": ("dominance-order test", _TYPE_PAIR,
                     lambda v: [{"specializes": splitting.specializes(
                         v.splitting("general"), v.splitting("special"))}]),
-    "semicont": ("dominance via brute-force section-count semicontinuity", _TYPE_PAIR,
+    "semicont": ("dominance via section-count semicontinuity", _TYPE_PAIR,
                  lambda v: [{"specializes": splitting.semicontinuity_oracle(
                      v.splitting("general"), v.splitting("special"))}]),
     "jumptype": ("minimal degeneration of a balanced type", (_int("--r"), _int("--a")),

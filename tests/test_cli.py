@@ -18,18 +18,20 @@ from ruledsurf.cli import (
     CliInputError,
     build_parser,
     format_bundle,
+    format_curve_cycle,
     format_cycle,
     format_divisor,
     format_rational,
     format_type,
     parse_bundle,
+    parse_curve_cycle,
     parse_cycle,
     parse_divisor,
     parse_summands,
     parse_type,
     run,
 )
-from ruledsurf.geometry import DivisorClass
+from ruledsurf.geometry import CurveCycle, DivisorClass
 from ruledsurf.splitting import SplittingType
 from ruledsurf.verify import SuiteResult
 
@@ -109,13 +111,38 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+# (argv, the input error it reports): one case per way a literal can be malformed
+MALFORMED_LITERALS = [
+    (["coh", "line", "--e", "0", "--D", "1*h+f"],
+     "malformed divisor literal '1*h+f': expected signed integer f-coefficient at position 3"),
+    (["split", "h1end", "--type", "(1,2)"],
+     "malformed splitting type literal '(1,2)': "
+     "expected a part no larger than the previous one at position 3"),
+    (["coh", "line", "--e", "0", "--D", "h+0*f"],
+     "malformed divisor literal 'h+0*f': expected integer h-coefficient at position 0"),
+    (["coh", "line", "--e", "0", "--D", "1h+0*f"],
+     "malformed divisor literal '1h+0*f': expected '*h' at position 1"),
+    (["coh", "line", "--e", "0", "--D", "1*h+0*f+"],
+     "malformed divisor literal '1*h+0*f+': expected end of literal at position 7"),
+    (["split", "h1end", "--type", "(1,0"],
+     "malformed splitting type literal '(1,0': expected ')' at position 4"),
+    (["split", "h1end", "--type", "(1,x)"],
+     "malformed splitting type literal '(1,x)': expected integer part at position 3"),
+    (["surface", "push", "--e", "0", "--x", "1,0,0,0)"],
+     "malformed cycle literal '1,0,0,0)': expected '(' at position 0"),
+    (["surface", "push", "--e", "0", "--x", "(1,0.5,0,0)"],
+     "malformed cycle literal '(1,0.5,0,0)': expected exact rational p or p/q at position 3"),
+]
+
+
 def test_malformed_literal_position(capsys):
-    code, out = _run(capsys, ["coh", "line", "--e", "0", "--D", "1*h+f"])
-    assert code == 1
-    assert "position 3" in out
-    code, out = _run(capsys, ["split", "h1end", "--type", "(1,2)"])
-    assert code == 1
-    assert "position" in out
+    for argv, error in MALFORMED_LITERALS:
+        assert _run(capsys, argv) == (1, f"status: input-error\nerror\n{error}\n"), argv
+
+
+def test_a_result_with_no_rows_renders_as_no_rows(capsys):
+    assert _run(capsys, ["split", "enumerate", "--r", "2", "--d", "1",
+                         "--max-spread", "0"]) == (0, "(no rows)\n")
 
 
 def test_unknown_flag_rejected(capsys):
@@ -244,6 +271,9 @@ def test_rational_and_cycle_literals():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     cycle = parse_cycle("(2,1/2,-1,0)")
     assert format_cycle(cycle) == "(2,1/2,-1,0)"
+    curve = CurveCycle(Fraction(-3, 4), 5)
+    assert format_curve_cycle(curve) == "(-3/4,5)"
+    assert parse_curve_cycle(format_curve_cycle(curve)) == curve
     assert parse_cycle("(1,1,1,1/010)").p2 == Fraction(1, 10)
     with pytest.raises(ValueError):
         parse_cycle("(1,2,3)")
@@ -377,7 +407,7 @@ positional arguments:
     h1end               h1 of the endomorphism bundle
     isrigid             rigidity test
     specializes         dominance-order test
-    semicont            dominance via brute-force section-count semicontinuity
+    semicont            dominance via section-count semicontinuity
     jumptype            minimal degeneration of a balanced type
     lift                formal-neighborhood lifting obstructions
     enumerate           all types of bounded spread
@@ -517,6 +547,8 @@ LARGE_COEFFICIENT_OPS = {
                   "--special", "(1000000,-1000000)"], "true"),
     "semicont-1e8": (["split", "semicont", "--general", "(0,0)",
                       "--special", "(100000000,-100000000)"], "true"),
+    "conormal": (["coh", "conormal", "--e", "1", "--t", "1", "--s", "2",
+                  "--n-max", "3000000"], "true"),
 }
 
 
@@ -601,6 +633,26 @@ def test_verify_all_reports_a_raising_suite_in_its_row(capsys):
     assert rows[-1] == {"suite": "growth", "points": 21, "ok": False, "counterexample": {
         "exception": "StabilizationError",
         "message": "no stabilization within y_max=3: the certified tail was not reached"}}
+
+
+def test_verify_table_leaves_the_counterexample_cell_of_an_ok_row_blank(capsys):
+    code, out = _run(capsys, ["verify", "all", "--e-max", "0", "--r", "2", "--y-max", "3"])
+    error = ('{"exception":"StabilizationError","message":'
+             '"no stabilization within y_max=3: the certified tail was not reached"}')
+    assert code == 2
+    assert out == textwrap.dedent(f"""\
+        status: property-violation
+        suite      points  ok     counterexample
+        serre      289     true
+        euler      289     true
+        conormal   12      true
+        theoremC   605     true
+        dominance  70      true
+        rigid      85      true
+        lifting    79      true
+        extension  605     true
+        growth     21      false  {error}
+        """)
 
 
 def _twist_at_one_point(monkeypatch, wrong):

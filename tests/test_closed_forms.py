@@ -9,6 +9,8 @@ The certified index of stabilization_index is checked against the h1
 values past it, which it no longer evaluates itself.  semicontinuity_oracle
 compares section counts only at their kinks; `semicontinuity_window`
 compares them at every twist of a window outside which both saturate.
+conormal_vanishing answers from its preconditions; `conormal_vanishing_loop`
+evaluates h_line at every conormal power.
 """
 
 import functools
@@ -21,6 +23,7 @@ from ruledsurf.cohomology import (
     CohomologyTable,
     ConormalData,
     SplitBundle,
+    conormal_vanishing,
     euler_char,
     h_line,
     stabilization_index,
@@ -263,3 +266,39 @@ def type_pairs(draw):
 def test_semicontinuity_oracle_matches_window(pair):
     general, special = pair
     assert semicontinuity_oracle(general, special) == semicontinuity_window(general, special)
+
+
+def conormal_vanishing_loop(g: SurfaceGeometry, c: ConormalData, n_max: int) -> bool:
+    """h1 = h2 = 0 at every conormal power n*(t,s), n = 1..n_max, one power at a time."""
+    for n in range(1, n_max + 1):
+        table = h_line(g, DivisorClass(n * c.t, n * c.s))
+        if table.h1 or table.h2:
+            return False
+    return True
+
+
+def test_conormal_vanishing_matches_loop_on_small_grid():
+    cases = 0
+    for e, t in itertools.product(range(5), range(1, 5)):
+        g = SurfaceGeometry(0, e)
+        for s, n_max in itertools.product(range(e * t + 1, e * t + 7), range(1, 9)):
+            c = ConormalData(t, s)
+            assert conormal_vanishing(g, c, n_max) == conormal_vanishing_loop(g, c, n_max)
+            cases += 1
+    assert cases == 960
+
+
+@st.composite
+def huge_conormal_data(draw):
+    """e in [0, 50], t and the excess s - e*t small or at 5000 digits, n_max in [1, 8]."""
+    e = draw(st.integers(0, 50))
+    t = draw(st.one_of(st.integers(1, 5), DIGITS_5000))
+    room = draw(st.one_of(st.integers(1, 5), DIGITS_5000))
+    return SurfaceGeometry(0, e), ConormalData(t, e * t + room), draw(st.integers(1, 8))
+
+
+@AT_5000_DIGITS
+@given(huge_conormal_data())
+def test_conormal_vanishing_matches_loop_at_5000_digits(case):
+    g, c, n_max = case
+    assert conormal_vanishing(g, c, n_max) == conormal_vanishing_loop(g, c, n_max)

@@ -6,6 +6,7 @@ from ruledsurf.cohomology import (
     PositiveGenusError,
     SplitBundle,
     StabilizationError,
+    check_conormal,
     conormal_vanishing,
     endomorphism_growth,
     euler_char,
@@ -95,6 +96,15 @@ def test_conormal_vanishing():
 def test_conormal_vanishing_needs_a_power(n_max):
     with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
         conormal_vanishing(SurfaceGeometry(0, 1), ConormalData(1, 2), n_max)
+
+
+@pytest.mark.parametrize("q, e, bound", [(1, 0, 0), (2, -1, 3)])
+def test_check_conormal_in_positive_genus(q, e, bound):
+    # positive genus asks s > 2q - 2 + |e| of the conormal class, whatever t is
+    g = SurfaceGeometry(q, e)
+    with pytest.raises(ValueError, match=rf"2q-2\+\|e\| = {bound}, got s={bound}$"):
+        check_conormal(g, ConormalData(1, bound))
+    check_conormal(g, ConormalData(1, bound + 1))
 
 
 def test_h_split_end():

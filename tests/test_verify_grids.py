@@ -55,6 +55,10 @@ INJECTED = {
                            lambda g, c, n: g.e == 2 and (c.t, c.s) == (2, 6),
                            lambda ok: False),
         30, {"e": 2, "t": 2, "s": 6}),
+    "conormal-powers": (
+        lambda mp: _lie_at(mp, "h_line", lambda g, d: g.e == 2 and d == DivisorClass(4, 12),
+                           lambda t: CohomologyTable(t.h0, t.h1 + 1, t.h2)),
+        25, {"e": 2, "t": 1, "s": 3}),
     "theoremC": (
         lambda mp: _lie_at(mp, "jumping_count_chi_oracle",
                            lambda b, a: (b.g.e, b.r, a, b.c2) == (0, 3, 1, 2),
