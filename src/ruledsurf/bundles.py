@@ -126,11 +126,8 @@ def pushforward_degree(bundle: BundleNumerics, a: int) -> int:
 def euler_char_bundle(bundle: BundleNumerics) -> int:
     """Riemann-Roch on the surface: r(1-q) + c1.(c1 - K)/2 - c2, any genus."""
     g = bundle.g
+    # c1.(c1 - K) = 2(ab - qa + a + b) - e*a(a + 1) is even, so the halving is exact
     pairing = intersect(g, bundle.c1, bundle.c1 - canonical_class(g))
-    if pairing % 2:
-        raise ArithmeticError(
-            f"odd pairing c1.(c1-K) = {pairing}: the intersection ring is broken"
-        )
     return bundle.r * (1 - g.q) + pairing // 2 - bundle.c2
 
 

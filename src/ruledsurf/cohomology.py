@@ -12,8 +12,10 @@ On top of the line-bundle table this module evaluates the endomorphism
 cohomology of split bundles, the dimension of their local moduli space,
 the conormal-power vanishing that makes infinitesimal neighborhoods
 manageable, the index past which twisted endomorphism h1 stabilizes at
-zero, and the growth of global endomorphisms through the neighborhoods
-(computed in the split model, where sections of the layers add up).
+zero (read off each summand difference in closed form, with no twist
+evaluated), and the growth of global endomorphisms through the
+neighborhoods (computed in the split model, where sections of the layers
+add up).
 
 Positive genus exposes only the Riemann-Roch Euler characteristic; exact
 individual h^i would need Brill-Noether data and is deliberately refused
@@ -146,12 +148,8 @@ def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:
 
 def euler_char(g: SurfaceGeometry, d: DivisorClass) -> int:
     """Riemann-Roch Euler characteristic (1 - q) + D.(D - K)/2, any genus."""
-    pairing = intersect(g, d, d - canonical_class(g))
-    if pairing % 2:
-        raise ArithmeticError(
-            f"odd pairing D.(D-K) = {pairing} for {d!r}: the intersection ring is broken"
-        )
-    return (1 - g.q) + pairing // 2
+    # D.(D - K) = 2(ab - qa + a + b) - e*a(a + 1) is even, so the halving is exact
+    return (1 - g.q) + intersect(g, d, d - canonical_class(g)) // 2
 
 
 def serre_dual(g: SurfaceGeometry, d: DivisorClass) -> DivisorClass:
@@ -201,13 +199,16 @@ def stabilization_index(
 ) -> int:
     """Smallest x >= 1 with h1(End(bundle) ⊗ O(y*(t,s))) = 0 for all y >= x.
 
-    The claim for y >= cert_y rests on a certificate: once every summand
-    difference satisfies y*t + Δa >= -1 and y*s + Δb >= e*(y*t + Δa) - 1,
-    the corresponding h1 term is zero.  Both inequalities are linear in y
-    with positive slopes t and s - e*t, so cert_y, the least y >= 1 that
-    satisfies them all, is read off in closed form; h1 is evaluated only in
-    the descent below cert_y.  If cert_y > y_max the search fails with
-    StabilizationError.
+    End(bundle) ⊗ O(y*(t,s)) is the sum of the lines O(a*h + b*f) with
+    a = Δa + y*t and gap = b - e*a = Δb - e*Δa + y*(s - e*t) over the summand
+    differences (Δa, Δb).  Such a line has h1 != 0 exactly when a >= 0 and
+    gap <= -2, or, by Serre duality, when a <= -2 and gap >= e.  Both a and
+    gap grow linearly in y (slopes t and s - e*t > 0), so for each difference
+    the y with h1 != 0 form two intervals, ending just before gap or a
+    reaches -1.  The index is one past the last such y >= 1, read off in
+    closed form with no twist evaluated.  The certificate cert_y, the least
+    y >= 1 with a >= -1 and gap >= -1 for every difference, bounds the
+    index; if cert_y > y_max the search fails with StabilizationError.
     """
     _require_genus_zero(g)
     check_conormal(g, c)
@@ -215,24 +216,25 @@ def stabilization_index(
         raise ValueError(f"y_max must be at least 1, got {y_max}")
 
     slope = c.s - g.e * c.t  # > 0 by check_conormal
-    cert_y = 1
+    cert_y = index = 1
     for d_i in bundle.summands:
         for d_j in bundle.summands:
-            da, db = d_j.a - d_i.a, d_j.b - d_i.b
-            # ceilings of (-1 - Δa)/t and (e*Δa - Δb - 1)/(s - e*t)
-            cert_y = max(cert_y, -((da + 1) // c.t), -((db + 1 - g.e * da) // slope))
+            da = d_j.a - d_i.a
+            gap = d_j.b - d_i.b - g.e * da
+            a_ok = -((da + 1) // c.t)  # least y with y*t + Δa >= -1
+            gap_ok = -((gap + 1) // slope)  # least y with y*slope + gap >= -1
+            cert_y = max(cert_y, a_ok, gap_ok)
+            # the y with gap <= -2 end at gap_ok - 1 and those with a <= -2
+            # at a_ok - 1; h1 != 0 there iff a >= 0, resp. gap >= e, holds
+            if gap_ok > index and (gap_ok - 1) * c.t + da >= 0:
+                index = gap_ok
+            if a_ok > index and (a_ok - 1) * slope + gap >= g.e:
+                index = a_ok
     if cert_y > y_max:
         raise StabilizationError(
             f"no stabilization within y_max={y_max}: the certified tail was not reached"
         )
-
-    def h1_at(y: int) -> int:
-        return h_split_end(g, bundle, DivisorClass(y * c.t, y * c.s)).h1
-
-    x = cert_y
-    while x > 1 and h1_at(x - 1) == 0:
-        x -= 1
-    return x
+    return index
 
 
 def endomorphism_growth(

@@ -13,6 +13,7 @@ of a fiber inside a threefold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .geometry import _require_int
 
@@ -68,15 +69,6 @@ def jumping_type(r: int, a: int) -> SplittingType:
     if r < 2:
         raise ValueError(f"jumping types need rank at least 2, got {r}")
     return SplittingType((a + 1,) + (a,) * (r - 2) + (a - 1,))
-
-
-def _prefix_sums(parts) -> list[int]:
-    sums = []
-    total = 0
-    for b in parts:
-        total += b
-        sums.append(total)
-    return sums
 
 
 def specializes(general: SplittingType, special: SplittingType) -> bool:
@@ -157,24 +149,25 @@ def enumerate_types(r: int, d: int, max_spread: int) -> list[SplittingType]:
     if max_spread < 0:
         raise ValueError(f"max_spread must be nonnegative, got {max_spread}")
     found: list[SplittingType] = []
-    top_lo = -(-d // r)
-    top_hi = (d + (r - 1) * max_spread) // r
-    for top in range(top_lo, top_hi + 1):
-        _descend([top], r - 1, d - top, top - max_spread, found)
+    for top in range(-(-d // r), (d + (r - 1) * max_spread) // r + 1):
+        parts, i, tail = [top], 0, d - top
+        while True:
+            # the least tail of the sum left is the balanced one (m = 0 iff r = 1)
+            m = r - 1 - i
+            q, extra = divmod(tail, m or 1)
+            parts[i + 1:] = [q + 1] * extra + [q] * (m - extra)
+            found.append(SplittingType(tuple(parts)))
+            # next: raise the last part below its predecessor whose followers can drop
+            tail = 0
+            for i in range(r - 1, 0, -1):
+                if parts[i] < parts[i - 1] and tail > (r - 1 - i) * (top - max_spread):
+                    parts[i] += 1
+                    tail -= 1
+                    break
+                tail += parts[i]
+            else:
+                break
     return found
-
-
-def _descend(prefix: list[int], m: int, rem: int, lowest: int, found: list):
-    if m == 0:
-        if rem == 0:
-            found.append(SplittingType(tuple(prefix)))
-        return
-    v_lo = max(lowest, -(-rem // m))
-    v_hi = min(prefix[-1], rem - (m - 1) * lowest)
-    for v in range(v_lo, v_hi + 1):
-        prefix.append(v)
-        _descend(prefix, m - 1, rem - v, lowest, found)
-        prefix.pop()
 
 
 def specialization_chain(target: SplittingType) -> list[SplittingType]:
@@ -186,11 +179,11 @@ def specialization_chain(target: SplittingType) -> list[SplittingType]:
     specializes the last and the walk is forced to terminate at the target.
     """
     start = rigid_type(target.rank(), target.degree())
-    tgt = _prefix_sums(target.parts)
+    tgt = list(accumulate(target.parts))
     chain = [start]
     cur = list(start.parts)
     while tuple(cur) != target.parts:
-        pre = _prefix_sums(cur)
+        pre = list(accumulate(cur))
         i = next(k for k in range(len(cur)) if pre[k] < tgt[k])
         j = next(k for k in range(i + 1, len(cur)) if pre[k] == tgt[k])
         cur[i] += 1

@@ -145,6 +145,14 @@ def test_a_result_with_no_rows_renders_as_no_rows(capsys):
                          "--max-spread", "0"]) == (0, "(no rows)\n")
 
 
+@pytest.mark.parametrize("r", [1000, 5000])
+def test_enumerate_at_a_rank_past_the_recursion_limit(capsys, r):
+    code, out = _run(capsys, ["split", "enumerate", "--r", str(r), "--d", "0",
+                              "--max-spread", "0"])
+    assert code == 0
+    assert out.splitlines() == ["type", "(" + ",".join(["0"] * r) + ")"]
+
+
 def test_unknown_flag_rejected(capsys):
     code, out = _run(
         capsys,
@@ -549,6 +557,9 @@ LARGE_COEFFICIENT_OPS = {
                       "--special", "(100000000,-100000000)"], "true"),
     "conormal": (["coh", "conormal", "--e", "1", "--t", "1", "--s", "2",
                   "--n-max", "3000000"], "true"),
+    "stab-far-certificate": (["coh", "stab", "--e", "0", "--summands",
+                              "0*h+0*f,-1000000*h-1000000*f", "--t", "1", "--s", "1",
+                              "--y-max", "1000000"], "1"),
 }
 
 

@@ -5,12 +5,15 @@ O(b - k*e), k = 0..a, of the pushed-down bundle one term at a time, and
 `min_good_twist_loop` adds one fiber at a time until the class is good.
 Both do work in proportion to a coefficient, so they are checked at
 moderate sizes; the structural identities are checked at 5000 digits.
-The certified index of stabilization_index is checked against the h1
-values past it, which it no longer evaluates itself.  semicontinuity_oracle
+stabilization_index reads the y with h1 != 0 off each summand difference;
+`stabilization_descent` is the search it replaced, which walks down from the
+certificate evaluating h1 at one twist at a time, and the index is also
+checked against the h1 values past it.  semicontinuity_oracle
 compares section counts only at their kinks; `semicontinuity_window`
 compares them at every twist of a window outside which both saturate.
 conormal_vanishing answers from its preconditions; `conormal_vanishing_loop`
-evaluates h_line at every conormal power.
+evaluates h_line at every conormal power.  The Riemann-Roch pairing
+D.(D - K) that euler_char halves is checked to be even at 5000 digits.
 """
 
 import functools
@@ -19,13 +22,17 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ruledsurf.bundles import BundleNumerics, euler_char_bundle
 from ruledsurf.cohomology import (
     CohomologyTable,
     ConormalData,
     SplitBundle,
+    StabilizationError,
+    check_conormal,
     conormal_vanishing,
     euler_char,
     h_line,
+    h_split_end,
     stabilization_index,
 )
 from ruledsurf.geometry import (
@@ -33,6 +40,7 @@ from ruledsurf.geometry import (
     DivisorClass,
     SurfaceGeometry,
     canonical_class,
+    intersect,
     is_ample,
     is_good_polarization,
     min_good_twist,
@@ -214,6 +222,51 @@ def test_stabilization_index_is_the_start_of_the_vanishing_tail():
                 assert x == 1 or x - 1 in nonzero, (e, t, s, bundle, x)
 
 
+def stabilization_descent(
+    g: SurfaceGeometry, bundle: SplitBundle, c: ConormalData, y_max: int
+) -> int:
+    """The index found by walking down from the certificate, one h1 evaluation per y."""
+    assert g.q == 0
+    check_conormal(g, c)
+    if y_max < 1:
+        raise ValueError(f"y_max must be at least 1, got {y_max}")
+    slope = c.s - g.e * c.t
+    cert_y = 1
+    for d_i in bundle.summands:
+        for d_j in bundle.summands:
+            da, db = d_j.a - d_i.a, d_j.b - d_i.b
+            cert_y = max(cert_y, -((da + 1) // c.t), -((db + 1 - g.e * da) // slope))
+    if cert_y > y_max:
+        raise StabilizationError(
+            f"no stabilization within y_max={y_max}: the certified tail was not reached"
+        )
+    x = cert_y
+    while x > 1 and h_split_end(g, bundle, DivisorClass((x - 1) * c.t, (x - 1) * c.s)).h1 == 0:
+        x -= 1
+    return x
+
+
+def _index_or_refusal(function, *args):
+    try:
+        return function(*args)
+    except StabilizationError as refusal:
+        return str(refusal)
+
+
+def test_stabilization_index_matches_descent_on_small_grid():
+    bundles = list(small_split_bundles())
+    cases = []
+    for e in range(4):
+        g = SurfaceGeometry(0, e)
+        for c in (ConormalData(1, e + 1), ConormalData(1, e + 2), ConormalData(2, 2 * e + 1)):
+            cases += [(g, bundle, c, y_max)
+                      for bundle, y_max in itertools.product(bundles, (1, 3, 100))]
+    expected = [_index_or_refusal(stabilization_descent, *case) for case in cases]
+    got = [_index_or_refusal(stabilization_index, *case) for case in cases]
+    assert got == expected
+    assert sum(isinstance(x, str) for x in expected) > 0
+
+
 def semicontinuity_window(general: SplittingType, special: SplittingType) -> bool:
     """h0(special(k)) >= h0(general(k)) at every twist k of the saturation window."""
 
@@ -302,3 +355,24 @@ def huge_conormal_data(draw):
 def test_conormal_vanishing_matches_loop_at_5000_digits(case):
     g, c, n_max = case
     assert conormal_vanishing(g, c, n_max) == conormal_vanishing_loop(g, c, n_max)
+
+
+@st.composite
+def huge_surfaces_and_classes(draw):
+    """q, e >= -q and a class a*h + b*f, each small or at 5000 digits, of either sign."""
+    q = draw(st.one_of(st.integers(0, 5), DIGITS_5000))
+    e = draw(st.one_of(st.integers(-q, q + 5), st.just(-q), DIGITS_5000))
+    a, b = (draw(st.one_of(st.integers(-5, 5), DIGITS_5000, DIGITS_5000.map(lambda n: -n)))
+            for _ in range(2))
+    return SurfaceGeometry(q, e), DivisorClass(a, b)
+
+
+@settings(AT_5000_DIGITS, max_examples=50)
+@given(huge_surfaces_and_classes())
+def test_riemann_roch_pairing_is_even_at_5000_digits(case):
+    g, d = case
+    pairing = intersect(g, d, d - canonical_class(g))
+    assert pairing == 2 * (d.a * d.b - g.q * d.a + d.a + d.b) - g.e * d.a * (d.a + 1)
+    assert pairing % 2 == 0
+    assert euler_char(g, d) * 2 == 2 * (1 - g.q) + pairing
+    assert euler_char_bundle(BundleNumerics(g, 1, d, 0)) == euler_char(g, d)

@@ -168,6 +168,36 @@ def test_enumerate_against_brute_force():
                 assert got == expected
 
 
+def enumerate_types_recursive(r, d, max_spread):
+    """The depth-first search enumerate_types replaced: one call level per part."""
+    found = []
+
+    def descend(prefix, m, rem, lowest):
+        if m == 0:
+            if rem == 0:
+                found.append(tuple(prefix))
+            return
+        v_lo = max(lowest, -(-rem // m))
+        v_hi = min(prefix[-1], rem - (m - 1) * lowest)
+        for v in range(v_lo, v_hi + 1):
+            prefix.append(v)
+            descend(prefix, m - 1, rem - v, lowest)
+            prefix.pop()
+
+    for top in range(-(-d // r), (d + (r - 1) * max_spread) // r + 1):
+        descend([top], r - 1, d - top, top - max_spread)
+    return found
+
+
+def test_enumerate_matches_recursive_search():
+    count = 0
+    for r, d, spread in product(range(1, 7), range(-6, 7), range(7)):
+        expected = enumerate_types_recursive(r, d, spread)
+        assert [t.parts for t in enumerate_types(r, d, spread)] == expected, (r, d, spread)
+        count += len(expected)
+    assert count == 4535
+
+
 def test_partial_order_axioms():
     for r, d in ((3, 0), (4, 2), (4, -3)):
         types = enumerate_types(r, d, 4)
