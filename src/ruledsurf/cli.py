@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -648,7 +649,14 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+    except BrokenPipeError:
+        # the exit flush would fail again, so stdout goes to devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

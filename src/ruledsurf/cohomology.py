@@ -9,13 +9,14 @@ a >= -1, and the remaining case a <= -2 reduces to the a >= 0 case through
 Serre duality in a single step.
 
 On top of the line-bundle table this module evaluates the endomorphism
-cohomology of split bundles, the dimension of their local moduli space,
-the conormal-power vanishing that makes infinitesimal neighborhoods
-manageable, the index past which twisted endomorphism h1 stabilizes at
-zero (read off each summand difference in closed form, with no twist
-evaluated), and the growth of global endomorphisms through the
-neighborhoods (computed in the split model, where sections of the layers
-add up).
+cohomology of split bundles, which sums over the multiset of summand
+differences, the dimension of their local moduli space, the conormal-power
+vanishing that makes infinitesimal neighborhoods manageable, the index
+past which twisted endomorphism h1 stabilizes at zero, and the growth of
+global endomorphisms through the neighborhoods (in the split model, where
+sections of the layers add up).  The last two are read off each summand
+difference in closed form, with no twist evaluated: their cost does not
+grow with the index or the neighborhood.
 
 Positive genus exposes only the Riemann-Roch Euler characteristic; exact
 individual h^i would need Brill-Noether data and is deliberately refused
@@ -173,6 +174,20 @@ def conormal_vanishing(g: SurfaceGeometry, c: ConormalData, n_max: int) -> bool:
     return True
 
 
+def _differences(bundle: SplitBundle) -> dict[tuple[int, int], int]:
+    """The multiset of summand differences D_j - D_i as {(Δa, Δb): multiplicity}.
+
+    End(bundle) is the sum of the lines O(D_j - D_i), so every count on it
+    sums over this multiset; the diagonal adds r to the entry (0, 0).
+    """
+    diffs: dict[tuple[int, int], int] = {}
+    for d_i in bundle.summands:
+        for d_j in bundle.summands:
+            key = (d_j.a - d_i.a, d_j.b - d_i.b)
+            diffs[key] = diffs.get(key, 0) + 1
+    return diffs
+
+
 def h_split_end(
     g: SurfaceGeometry, bundle: SplitBundle, twist: DivisorClass = ZERO
 ) -> CohomologyTable:
@@ -182,11 +197,13 @@ def h_split_end(
     the componentwise sum of h_line over all ordered summand pairs.
     """
     _require_genus_zero(g)
-    total = CohomologyTable(0, 0, 0)
-    for d_i in bundle.summands:
-        for d_j in bundle.summands:
-            total = total + h_line(g, d_j - d_i + twist)
-    return total
+    h0 = h1 = h2 = 0
+    for (da, db), weight in _differences(bundle).items():
+        table = h_line(g, DivisorClass(da + twist.a, db + twist.b))
+        h0 += weight * table.h0
+        h1 += weight * table.h1
+        h2 += weight * table.h2
+    return CohomologyTable(h0, h1, h2)
 
 
 def moduli_dimension_split(g: SurfaceGeometry, bundle: SplitBundle) -> int:
@@ -217,24 +234,63 @@ def stabilization_index(
 
     slope = c.s - g.e * c.t  # > 0 by check_conormal
     cert_y = index = 1
-    for d_i in bundle.summands:
-        for d_j in bundle.summands:
-            da = d_j.a - d_i.a
-            gap = d_j.b - d_i.b - g.e * da
-            a_ok = -((da + 1) // c.t)  # least y with y*t + Δa >= -1
-            gap_ok = -((gap + 1) // slope)  # least y with y*slope + gap >= -1
-            cert_y = max(cert_y, a_ok, gap_ok)
-            # the y with gap <= -2 end at gap_ok - 1 and those with a <= -2
-            # at a_ok - 1; h1 != 0 there iff a >= 0, resp. gap >= e, holds
-            if gap_ok > index and (gap_ok - 1) * c.t + da >= 0:
-                index = gap_ok
-            if a_ok > index and (a_ok - 1) * slope + gap >= g.e:
-                index = a_ok
+    for da, db in _differences(bundle):
+        gap = db - g.e * da
+        a_ok = -((da + 1) // c.t)  # least y with y*t + Δa >= -1
+        gap_ok = -((gap + 1) // slope)  # least y with y*slope + gap >= -1
+        cert_y = max(cert_y, a_ok, gap_ok)
+        # the y with gap <= -2 end at gap_ok - 1 and those with a <= -2
+        # at a_ok - 1; h1 != 0 there iff a >= 0, resp. gap >= e, holds
+        if gap_ok > index and (gap_ok - 1) * c.t + da >= 0:
+            index = gap_ok
+        if a_ok > index and (a_ok - 1) * slope + gap >= g.e:
+            index = a_ok
     if cert_y > y_max:
         raise StabilizationError(
             f"no stabilization within y_max={y_max}: the certified tail was not reached"
         )
     return index
+
+
+def _power_sums(n: int) -> tuple[int, int]:
+    """(Σ j, Σ j²) over j in [0, n)."""
+    s1 = n * (n - 1) // 2
+    return s1, s1 * (2 * n - 1) // 3
+
+
+def _floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """(Σ q_j, Σ j*q_j, Σ q_j²) over j in [0, n), where q_j = ⌊(a*j + b)/c⌋ and c > 0.
+
+    The floor-sum recurrence of Concrete Mathematics §3.5, with the weighted
+    and squared sums.  Splitting off ⌊a/c⌋*j + ⌊b/c⌋ leaves 0 <= a, b < c;
+    then, with M = q_{n-1} and q'_k = ⌊(c*k + c - b - 1)/a⌋ over k in [0, M),
+    Σ q = (n - 1)*M - Σ q', Σ j*q = (M*n*(n - 1) - Σ q'² - Σ q')/2 and
+    Σ q² = (n - 1)*M² - 2*Σ k*q' - Σ q'.  (a, c) steps as in Euclid's
+    algorithm, about 10^4 times at 5000 digits, past Python's recursion
+    limit, so the steps are an explicit list of frames.
+    """
+    frames = []
+    while n > 0:
+        if not (0 <= a < c and 0 <= b < c):
+            (qa, a), (qb, b) = divmod(a, c), divmod(b, c)
+            frames.append((n, qa, qb))
+            continue
+        m = (a * (n - 1) + b) // c
+        if m == 0:  # every q_j is 0
+            break
+        frames.append((n, m, None))
+        a, b, c, n = c, c - b - 1, a, m
+    f = g = h = 0
+    for n, x, qb in reversed(frames):
+        if qb is None:  # the row count, x = M
+            f, g, h = ((n - 1) * x - f, (x * n * (n - 1) - h - f) // 2,
+                       (n - 1) * x * x - 2 * g - f)
+        else:  # q_j = x*j + qb + (the q of the reduced sum)
+            s1, s2 = _power_sums(n)
+            f, g, h = (x * s1 + qb * n + f, x * s2 + qb * s1 + g,
+                       x * x * s2 + 2 * x * qb * s1 + qb * qb * n
+                       + 2 * x * g + 2 * qb * f + h)
+    return f, g, h
 
 
 def endomorphism_growth(
@@ -244,12 +300,31 @@ def endomorphism_growth(
 
     In the split model the restriction sequences of the thickenings split,
     so sections add layer by layer: the result is the sum over m = 0..n-1
-    of h0(End(bundle) ⊗ O(m*(t,s))).
+    of h0(End(bundle) ⊗ O(m*(t,s))), a weighted sum over the summand
+    differences of h0(O(a*h + b*f)), a = Δa + m*t, b = Δb + m*s.  That h0
+    is 0 until a, b >= 0 (from m0 on), then (top + 1)(b + 1) -
+    e*top(top + 1)/2 with top = ⌊b/e⌋ while b < e*a (up to m1, as b - e*a
+    grows by s - e*t > 0), and top = a after.  _floor_sums sums [m0, m1)
+    and [m1, n) is a quadratic in m: O(r²·log) steps, whatever n is.
     """
     _require_genus_zero(g)
     check_conormal(g, c)
     if n < 1:
         raise ValueError(f"neighborhood index must be at least 1, got {n}")
-    return sum(
-        h_split_end(g, bundle, DivisorClass(m * c.t, m * c.s)).h0 for m in range(n)
-    )
+    e, t, s = g.e, c.t, c.s
+    total = 0
+    for (da, db), weight in _differences(bundle).items():
+        m0 = min(n, max(0, -(da // t), -(db // s)))
+        m1 = min(n, max(m0, -((db - e * da) // (s - e * t))))
+        if m1 > m0:  # q = ⌊b/e⌋ with b = b0 + s*j, j in [0, k)
+            k, b0 = m1 - m0, db + m0 * s
+            q, jq, qq = _floor_sums(s, b0, e, k)
+            s1, _ = _power_sums(k)
+            total += weight * ((b0 + 1) * (q + k) + s * (jq + s1) - e * (qq + q) // 2)
+        if n > m1:  # a = a1 + t*j, b = b1 + s*j, j in [0, k)
+            k, a1, b1 = n - m1, da + m1 * t, db + m1 * s
+            s1, s2 = _power_sums(k)
+            total += weight * (
+                k * (a1 + 1) * (b1 + 1) + ((a1 + 1) * s + (b1 + 1) * t) * s1 + t * s * s2
+                - e * (k * a1 * (a1 + 1) + t * (2 * a1 + 1) * s1 + t * t * s2) // 2)
+    return total

@@ -6,14 +6,14 @@ the surface-level theory leans on: the rigid (balanced) type of given rank
 and degree, h1 of the endomorphism bundle, the Shatz dominance order with
 a section-count semicontinuity oracle as its independent twin, explicit
 degeneration chains down from the rigid type, and the fiberwise
-obstruction count for lifting a splitting through the formal neighborhood
-of a fiber inside a threefold.
+obstruction counts for lifting a splitting through the formal neighborhood
+of a fiber inside a threefold, built from their linear pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .geometry import _require_int
 
@@ -118,28 +118,36 @@ def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> l
     sum of line bundles O(k * conormal_t) for k = 0..n, so the obstruction
     space at level n has dimension
 
-        o_n = sum_{k=0..n} sum_{i,j} max(0, -(k*conormal_t + b_j - b_i) - 1),
+        o_n = sum_{k=0..n} layer(k),
+        layer(k) = sum_{i,j} max(0, -(k*conormal_t + b_j - b_i) - 1),
 
     the h1 of that layer tensored with End along the fiber.  An all-zero
     answer certifies that the splitting propagates to every thickening.
+
+    A pair with c = b_i - b_j - 1 > 0 adds c - k*conormal_t to layer(k) below
+    its kink ⌈c/conormal_t⌉, so layer(k) is one range between kinks and 0
+    past the last: O(r² log r) Python steps build the list.
     """
     if conormal_t <= 0:
         raise ValueError(f"conormal fiber degree must be positive, got {conormal_t}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-
-    def layer(k: int) -> int:
-        shift = k * conormal_t
-        return sum(
-            max(0, -(shift + bj - bi) - 1) for bi in t.parts for bj in t.parts
-        )
-
-    obstructions = []
-    total = layer(0)
-    for n in range(1, n_max + 1):
-        total += layer(n)
-        obstructions.append(total)
-    return obstructions
+    kinks = sorted((-(-c // conormal_t), c)
+                   for bi in t.parts for bj in t.parts if (c := bi - bj - 1) > 0)
+    # the pairs whose kink lies past k give layer(k) = rest - k*conormal_t*count
+    rest, count = sum(c for _, c in kinks), len(kinks)
+    pieces, low = [], 0
+    for kink, c in kinks:
+        high = min(kink, n_max + 1)
+        if high > low:
+            step = conormal_t * count
+            pieces.append(range(rest - low * step, rest - high * step, -step))
+            low = high
+        rest -= c
+        count -= 1
+    # o_0 .. o_(low - 1), and o_0 = 0 when no pair obstructs
+    sums = list(accumulate(chain.from_iterable(pieces))) or [0]
+    return sums[1:] + sums[-1:] * (n_max + 1 - len(sums))
 
 
 def enumerate_types(r: int, d: int, max_spread: int) -> list[SplittingType]:

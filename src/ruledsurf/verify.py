@@ -44,6 +44,7 @@ from .cohomology import (
     endomorphism_growth,
     euler_char,
     h_line,
+    h_split_end,
     stabilization_index,
 )
 from .geometry import (
@@ -340,6 +341,12 @@ def run_growth(n_max: int = 10, y_max: int = 10) -> Grid:
         yield None
         if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
             yield {"e": g.e, "rank": bundle.rank(), "values": values}
+        # layer n - 1 of the closed form against h_line at the twist (n - 1)*(t,s)
+        layers = values[:1] + [v2 - v1 for v1, v2 in zip(values, values[1:])]
+        for n, layer in enumerate(layers, 1):
+            h0 = h_split_end(g, bundle, DivisorClass((n - 1) * c.t, (n - 1) * c.s)).h0
+            if layer != h0:
+                yield {"e": g.e, "rank": bundle.rank(), "n": n, "layer": layer, "h0": h0}
     yield None
     fiverf = SplitBundle((DivisorClass(0, 0), DivisorClass(0, 5)))
     index = stabilization_index(

@@ -560,6 +560,12 @@ LARGE_COEFFICIENT_OPS = {
     "stab-far-certificate": (["coh", "stab", "--e", "0", "--summands",
                               "0*h+0*f,-1000000*h-1000000*f", "--t", "1", "--s", "1",
                               "--y-max", "1000000"], "1"),
+    "growth-far": (["coh", "growth", "--e", "1", "--summands", "0*h+0*f,1*h+5*f",
+                    "--t", "1", "--s", "2", "--n", "300000"], "54000180002700003"),
+    "growth-long-stretch": (["coh", "growth", "--e", "1", "--summands",
+                             "0*h+0*f,0*h-100000000*f", "--t", "1", "--s", "2",
+                             "--n", "200000000"], "16083333414583333325000000"),
+    "verify-growth": (["verify", "growth", "--n-max", "400"], "growth 21 true"),
 }
 
 
@@ -572,6 +578,22 @@ def test_large_coefficient_latency_budget(capsys, op):
     assert code == 0
     assert out.splitlines()[1].split() == values.split()
     assert elapsed < 2.0, f"{' '.join(argv[:2])} took {elapsed:.2f} s"
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    # about 1.2 MB of output, far more than a pipe buffers
+    argv = ["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", "200000"]
+    with subprocess.Popen([sys.executable, "-m", "ruledsurf.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"obstructio"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert "Traceback" not in stderr, stderr
 
 
 def test_verify_refuses_a_bound_the_suite_does_not_take(capsys, tmp_path):

@@ -14,22 +14,38 @@ compares them at every twist of a window outside which both saturate.
 conormal_vanishing answers from its preconditions; `conormal_vanishing_loop`
 evaluates h_line at every conormal power.  The Riemann-Roch pairing
 D.(D - K) that euler_char halves is checked to be even at 5000 digits.
+endomorphism_growth sums each summand difference's h0 over the
+neighborhoods in closed form, through the floor sums of `_floor_sums`;
+`endomorphism_growth_loop` adds one layer at a time, each as h_line over
+every ordered summand pair (`end_h0`, which shares no code with the
+multiset of differences), and `floor_sums_direct` adds one floor at a
+time.  At 5000 digits, where no loop ends, each step of the growth is
+checked against `end_h0` at the next layer, and the floor sums against the
+residues they leave, also past Python's recursion limit.  formal_lift_obstructions builds its list from
+the linear pieces between kinks; `formal_lift_loop` sums every level over
+every pair of parts.
 """
 
 import functools
 import itertools
+import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+import pytest
 
 from ruledsurf.bundles import BundleNumerics, euler_char_bundle
 from ruledsurf.cohomology import (
     CohomologyTable,
     ConormalData,
+    PositiveGenusError,
     SplitBundle,
     StabilizationError,
+    _floor_sums,
     check_conormal,
     conormal_vanishing,
+    endomorphism_growth,
     euler_char,
     h_line,
     h_split_end,
@@ -37,6 +53,7 @@ from ruledsurf.cohomology import (
 )
 from ruledsurf.geometry import (
     FIBER,
+    ZERO,
     DivisorClass,
     SurfaceGeometry,
     canonical_class,
@@ -48,6 +65,7 @@ from ruledsurf.geometry import (
 from ruledsurf.splitting import (
     SplittingType,
     enumerate_types,
+    formal_lift_obstructions,
     semicontinuity_oracle,
     specializes,
 )
@@ -376,3 +394,242 @@ def test_riemann_roch_pairing_is_even_at_5000_digits(case):
     assert pairing % 2 == 0
     assert euler_char(g, d) * 2 == 2 * (1 - g.q) + pairing
     assert euler_char_bundle(BundleNumerics(g, 1, d, 0)) == euler_char(g, d)
+
+
+def floor_sums_direct(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """(Σ q_j, Σ j*q_j, Σ q_j²) over j in [0, n), q_j = (a*j + b) // c, term by term."""
+    qs = [(a * j + b) // c for j in range(n)]
+    return sum(qs), sum(j * q for j, q in enumerate(qs)), sum(q * q for q in qs)
+
+
+def test_floor_sums_match_direct_sum_on_small_grid():
+    for a, b, c in itertools.product(range(-7, 8), range(-7, 8), range(1, 8)):
+        for n in range(10):
+            assert _floor_sums(a, b, c, n) == floor_sums_direct(a, b, c, n), (a, b, c, n)
+
+
+@settings(AT_5000_DIGITS, max_examples=60)
+@given(st.tuples(*[st.one_of(st.integers(-9, 9), DIGITS_5000, DIGITS_5000.map(lambda v: -v))
+                   for _ in range(2)]),
+       st.one_of(st.integers(1, 9), DIGITS_5000), st.integers(0, 40))
+def test_floor_sums_match_direct_sum_at_5000_digits(ab, c, n):
+    assert _floor_sums(*ab, c, n) == floor_sums_direct(*ab, c, n)
+
+
+def fibonacci_pair(k: int) -> tuple[int, int]:
+    """(F_(k+2), F_(k+1)); at k = 2000 they have about 420 digits."""
+    a, c = 1, 1
+    for _ in range(k):
+        a, c = a + c, a
+    return a, c
+
+
+def test_floor_sums_past_the_recursion_limit():
+    """Consecutive Fibonacci numbers make the longest Euclid descent for their size.
+
+    For coprime a and c, j -> a*j mod c permutes [0, c), which pins Σ q and
+    one combination of Σ j*q and Σ q² over [0, c); splitting [0, c) in two
+    pins the three sums against calls with other offsets.
+    """
+    a, c = fibonacci_pair(2000)
+    steps, x, y = 0, a, c
+    while y:
+        x, y, steps = y, x % y, steps + 1
+    assert steps > sys.getrecursionlimit()
+    f, g, h = _floor_sums(a, 0, c, c)
+    s2 = (c - 1) * c * (2 * c - 1) // 6
+    assert f == (a - 1) * (c - 1) // 2
+    # the remainders a*j - c*q_j run over [0, c), so their squares sum to s2
+    assert a * a * s2 - 2 * a * c * g + c * c * h == s2
+    split = c // 3
+    f1, g1, h1 = _floor_sums(a, 0, c, split)
+    f2, g2, h2 = _floor_sums(a, a * split, c, c - split)
+    assert (f, g, h) == (f1 + f2, g1 + g2 + split * f2, h1 + h2)
+
+
+def end_h0(g: SurfaceGeometry, bundle: SplitBundle, twist: DivisorClass) -> int:
+    """h0(End(bundle) ⊗ O(twist)), one h_line per ordered summand pair, with no multiset."""
+    return sum(h_line(g, d_j - d_i + twist).h0
+               for d_i in bundle.summands for d_j in bundle.summands)
+
+
+def endomorphism_growth_loop(
+    g: SurfaceGeometry, bundle: SplitBundle, c: ConormalData, n: int
+) -> int:
+    """The growth summed one neighborhood layer at a time, each layer pair by pair."""
+    if g.q != 0:
+        raise PositiveGenusError(
+            f"exact cohomology needs genus zero, got q={g.q}; use euler_char instead"
+        )
+    check_conormal(g, c)
+    if n < 1:
+        raise ValueError(f"neighborhood index must be at least 1, got {n}")
+    return sum(end_h0(g, bundle, DivisorClass(m * c.t, m * c.s)) for m in range(n))
+
+
+def test_endomorphism_growth_matches_loop_on_small_grid():
+    """Every summand difference with coefficients in [-4, 4] at every n <= 12, then rank 3.
+
+    A bundle's growth is the weighted sum over its summand differences, so
+    the rank-2 bundles (0, D) cover every difference; their values at
+    n = 1..12 are the partial sums of the loop's layers.  The rank-3
+    bundles from summands with coefficients in [-1, 1] cover the weights
+    of repeated differences, against the loop.
+    """
+    twos = [SplitBundle((ZERO, DivisorClass(a, b)))
+            for a, b in itertools.product(range(-4, 5), repeat=2)]
+    unit = [DivisorClass(a, b) for a, b in itertools.product(range(-1, 2), repeat=2)]
+    threes = [SplitBundle(s) for s in itertools.combinations_with_replacement(unit, 3)]
+    cases = 0
+    for e in range(4):
+        g = SurfaceGeometry(0, e)
+        for c in (ConormalData(1, e + 1), ConormalData(1, e + 2), ConormalData(2, 2 * e + 1)):
+            for bundle in [SplitBundle((ZERO,))] + twos:
+                values = [endomorphism_growth(g, bundle, c, n) for n in range(1, 13)]
+                layers = (end_h0(g, bundle, DivisorClass(m * c.t, m * c.s)) for m in range(12))
+                assert values == list(itertools.accumulate(layers)), (e, c, bundle)
+                cases += 12
+        c = ConormalData(1, e + 1)
+        for bundle in threes:
+            assert (endomorphism_growth(g, bundle, c, 12)
+                    == endomorphism_growth_loop(g, bundle, c, 12)), (e, bundle)
+            cases += 1
+    assert cases == 4 * (3 * 82 * 12 + 165)
+
+
+@pytest.mark.parametrize("g, c, n", [
+    (SurfaceGeometry(1, 0), ConormalData(1, 0), 0),
+    (SurfaceGeometry(0, 2), ConormalData(1, 2), 0),
+    (SurfaceGeometry(0, 2), ConormalData(1, 3), 0),
+    (SurfaceGeometry(0, 2), ConormalData(1, 3), -4),
+])
+def test_endomorphism_growth_refuses_as_the_loop_did(g, c, n):
+    bundle = SplitBundle((DivisorClass(0, 0), DivisorClass(1, 2)))
+    with pytest.raises(ValueError) as loop_error:
+        endomorphism_growth_loop(g, bundle, c, n)
+    with pytest.raises(ValueError) as error:
+        endomorphism_growth(g, bundle, c, n)
+    assert (type(error.value), str(error.value)) == (
+        type(loop_error.value), str(loop_error.value))
+
+
+@st.composite
+def huge_growth_cases(draw):
+    """e, t, the slope s - e*t and each summand's a and gap b - e*a small or at 5000 digits.
+
+    A difference whose gap is negative has a stretch [m0, m1) where
+    top = ⌊b/e⌋, as long as -gap/slope, so of up to 5000 digits.  The a
+    lean positive and the gaps negative, so that most bundles have one.
+    n is in or next to one difference's stretch, up to 5001 digits, or small.
+    """
+    e = draw(st.one_of(st.integers(0, 3), DIGITS_5000))
+    t = draw(st.one_of(st.integers(1, 3), DIGITS_5000))
+    c = ConormalData(t, e * t + draw(st.one_of(st.integers(1, 5), DIGITS_5000)))
+    a = st.one_of(st.integers(-5, 5), DIGITS_5000)
+    gap = st.one_of(st.integers(-5, 5), DIGITS_5000.map(lambda v: -v))
+    summands = [ZERO] + [DivisorClass(x, e * x + y) for x, y in
+                         draw(st.lists(st.tuples(a, gap), min_size=1, max_size=2))]
+    d_i, d_j = draw(st.sampled_from(summands)), draw(st.sampled_from(summands))
+    da, db = d_j.a - d_i.a, d_j.b - d_i.b
+    m0 = max(0, -(da // t), -(db // c.s))
+    m1 = max(m0, -((db - e * da) // (c.s - e * t)))
+    n = draw(st.one_of(st.integers(m0 - 2, m1 + 2), st.integers(1, 10 ** 5001),
+                       st.integers(1, 12)))
+    return SurfaceGeometry(0, e), SplitBundle(tuple(summands)), c, max(n, 1)
+
+
+def stretch_case(e, t, slope, x, gap, n):
+    """F_e, conormal (t, e*t + slope) and the summands 0 and x*h + (e*x + gap)*f at n."""
+    return (SurfaceGeometry(0, e), SplitBundle((ZERO, DivisorClass(x, e * x + gap))),
+            ConormalData(t, e * t + slope), n)
+
+
+BIG = 10 ** 4999
+FIB_E, FIB_SLOPE = fibonacci_pair(2000)
+
+
+@settings(AT_5000_DIGITS, max_examples=30)
+@given(huge_growth_cases())
+# a stretch [0, BIG + 1) at e of 5000 digits: n inside it, just past it and far past it
+@example(stretch_case(BIG + 7, 1, 3, 4, -(3 * BIG + 1), 7 * BIG // 10))
+@example(stretch_case(BIG + 7, 1, 3, 4, -(3 * BIG + 1), BIG + 2))
+@example(stretch_case(BIG + 7, 1, 3, 4, -(3 * BIG + 1), 10 * BIG + 5))
+@example(stretch_case(2, 1, 1, BIG, -(BIG + 5), 3 * BIG))
+# s/e = 1 + F_2001/F_2002 sends the floor sum down about 4000 Euclid steps
+@example(stretch_case(FIB_E, 1, FIB_SLOPE, 10 ** 901, -FIB_SLOPE * 10 ** 900, 10 ** 900))
+def test_endomorphism_growth_layers_at_5000_digits(case):
+    """Each step of the growth is h0 of the next layer, pair by pair; the loop at n <= 12."""
+    g, bundle, c, n = case
+    value = endomorphism_growth(g, bundle, c, n)
+    before = endomorphism_growth(g, bundle, c, n - 1) if n > 1 else 0
+    assert value - before == end_h0(g, bundle, DivisorClass((n - 1) * c.t, (n - 1) * c.s))
+    if n <= 12:
+        assert value == endomorphism_growth_loop(g, bundle, c, n)
+
+
+def formal_lift_loop(t: SplittingType, conormal_t: int, n_max: int) -> list[int]:
+    """o_1..o_n_max summed one level at a time, each level over every ordered pair."""
+    if conormal_t <= 0:
+        raise ValueError(f"conormal fiber degree must be positive, got {conormal_t}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+    def layer(k: int) -> int:
+        shift = k * conormal_t
+        return sum(
+            max(0, -(shift + bj - bi) - 1) for bi in t.parts for bj in t.parts
+        )
+
+    obstructions = []
+    total = layer(0)
+    for n in range(1, n_max + 1):
+        total += layer(n)
+        obstructions.append(total)
+    return obstructions
+
+
+def test_formal_lift_matches_loop_on_small_grid():
+    """Every type of rank <= 3 with parts in [-4, 4], conormal_t <= 3 and n_max <= 12.
+
+    The loop's list at n_max is its list at 12 cut to n_max, as each o_n is
+    a partial sum.
+    """
+    cases = 0
+    for r in (1, 2, 3):
+        for parts in itertools.combinations_with_replacement(range(4, -5, -1), r):
+            t = SplittingType(parts)
+            for conormal_t in (1, 2, 3):
+                expected = formal_lift_loop(t, conormal_t, 12)
+                for n_max in range(1, 13):
+                    assert formal_lift_obstructions(t, conormal_t, n_max) == expected[:n_max]
+                    cases += 1
+    assert cases == (9 + 45 + 165) * 3 * 12
+
+
+@pytest.mark.parametrize("conormal_t, n_max", [(0, 3), (-2, 0), (1, 0), (1, -5)])
+def test_formal_lift_refuses_as_the_loop_did(conormal_t, n_max):
+    t = SplittingType((2, 0))
+    with pytest.raises(ValueError) as loop_error:
+        formal_lift_loop(t, conormal_t, n_max)
+    with pytest.raises(ValueError) as error:
+        formal_lift_obstructions(t, conormal_t, n_max)
+    assert str(error.value) == str(loop_error.value)
+
+
+@st.composite
+def huge_lift_cases(draw):
+    """Rank <= 4, conormal_t small or at 5000 digits, and parts at 5000 digits whose
+    differences sit near multiples of conormal_t, so kinks fall inside n_max <= 40."""
+    conormal_t = draw(st.one_of(st.integers(1, 5), DIGITS_5000))
+    base = draw(DIGITS_5000) * draw(st.sampled_from([1, -1]))
+    parts = draw(st.lists(st.tuples(st.integers(0, 45), st.integers(-3, 3)),
+                          min_size=1, max_size=4))
+    t = SplittingType(tuple(sorted((base + k * conormal_t + off for k, off in parts),
+                                   reverse=True)))
+    return t, conormal_t, draw(st.integers(1, 40))
+
+
+@settings(AT_5000_DIGITS, max_examples=60)
+@given(huge_lift_cases())
+def test_formal_lift_matches_loop_at_5000_digits(case):
+    assert formal_lift_obstructions(*case) == formal_lift_loop(*case)

@@ -124,6 +124,11 @@ INJECTED = {
                            lambda v: 0),
         15, {"e": 2, "rank": 3,
              "values": [9, 59, 188, 434, 833, 1421, 0, 3308, 4679, 6383]}),
+    "growth-layer": (
+        lambda mp: _lie_at(mp, "endomorphism_growth",
+                           lambda g, b, c, n: g.e == 2 and b.rank() == 3 and n == 10,
+                           lambda v: v + 1),
+        15, {"e": 2, "rank": 3, "n": 10, "layer": 1705, "h0": 1704}),
     "growth-stabilization": (
         lambda mp: _lie_at(mp, "stabilization_index", lambda *args: True,
                            lambda index: index + 1),
