@@ -3,15 +3,18 @@
 Five subcommand groups (surface, coh, split, bundle, verify) expose every
 library operation.  Each op is declared once, in the registry `_GROUPS`:
 its help text, its flags, and a function from the parsed flags to result
-rows.  `build_parser` and `run` both read that registry.  Literal flags
-are parsed after argparse, in the order the op reads them, and the values
-read are echoed as the report's inputs.
+rows.  `build_parser` and `run` both read that registry.  A request that
+names an op is parsed in one argparse pass, by that op's own leaf parser;
+only help and refusals need the full tree.  Literal flags are parsed after
+argparse, in the order the op reads them, and the values read are echoed
+as the report's inputs.
 
 Output is an aligned text table by default or a single JSON object with
---format json; --out writes the rendered report verbatim to a file as
-well.  Exit codes: 0 ok, 1 input error, 2 property violation.  An error
-argparse raises is an input error too, rendered in the requested --format
-and written to --out whenever those two flags parse, else as a table.
+--format json; --out writes the rendered report verbatim to a file first,
+then it is printed.  Exit codes: 0 ok, 1 input error, 2 property violation.
+An error argparse raises is an input error too, rendered in the requested
+--format and written to --out whenever those two flags parse, else as a
+table; so is an --out path that cannot be written.
 
 Literal grammars (parsed and emitted bit-exactly):
 
@@ -553,13 +556,19 @@ def _add_op(p: _Parser, help_text: str, flags):
         p.add_argument(flag, **kwargs)
 
 
-def build_parser(group: str | None = None) -> _Parser:
-    """The argument parser, with the leaves of every group or of one.
+def build_parser(*names: str) -> _Parser:
+    """The full argument tree, or one op's leaf alone given the words that name it.
 
-    Given a group name, only that group gets its leaves; any other string
-    gives the five group entries without leaves, which is all that
-    top-level --help and the rejection of a missing or unknown group use.
+    Those words are a group and one of its ops, or verify alone (its own op).
+    The leaf has the prog the full tree gives it, parses the words after the
+    names and sets `group` and `op` itself.  Only help and the refusal of a
+    missing or unknown group or op need the full tree.
     """
+    if names:
+        leaf = _Parser(prog=" ".join(("ruledsurf", *names)))
+        _add_op(leaf, *_GROUPS[names[0]][1][names[-1]][:2])
+        leaf.set_defaults(group=names[0], op=names[-1])
+        return leaf
     top = _Parser(
         prog="ruledsurf",
         description="Exact intersection theory, cohomology, splitting types, "
@@ -568,8 +577,6 @@ def build_parser(group: str | None = None) -> _Parser:
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
     for name, (help_text, ops) in _GROUPS.items():
         entry = groups.add_parser(name, help=help_text)
-        if group is not None and group != name:
-            continue
         if name in ops:
             _add_op(entry, *ops[name][:2])
             entry.set_defaults(op=name)
@@ -581,43 +588,53 @@ def build_parser(group: str | None = None) -> _Parser:
 
 
 @functools.cache
-def _parser_for(group: str) -> _Parser:
-    # run() passes a group name or "", so this holds at most six parsers.
-    return build_parser(group)
+def _parser(*names: str) -> _Parser:
+    # run() asks for the full tree or one of the 38 leaves, so this holds at most 39.
+    return build_parser(*names)
 
 
-def _requested_output(argv: list[str]) -> tuple[str, str | None]:
-    """--format and --out as argv gives them, or a table and no file if they do not parse."""
+def _requested_output(argv: list[str], ns: argparse.Namespace) -> argparse.Namespace:
+    """ns given the --format and --out of argv, or a table and no file if they do not parse."""
     p = _Parser(add_help=False)
     _add_common(p)
     try:
-        ns, _ = p.parse_known_args(argv)
+        return p.parse_known_args(argv, ns)[0]
     except CliInputError:
-        return "table", None
-    return ns.format, ns.out
+        ns.format, ns.out = "table", None
+        return ns
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
-def _emit(text: str, out_path):
+def _input_error(ns: argparse.Namespace, error: str) -> str:
+    return render_report(ns.group, {}, [{"error": error}], "input-error", ns.format)
+
+
+def _emit(text: str, code: int, ns: argparse.Namespace) -> int:
+    """Write --out first, so a reader that closes stdout early cannot lose it, then print."""
+    if ns.out:
+        try:
+            Path(ns.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            text, code = _input_error(ns, f"cannot write --out {ns.out}: {exc.strerror}"), 1
     print(text)
-    if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
+    return code
 
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute, print the rendered report, and return the exit code."""
     group = argv[0] if argv and argv[0] in _GROUPS else ""
-    # argparse enters the first word that names a group, wherever it stands;
-    # with none, it can only print top-level help or reject the group.
-    reached = next((arg for arg in argv if arg in _GROUPS), "")
+    ops = _GROUPS[group][1] if group else {}
+    # A request names its op right after its group, or is verify, its own op;
+    # only that op's leaf parses the words after the names.  Any other argv is
+    # help or a refusal, which the full tree gives.
+    names = [group] if group in ops else argv[:2] if len(argv) > 1 and argv[1] in ops else []
     try:
-        ns = _parser_for(reached).parse_args(argv)
+        ns = _parser(*names).parse_args(argv[len(names):])
     except CliInputError as exc:
-        fmt, out = _requested_output(argv)
-        _emit(render_report(group, {}, [{"error": str(exc)}], "input-error", fmt), out)
-        return 1
+        ns = _requested_output(argv, argparse.Namespace(group=group))
+        return _emit(_input_error(ns, str(exc)), 1, ns)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else int(exc.code)
 
@@ -626,9 +643,7 @@ def run(argv: list[str]) -> int:
     try:
         rows = rows_of(args)
     except (CliInputError, ValueError) as exc:
-        text = render_report(ns.group, {}, [{"error": str(exc)}], "input-error", ns.format)
-        _emit(text, ns.out)
-        return 1
+        return _emit(_input_error(ns, str(exc)), 1, ns)
 
     # verify's bounds left unset are not echoed
     inputs = {k: value for k, value in args.inputs.items() if value is not None}
@@ -642,10 +657,9 @@ def run(argv: list[str]) -> int:
     except ValueError:  # Python will not turn an int this long into text
         limit = sys.get_int_max_str_digits()
         error = f"result has an integer of more than {limit} digits, which Python will not print"
-        text = render_report(ns.group, {}, [{"error": error}], "input-error", ns.format)
+        text = _input_error(ns, error)
         code = 1
-    _emit(text, ns.out)
-    return code
+    return _emit(text, code, ns)
 
 
 def main() -> int:

@@ -96,19 +96,17 @@ def semicontinuity_oracle(general: SplittingType, special: SplittingType) -> boo
     for every twist k.  h0(type(k)) = sum of max(0, b + k + 1) is piecewise
     linear in k with kinks only at k = -b - 1, and the two counts agree
     past both ends (0 below, d + r(k+1) above), so comparing them at the
-    kinks of both types is exhaustive.  Rank or degree mismatch is an
-    error, not False.
+    kinks of both types is exhaustive.  At the kink k = -c - 1 the count
+    is the sum of b - c over the parts b > c.  Rank or degree mismatch is
+    an error, not False.
     """
     if general.rank() != special.rank():
         raise ValueError("semicontinuity comparison needs equal ranks")
     if general.degree() != special.degree():
         raise ValueError("semicontinuity comparison needs equal degrees")
-
-    def h0(t: SplittingType, k: int) -> int:
-        return sum(max(0, b + k + 1) for b in t.parts)
-
-    kinks = {-b - 1 for b in general.parts + special.parts}
-    return all(h0(special, k) >= h0(general, k) for k in kinks)
+    return all(sum([b - c for b in special.parts if b > c])
+               >= sum([b - c for b in general.parts if b > c])
+               for c in set(general.parts + special.parts))
 
 
 def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> list[int]:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,12 +12,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruledsurf.bundles as bundles_mod
+import ruledsurf.cli as cli_mod
 import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
+    _GROUPS,
     _VERIFY_BOUNDS,
     CliInputError,
+    _parser,
     build_parser,
     format_bundle,
     format_curve_cycle,
@@ -29,6 +36,7 @@ from ruledsurf.cli import (
     parse_divisor,
     parse_summands,
     parse_type,
+    render_report,
     run,
 )
 from ruledsurf.geometry import CurveCycle, DivisorClass
@@ -504,29 +512,125 @@ def _subparsers(parser):
                  if isinstance(a, argparse._SubParsersAction)), {})
 
 
-def _parse_error(parser, argv):
-    with pytest.raises(CliInputError) as err:
-        parser.parse_args(argv)
-    return str(err.value)
+# the words that name each op: a group and one of its ops, or verify alone
+LEAVES = [(group,) if group in ops else (group, op)
+          for group, (_, ops) in _GROUPS.items() for op in ops]
 
 
-def test_group_parser_matches_full_parser(monkeypatch):
+def _full_leaf(full, names):
+    for name in names:
+        full = _subparsers(full)[name]
+    return full
+
+
+def _outcome(parser, argv):
+    """The namespace a parse gives, the error it raises, or its exit code and output."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return "namespace", vars(parser.parse_args(argv))
+    except CliInputError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+
+
+def _valid_words(names):
+    """A value for every required flag (and verify's suite) that argparse accepts."""
+    words = []
+    for action in build_parser(*names)._actions:
+        if not action.option_strings:
+            words.append("rigid")
+        elif action.required:
+            words += [action.option_strings[0], "1" if action.type is int else "x"]
+    return words
+
+
+@pytest.mark.parametrize("names", LEAVES, ids="-".join)
+def test_leaf_parser_matches_full_tree(monkeypatch, names):
     monkeypatch.setenv("COLUMNS", "80")
-    full = build_parser()
-    top = build_parser("")
-    assert top.format_help() == full.format_help()
-    for argv in ([], ["bogus"], ["--frobnicate"]):
-        assert _parse_error(top, argv) == _parse_error(full, argv)
-    for name, full_group in _subparsers(full).items():
-        partial = build_parser(name)
-        group = _subparsers(partial)[name]
-        assert group.format_help() == full_group.format_help()
-        full_leaves = _subparsers(full_group)
-        assert _subparsers(group).keys() == full_leaves.keys()
-        for leaf, parser in _subparsers(group).items():
-            assert parser.format_help() == full_leaves[leaf].format_help()
-        for argv in ([name, "bogus"], ["bogus"]):
-            assert _parse_error(partial, argv) == _parse_error(full, argv)
+    leaf, full = build_parser(*names), build_parser()
+    assert leaf.format_help() == _full_leaf(full, names).format_help()
+    valid = _valid_words(names)
+    int_flag = next((a.option_strings[0] for a in leaf._actions if a.type is int), None)
+    shapes = {"missing": [], "bogus": valid + ["--bogus"], "help abbreviation": valid + ["--he"],
+              "help with a value": valid + ["--he=1"]}
+    if int_flag is not None:
+        shapes["not an integer"] = valid + [int_flag, "x"]
+    for shape, words in shapes.items():
+        outcome = _outcome(leaf, words)
+        assert outcome == _outcome(full, [*names, *words]), shape
+        assert outcome[0] == ("exit" if shape == "help abbreviation" else "error"), shape
+    assert _outcome(leaf, valid) == _outcome(full, [*names, *valid])
+
+
+def test_a_request_that_names_an_op_runs_argparse_once(capsys, monkeypatch):
+    parses, builds = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted_parse(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    def counted_build(*names):
+        builds.append(names)
+        return build_parser(*names)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
+    monkeypatch.setattr(cli_mod, "build_parser", counted_build)
+    _parser.cache_clear()
+    for argv, prog in ((["coh", "line", "--e", "0", "--D", "1*h+1*f"], "ruledsurf coh line"),
+                       (["verify", "rigid"], "ruledsurf verify")):
+        for _ in range(2):
+            parses.clear()
+            assert run(argv) == 0
+            assert parses == [prog]
+    assert builds == [("coh", "line"), ("verify",)]
+    capsys.readouterr()
+
+
+def _edited(words, edits, extra):
+    """words after each edit: drop, duplicate, swap or add a word."""
+    words = list(words)
+    for kind, i, j, k in edits:
+        if kind == "add" or not words:
+            words.insert(i % (len(words) + 1), extra[k % len(extra)])
+        elif kind == "drop":
+            del words[i % len(words)]
+        elif kind == "duplicate":
+            words.insert(i % len(words), words[i % len(words)])
+        else:
+            i, j = i % len(words), j % len(words)
+            words[i], words[j] = words[j], words[i]
+    return words
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(["add", "drop", "duplicate", "swap"]),
+                           st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)),
+                 max_size=4)
+STRAY_WORDS = ["-h", "--he", "--help", "--", "-", "--bogus", "--format", "json", "xml",
+               "--out", "--o", "--fo=json", "1", "-1", "x", "-2*h+3*f", "(1,0)", "coh", "line"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(names=st.sampled_from(LEAVES), edits=EDITS)
+def test_leaf_parse_matches_full_tree_parse(names, edits):
+    flags = [a.option_strings[0] for a in _parser(*names)._actions if a.option_strings]
+    extra = STRAY_WORDS + flags + [f[:3] for f in flags] + [f + "=1" for f in flags]
+    words = _edited(_valid_words(names), edits, extra)
+    assert _outcome(_parser(*names), words) == _outcome(_parser(), [*names, *words])
+
+
+@pytest.mark.parametrize("argv", [["coh", "line", "--e", "0", "--D", "1*h+1*f"],
+                                  ["split", "rigid", "--r", "x", "--d", "1"]])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_an_unwritable_out_is_an_input_error(capsys, tmp_path, argv, fmt):
+    target = tmp_path / "missing" / "x.txt"
+    code, out = _run(capsys, argv + ["--format", fmt, "--out", str(target)])
+    assert code == 1
+    error = f"cannot write --out {target}: No such file or directory"
+    assert out == render_report(argv[0], {}, [{"error": error}], "input-error", fmt) + "\n"
+    assert not target.exists()
 
 
 def test_repeated_run_latency_budget(capsys):
@@ -594,6 +698,21 @@ def test_a_reader_that_closes_early_gets_no_traceback():
         code = proc.wait(timeout=60)
     assert code == 1
     assert "Traceback" not in stderr, stderr
+
+
+def test_out_is_written_whole_when_the_reader_closes_early(capsys, tmp_path):
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", "200000"]
+    target = tmp_path / "report.out"
+    with subprocess.Popen([sys.executable, "-m", "ruledsurf.cli", *argv, "--out", str(target)],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        assert proc.stdout.read(10) == b"obstructio"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert run(argv) == 0
+    assert target.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_verify_refuses_a_bound_the_suite_does_not_take(capsys, tmp_path):
