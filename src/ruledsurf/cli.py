@@ -214,10 +214,8 @@ def format_bundle(b: bundles.BundleNumerics) -> str:
 # value encoding and report rendering
 
 def _encode(value):
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, (int, str)):
         return value
-    if value is None:
-        return None
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else format_rational(value)
     if isinstance(value, DivisorClass):
@@ -291,7 +289,7 @@ class _Args:
 
     A literal flag is parsed when first read, so input errors surface in
     the order the op reads its flags; every value read is echoed, in that
-    order, as the report's inputs.
+    order, as the report's inputs, except a flag left unset (None).
     """
 
     def __init__(self, ns):
@@ -301,6 +299,8 @@ class _Args:
     def _read(self, dest, parse=None):
         if dest not in self.inputs:
             value = getattr(self._ns, dest)
+            if value is None:
+                return None
             self.inputs[dest] = value if parse is None else parse(value)
         return self.inputs[dest]
 
@@ -508,12 +508,12 @@ def _verify_rows(v):
     from .verify import SUITES, run_suite  # loaded only when a grid is run
 
     suite = v["suite"]
-    bounds = {dest: v[dest] for _, dest in _VERIFY_BOUNDS}
+    bounds = {dest: value for _, dest in _VERIFY_BOUNDS if (value := v[dest]) is not None}
     # `all` gives each bound to the suites that take it; one suite takes only its own
     if suite != "all":
         accepted = SUITES[suite][1]
         refused = [flag for flag, dest in _VERIFY_BOUNDS
-                   if bounds[dest] is not None and dest not in accepted]
+                   if dest in bounds and dest not in accepted]
         if refused:
             own = [flag for flag, dest in _VERIFY_BOUNDS if dest in accepted]
             raise CliInputError(f"suite {suite} takes no {', '.join(refused)}; "
@@ -635,25 +635,23 @@ def run(argv: list[str]) -> int:
     except CliInputError as exc:
         ns = _requested_output(argv, argparse.Namespace(group=group))
         return _emit(_input_error(ns, str(exc)), 1, ns)
-    except SystemExit as exc:  # argparse --help
-        return 0 if exc.code in (0, None) else int(exc.code)
+    except SystemExit:  # argparse --help; _Parser.error raises instead of exiting
+        return 0
 
     _, _, rows_of = _GROUPS[ns.group][1][ns.op]
     args = _Args(ns)
     try:
         rows = rows_of(args)
-    except (CliInputError, ValueError) as exc:
+    except ValueError as exc:  # CliInputError among them
         return _emit(_input_error(ns, str(exc)), 1, ns)
 
-    # verify's bounds left unset are not echoed
-    inputs = {k: value for k, value in args.inputs.items() if value is not None}
     status = "ok"
     code = 0
     if ns.group == "verify" and any(row.get("ok") is False for row in rows):
         status = "property-violation"
         code = 2
     try:
-        text = render_report(ns.group, inputs, rows, status, ns.format)
+        text = render_report(ns.group, args.inputs, rows, status, ns.format)
     except ValueError:  # Python will not turn an int this long into text
         limit = sys.get_int_max_str_digits()
         error = f"result has an integer of more than {limit} digits, which Python will not print"

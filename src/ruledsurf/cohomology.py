@@ -60,11 +60,6 @@ class CohomologyTable:
     h1: int
     h2: int
 
-    def __add__(self, other: "CohomologyTable") -> "CohomologyTable":
-        return CohomologyTable(
-            self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2
-        )
-
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
 

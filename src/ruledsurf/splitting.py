@@ -12,6 +12,7 @@ of a fiber inside a threefold, built from their linear pieces.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -43,10 +44,18 @@ class SplittingType:
         return self.parts[0] - self.parts[-1]
 
 
+def _require_buildable(what: str, length: int) -> None:
+    """Refuse, before building it, a sequence longer than Python can index."""
+    if length > sys.maxsize:
+        raise ValueError(f"{what} must be at most {sys.maxsize}, the longest sequence "
+                         f"Python can build, got {length}")
+
+
 def rigid_type(r: int, d: int) -> SplittingType:
     """The unique rigid type of rank r and degree d: a's then (a-1)'s, a = ceil(d/r)."""
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
+    _require_buildable("rank", r)
     a = -(-d // r)
     x = a * r - d
     return SplittingType((a,) * (r - x) + (a - 1,) * x)
@@ -68,6 +77,7 @@ def jumping_type(r: int, a: int) -> SplittingType:
     """The minimal degeneration (a+1, a, ..., a, a-1) of the balanced type (a, ..., a)."""
     if r < 2:
         raise ValueError(f"jumping types need rank at least 2, got {r}")
+    _require_buildable("rank", r)
     return SplittingType((a + 1,) + (a,) * (r - 2) + (a - 1,))
 
 
@@ -130,6 +140,7 @@ def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> l
         raise ValueError(f"conormal fiber degree must be positive, got {conormal_t}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _require_buildable("n_max", n_max)
     kinks = sorted((-(-c // conormal_t), c)
                    for bi in t.parts for bj in t.parts if (c := bi - bj - 1) > 0)
     # the pairs whose kink lies past k give layer(k) = rest - k*conormal_t*count
@@ -154,8 +165,11 @@ def enumerate_types(r: int, d: int, max_spread: int) -> list[SplittingType]:
         raise ValueError(f"rank must be at least 1, got {r}")
     if max_spread < 0:
         raise ValueError(f"max_spread must be nonnegative, got {max_spread}")
+    tops = range(-(-d // r), (d + (r - 1) * max_spread) // r + 1)
+    if tops:  # with no top part there is no type to build
+        _require_buildable("rank", r)
     found: list[SplittingType] = []
-    for top in range(-(-d // r), (d + (r - 1) * max_spread) // r + 1):
+    for top in tops:
         parts, i, tail = [top], 0, d - top
         while True:
             # the least tail of the sum left is the balanced one (m = 0 iff r = 1)

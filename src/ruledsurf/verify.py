@@ -4,28 +4,26 @@ Each suite is a generator that walks a finite deterministic grid.  It
 yields None for every point it counts and, at the first failure, a
 minimal counterexample as a dict.  A check that counts no point of its
 own, such as dominance's order axioms, yields its counterexample with no
-None before it.  One runner drives every suite: it counts the Nones,
-stops at the first dict and builds the SuiteResult.  A grid that raises
-fails with the exception's type and message as its counterexample, after
-the points it counted; a grid that counts no point fails as empty, since
-a check of nothing is no pass.
+None before it.  One runner, `run_suite`, drives every suite: it counts
+the Nones, stops at the first dict and builds the SuiteResult.  A grid
+that raises fails with the exception's type and message as its
+counterexample, after the points it counted; a grid that counts no point
+fails as empty, since a check of nothing is no pass.
 
 A counterexample holds library values (ints, DivisorClass, SplittingType
 and lists of them), not text: the CLI renders them as literals, with the
 same renderer as every other op, so this module never imports the CLI.
 
-`_suite(name)` registers a suite under its name in SUITES and makes its
-public `run_*` function that runner, with the suite's own signature.  The
-bounds a suite accepts are the parameters of that signature; the
-defaults reproduce the documented grids.
+SUITES holds the grids: `_suite(name)` registers a grid generator under
+its name, next to the bounds it accepts, which are the parameters of its
+signature; their defaults reproduce the documented grids.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bundles import (
     BundleNumerics,
@@ -74,45 +72,25 @@ class SuiteResult:
     suite: str
     points: int
     ok: bool
-    counterexample: dict | None = field(default=None)
+    counterexample: dict | None = None
 
 
-# suite name -> (its run function, the bounds it accepts), in registration order
-SUITES: dict[str, tuple[Callable[..., SuiteResult], frozenset[str]]] = {}
+# suite name -> (its grid, the bounds it accepts), in registration order
+SUITES: dict[str, tuple[Callable[..., Grid], frozenset[str]]] = {}
 
 
 def _suite(name: str):
-    """Register a grid generator as suite `name` and return the runner that drives it."""
+    """Register a grid generator as suite `name`, accepting the parameters it takes."""
 
-    def register(grid: Callable[..., Grid]) -> Callable[..., SuiteResult]:
-        signature = inspect.signature(grid)
-
-        @functools.wraps(grid)
-        def run(*args, **bounds) -> SuiteResult:
-            points = 0
-            walk = grid(*args, **bounds)  # a bound the grid does not take raises here
-            try:
-                for counterexample in walk:
-                    if counterexample is not None:
-                        return SuiteResult(name, points, False, counterexample)
-                    points += 1
-            except Exception as exc:  # an input the library or the grid refuses
-                return SuiteResult(name, points, False,
-                                   {"exception": type(exc).__name__, "message": str(exc)})
-            if not points:
-                return SuiteResult(name, 0, False,
-                                   {"error": "empty grid: the bounds leave no points"})
-            return SuiteResult(name, points, True)
-
-        run.__signature__ = signature.replace(return_annotation="SuiteResult")
-        SUITES[name] = (run, frozenset(signature.parameters))
-        return run
+    def register(grid: Callable[..., Grid]) -> Callable[..., Grid]:
+        SUITES[name] = (grid, frozenset(inspect.signature(grid).parameters))
+        return grid
 
     return register
 
 
 @_suite("serre")
-def run_serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
+def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         k = canonical_class(g)
@@ -127,7 +105,7 @@ def run_serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
 
 
 @_suite("euler")
-def run_euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
+def _euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for a in range(-coeff_max, coeff_max + 1):
@@ -139,7 +117,7 @@ def run_euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
 
 
 @_suite("conormal")
-def run_conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
+def _conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
     # conormal_vanishing answers from its preconditions; h_line checks each power here
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
@@ -153,12 +131,8 @@ def run_conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
 
 
 @_suite("theoremC")
-def run_theorem_c(
-    e_max: int = 3,
-    r_max: int = 5,
-    a_max: int = 2,
-    b_max: int = 5,
-    c2_max: int = 5,
+def _theorem_c(
+    e_max: int = 3, r_max: int = 5, a_max: int = 2, b_max: int = 5, c2_max: int = 5
 ) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
@@ -194,7 +168,7 @@ def run_theorem_c(
 
 
 @_suite("dominance")
-def run_dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
+def _dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, spread)
@@ -251,7 +225,7 @@ def _chain_valid(target: SplittingType, chain: list[SplittingType]) -> bool:
 
 
 @_suite("rigid")
-def run_rigid(r_max: int = 4, d_max: int = 4) -> Grid:
+def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, r + 2)
@@ -274,9 +248,7 @@ def run_rigid(r_max: int = 4, d_max: int = 4) -> Grid:
 
 
 @_suite("lifting")
-def run_lifting(
-    r_max: int = 6, d_max: int = 6, t_max: int = 3, n_max: int = 10
-) -> Grid:
+def _lifting(r_max: int = 6, d_max: int = 6, t_max: int = 3, n_max: int = 10) -> Grid:
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             balanced = rigid_type(r, d)
@@ -290,9 +262,7 @@ def run_lifting(
 
 
 @_suite("extension")
-def run_extension(
-    e_max: int = 3, r_max: int = 5, a_max: int = 2, deg_max: int = 5
-) -> Grid:
+def _extension(e_max: int = 3, r_max: int = 5, a_max: int = 2, deg_max: int = 5) -> Grid:
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for r in range(2, r_max + 1):
@@ -333,7 +303,7 @@ def growth_samples() -> list[tuple[SurfaceGeometry, SplitBundle, ConormalData]]:
 
 
 @_suite("growth")
-def run_growth(n_max: int = 10, y_max: int = 10) -> Grid:
+def _growth(n_max: int = 10, y_max: int = 10) -> Grid:
     if n_max < 2:  # monotonicity compares consecutive neighborhoods
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     for g, bundle, c in growth_samples():
@@ -356,8 +326,24 @@ def run_growth(n_max: int = 10, y_max: int = 10) -> Grid:
         yield {"stabilization_index": index, "expected": 4}
 
 
-def run_suite(name: str, **overrides) -> list[SuiteResult]:
-    """Run one named suite (or all of them) with bound overrides where accepted."""
+def _run(name: str, grid: Callable[..., Grid], bounds: dict) -> SuiteResult:
+    """Walk one grid: count its points and stop at its first counterexample."""
+    points = 0
+    try:
+        for counterexample in grid(**bounds):
+            if counterexample is not None:
+                return SuiteResult(name, points, False, counterexample)
+            points += 1
+    except Exception as exc:  # an input the library or the grid refuses
+        return SuiteResult(name, points, False,
+                           {"exception": type(exc).__name__, "message": str(exc)})
+    if not points:
+        return SuiteResult(name, 0, False, {"error": "empty grid: the bounds leave no points"})
+    return SuiteResult(name, points, True)
+
+
+def run_suite(name: str, **bounds) -> list[SuiteResult]:
+    """Run one named suite, or all of them, each given only the bounds it accepts."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -366,7 +352,7 @@ def run_suite(name: str, **overrides) -> list[SuiteResult]:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     results = []
     for suite_name in names:
-        func, accepted = SUITES[suite_name]
-        kwargs = {k: v for k, v in overrides.items() if k in accepted and v is not None}
-        results.append(func(**kwargs))
+        grid, accepted = SUITES[suite_name]
+        results.append(_run(suite_name, grid,
+                            {k: v for k, v in bounds.items() if k in accepted}))
     return results

@@ -18,17 +18,7 @@ from ruledsurf.geometry import (
     is_good_polarization,
     min_good_twist,
 )
-from ruledsurf.verify import (
-    run_conormal,
-    run_dominance,
-    run_euler,
-    run_extension,
-    run_growth,
-    run_lifting,
-    run_rigid,
-    run_serre,
-    run_theorem_c,
-)
+from ruledsurf.verify import run_suite
 
 
 def _criterion(number, name, limit_seconds, body):
@@ -45,7 +35,8 @@ def _criterion(number, name, limit_seconds, body):
     )
 
 
-def _suite_ok(result):
+def _suite_ok(name):
+    (result,) = run_suite(name)
     assert result.ok, f"{result.suite} failed at {result.counterexample}"
     return result
 
@@ -67,7 +58,7 @@ def test_criterion_01_intersection_ground_truth():
 
 def test_criterion_02_riemann_roch_consistency():
     def body():
-        result = _suite_ok(run_euler())
+        result = _suite_ok("euler")
         assert result.points == 5 * 17 * 17
 
     _criterion(2, "Riemann-Roch consistency", 1.0, body)
@@ -75,7 +66,7 @@ def test_criterion_02_riemann_roch_consistency():
 
 def test_criterion_03_serre_duality():
     def body():
-        result = _suite_ok(run_serre())
+        result = _suite_ok("serre")
         assert result.points == 5 * 17 * 17
 
     _criterion(3, "Serre duality", 1.0, body)
@@ -83,7 +74,7 @@ def test_criterion_03_serre_duality():
 
 def test_criterion_04_conormal_vanishing():
     def body():
-        result = _suite_ok(run_conormal())
+        result = _suite_ok("conormal")
         assert result.points == 4 * 3 * 4
 
     _criterion(4, "conormal-power vanishing", 1.0, body)
@@ -91,7 +82,7 @@ def test_criterion_04_conormal_vanishing():
 
 def test_criterion_05_triple_oracle():
     def body():
-        result = _suite_ok(run_theorem_c())
+        result = _suite_ok("theoremC")
         assert result.points == 4 * 4 * 5 * 11 * 11
 
     _criterion(5, "jumping-count triple oracle", 5.0, body)
@@ -111,28 +102,28 @@ def test_criterion_06_spot_values():
 
 def test_criterion_07_dominance_equivalence():
     def body():
-        _suite_ok(run_dominance())
+        _suite_ok("dominance")
 
     _criterion(7, "dominance vs semicontinuity", 5.0, body)
 
 
 def test_criterion_08_rigidity():
     def body():
-        _suite_ok(run_rigid())
+        _suite_ok("rigid")
 
     _criterion(8, "rigid types, chains, jumping h1", 2.0, body)
 
 
 def test_criterion_09_formal_lifting():
     def body():
-        _suite_ok(run_lifting())
+        _suite_ok("lifting")
 
     _criterion(9, "formal lifting obstructions", 1.0, body)
 
 
 def test_criterion_10_extension_round_trip():
     def body():
-        result = _suite_ok(run_extension())
+        result = _suite_ok("extension")
         assert result.points == 4 * (1 + 2 + 3 + 4) * 5 * 11 * 11
 
     _criterion(10, "extension round trip", 2.0, body)
@@ -140,7 +131,7 @@ def test_criterion_10_extension_round_trip():
 
 def test_criterion_11_endomorphism_growth():
     def body():
-        result = _suite_ok(run_growth())
+        result = _suite_ok("growth")
         assert result.points == 21
 
     _criterion(11, "endomorphism growth and stabilization", 1.0, body)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -41,7 +42,7 @@ from ruledsurf.cli import (
 )
 from ruledsurf.geometry import CurveCycle, DivisorClass
 from ruledsurf.splitting import SplittingType
-from ruledsurf.verify import SuiteResult
+from test_cli_golden import CALLS
 
 
 def _run(capsys, argv):
@@ -235,14 +236,16 @@ def test_verify_ok_exit_zero(capsys):
 
 def test_verify_violation_exit_two(capsys, monkeypatch):
     def broken():
-        return SuiteResult("serre", 7, False, {"e": 0, "D": "1*h+1*f"})
+        yield from [None] * 7
+        yield {"e": 0, "D": "1*h+1*f"}
 
-    monkeypatch.setitem(verify_mod.SUITES, "serre", (broken, set()))
+    monkeypatch.setitem(verify_mod.SUITES, "serre", (broken, frozenset()))
     code, out = _run(capsys, ["verify", "serre", "--format", "json"])
     assert code == 2
     report = json.loads(out)
     assert report["status"] == "property-violation"
-    assert report["results"][0]["counterexample"] == {"e": 0, "D": "1*h+1*f"}
+    assert report["results"][0] == {"suite": "serre", "points": 7, "ok": False,
+                                    "counterexample": {"e": 0, "D": "1*h+1*f"}}
 
 
 def test_out_writes_report_verbatim(capsys, tmp_path):
@@ -473,8 +476,14 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch, tmp_path):
     assert target.read_text(encoding="utf-8") == RIGID_JSON
 
 
-def test_importing_cli_builds_no_parser():
+def _child_env():
+    """os.environ for a fresh python that imports ruledsurf from this checkout's src."""
     src = Path(verify_mod.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_cli_builds_no_parser():
     probe = textwrap.dedent("""
         import argparse, sys
         built = []
@@ -486,23 +495,18 @@ def test_importing_cli_builds_no_parser():
         import ruledsurf.cli
         print(len(built), "ruledsurf.verify" in sys.modules)
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["0", "False"]
 
 
 def test_importing_verify_loads_no_cli():
-    src = Path(verify_mod.__file__).resolve().parents[1]
     probe = textwrap.dedent("""
         import sys
         import ruledsurf.verify
         print(*(name in sys.modules for name in ("ruledsurf.cli", "argparse", "json")))
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["False", "False", "False"]
 
@@ -684,13 +688,85 @@ def test_large_coefficient_latency_budget(capsys, op):
     assert elapsed < 2.0, f"{' '.join(argv[:2])} took {elapsed:.2f} s"
 
 
+BIG = 10 ** 30  # past sys.maxsize, the longest sequence Python can build
+
+# ops whose output is a sequence of one flag's length, and that flag's name in the error
+TOO_LONG = {
+    "rigid": (["split", "rigid", "--r", str(BIG), "--d", "3"], "rank"),
+    "jumptype": (["split", "jumptype", "--r", str(BIG), "--a", "0"], "rank"),
+    "enumerate": (["split", "enumerate", "--r", str(BIG), "--d", "0", "--max-spread", "0"],
+                  "rank"),
+    "lift": (["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", str(BIG)], "n_max"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(TOO_LONG))
+def test_a_sequence_longer_than_python_builds_is_an_input_error(capsys, tmp_path, op):
+    argv, what = TOO_LONG[op]
+    error = (f"{what} must be at most {sys.maxsize}, the longest sequence Python can build, "
+             f"got {BIG}")
+    code, out = _run(capsys, argv)
+    assert (code, out) == (1, f"status: input-error\nerror\n{error}\n")
+    target = tmp_path / "report.json"
+    code, out = _run(capsys, argv + ["--format", "json", "--out", str(target)])
+    assert code == 1
+    assert out == render_report("split", {}, [{"error": error}], "input-error", "json") + "\n"
+    assert target.read_text(encoding="utf-8") == out
+
+
+# Int flags whose large magnitudes are not bounded yet (ROADMAP item 2), as the words
+# that name an op, optionally followed by one flag: verify's bounds drive its grid loops,
+# and enumerate's spread sets how many types it builds.
+UNBOUNDED_INTS = (("verify",), ("split", "enumerate", "--max-spread"))
+
+
+def _int_sweep():
+    """Each op's well-formed call with one int flag set to +10**30 or -10**30."""
+    cases = []
+    for names in LEAVES:
+        if names in UNBOUNDED_INTS:
+            continue
+        group, op = names[0], names[-1]
+        args = CALLS[names]
+        for flag, kwargs in _GROUPS[group][1][op][1]:
+            if kwargs.get("type") is not int or (*names, flag) in UNBOUNDED_INTS:
+                continue
+            for value in (str(BIG), str(-BIG)):
+                swept = list(args)
+                if flag in swept:
+                    swept[swept.index(flag) + 1] = value
+                else:
+                    swept += [flag, value]
+                cases.append([*names, *swept])
+    return cases
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", _int_sweep(), ids=" ".join)
+def test_every_int_flag_at_huge_magnitude_keeps_the_exit_contract(capsys, argv):
+    with _alarm(2):
+        code = run(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+
+
 def test_a_reader_that_closes_early_gets_no_traceback():
-    src = Path(verify_mod.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     # about 1.2 MB of output, far more than a pipe buffers
     argv = ["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", "200000"]
-    with subprocess.Popen([sys.executable, "-m", "ruledsurf.cli", *argv], env=env,
+    with subprocess.Popen([sys.executable, "-m", "ruledsurf.cli", *argv], env=_child_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.read(10) == b"obstructio"
         proc.stdout.close()
@@ -701,13 +777,11 @@ def test_a_reader_that_closes_early_gets_no_traceback():
 
 
 def test_out_is_written_whole_when_the_reader_closes_early(capsys, tmp_path):
-    src = Path(verify_mod.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     argv = ["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", "200000"]
     target = tmp_path / "report.out"
     with subprocess.Popen([sys.executable, "-m", "ruledsurf.cli", *argv, "--out", str(target)],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+                          env=_child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL) as proc:
         assert proc.stdout.read(10) == b"obstructio"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1

@@ -10,6 +10,7 @@ give its rank and degree, on the whole default theoremC grid and at
 coefficients of up to 5000 digits.
 """
 
+import inspect
 from fractions import Fraction
 from math import prod
 
@@ -29,7 +30,7 @@ from ruledsurf.geometry import (
     pushforward_to_curve,
     todd_surface,
 )
-from ruledsurf.verify import run_theorem_c
+from ruledsurf.verify import SUITES, run_suite
 
 H, F, PT = sp.symbols("h f pt")  # PT: the point class of the base curve
 
@@ -103,7 +104,7 @@ def test_oracle_on_the_default_theorem_c_grid():
     symbols = sp.symbols("e q r a c1a c1b c2")
     terms = [[(exponents, _as_fraction(c)) for exponents, c in sp.Poly(part, *symbols).terms()]
              for part in grr_oracle(*symbols)]
-    parameters = run_theorem_c.__signature__.parameters
+    parameters = inspect.signature(SUITES["theoremC"][0]).parameters
     e_max, r_max, a_max, b_max, c2_max = (
         parameters[name].default for name in ("e_max", "r_max", "a_max", "b_max", "c2_max"))
     points = 0
@@ -123,7 +124,7 @@ def test_oracle_on_the_default_theorem_c_grid():
                         assert (rank, degree) == (r, report.lhs_degree) == fraction_ring(bundle, a)
                         assert report.rhs_degree == degree and report.rank_ok
                         points += 1
-    assert points == run_theorem_c().points == 9680
+    assert points == run_suite("theoremC")[0].points == 9680
 
 
 PROPERTIES = settings(

@@ -1,4 +1,4 @@
-"""README's command-line examples and op listing, checked against the CLI."""
+"""README's command-line examples, op listing and library use, checked against the code."""
 
 import re
 import shlex
@@ -44,3 +44,18 @@ def test_readme_lists_exactly_the_registry_ops():
     expected = {group: list(ops) for group, (_, ops) in cli._GROUPS.items()}
     expected["verify"] = [*SUITES, "all"]  # verify's leaf takes a suite name
     assert listed == expected
+
+
+def test_readme_library_use_shows_the_values_it_computes():
+    # each `expression  # value` line of the Python block shows repr(expression)
+    (block,) = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+    namespace: dict = {}
+    shown = 0
+    for line in block.splitlines():
+        code, _, value = line.partition("#")
+        if value:
+            assert repr(eval(code, namespace)) == value.strip(), line
+            shown += 1
+        else:
+            exec(code, namespace)
+    assert shown == 6

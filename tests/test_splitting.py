@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -196,6 +197,24 @@ def test_enumerate_matches_recursive_search():
         assert [t.parts for t in enumerate_types(r, d, spread)] == expected, (r, d, spread)
         count += len(expected)
     assert count == 4535
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda n: rigid_type(n, 3), "rank"),
+    (lambda n: jumping_type(n, 0), "rank"),
+    (lambda n: enumerate_types(n, 0, 0), "rank"),
+    (lambda n: formal_lift_obstructions(SplittingType((1, 0)), 1, n), "n_max"),
+], ids=["rigid_type", "jumping_type", "enumerate_types", "formal_lift_obstructions"])
+def test_a_sequence_longer_than_python_builds_is_refused_first(build, what):
+    length = sys.maxsize + 1
+    with pytest.raises(ValueError, match=f"^{what} must be at most {sys.maxsize}, .* "
+                                         f"got {length}$"):
+        build(length)
+
+
+def test_enumerate_types_builds_nothing_when_no_type_fits():
+    # rank past sys.maxsize is refused only when some type would have to be built
+    assert enumerate_types(sys.maxsize + 1, 1, 0) == []
 
 
 def test_partial_order_axioms():
