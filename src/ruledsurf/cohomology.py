@@ -33,7 +33,6 @@ from .geometry import (
     SurfaceGeometry,
     _require_int,
     canonical_class,
-    intersect,
 )
 
 
@@ -113,10 +112,10 @@ def check_conormal(g: SurfaceGeometry, c: ConormalData):
             )
 
 
-def _h_line_nonneg(e: int, a: int, b: int) -> CohomologyTable:
-    # h_line passes a >= -1 here, or the Serre dual's -2 - a >= 0.
+def _h_line_nonneg(e: int, a: int, b: int) -> tuple[int, int]:
+    # (h0, h1); h2 = 0.  h_line passes a >= -1 here, or the Serre dual's -2 - a >= 0.
     if a == -1:
-        return CohomologyTable(0, 0, 0)
+        return 0, 0
     # h0 sums b - k*e + 1 over the k in 0..a where it is positive, which are
     # k = 0..top (e >= 0 in genus zero); h1 sums minus the other terms, so
     # the sum over all k is chi = h0 - h1.  Both are arithmetic series, and
@@ -129,23 +128,24 @@ def _h_line_nonneg(e: int, a: int, b: int) -> CohomologyTable:
         top = min(a, b // e)
     h0 = (top + 1) * (b + 1) - e * top * (top + 1) // 2
     chi = (a + 1) * (b + 1) - e * a * (a + 1) // 2
-    return CohomologyTable(h0, h0 - chi, 0)
+    return h0, h0 - chi
 
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:
     """Exact cohomology of the line bundle O(a*h + b*f) on a Hirzebruch surface."""
     _require_genus_zero(g)
     if d.a >= -1:
-        return _h_line_nonneg(g.e, d.a, d.b)
-    dual = canonical_class(g) - d
-    table = _h_line_nonneg(g.e, dual.a, dual.b)
-    return CohomologyTable(table.h2, table.h1, table.h0)
+        h0, h1 = _h_line_nonneg(g.e, d.a, d.b)
+        return CohomologyTable(h0, h1, 0)
+    # Serre duality: h^i(D) = h^(2-i)(K - D), K - D = (-2 - a)*h + (-2 - e - b)*f
+    h2, h1 = _h_line_nonneg(g.e, -2 - d.a, -2 - g.e - d.b)
+    return CohomologyTable(0, h1, h2)
 
 
 def euler_char(g: SurfaceGeometry, d: DivisorClass) -> int:
     """Riemann-Roch Euler characteristic (1 - q) + D.(D - K)/2, any genus."""
-    # D.(D - K) = 2(ab - qa + a + b) - e*a(a + 1) is even, so the halving is exact
-    return (1 - g.q) + intersect(g, d, d - canonical_class(g)) // 2
+    # D.(D - K)/2 = ab - qa + a + b - e*a(a + 1)/2 and a(a + 1) is even: exact ints
+    return (d.a + 1) * (d.b + 1 - g.q) - g.e * (d.a * (d.a + 1) // 2)
 
 
 def serre_dual(g: SurfaceGeometry, d: DivisorClass) -> DivisorClass:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import lt
 
 from .geometry import _require_int
 
@@ -29,8 +30,9 @@ class SplittingType:
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("a splitting type needs at least one part")
-        _require_int("splitting-type parts", *parts)
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if set(map(type, parts)) != {int}:  # bool, float and Fraction included
+            _require_int("splitting-type parts", *parts)
+        if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts must be nonincreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -63,9 +65,8 @@ def rigid_type(r: int, d: int) -> SplittingType:
 
 def h1_end(t: SplittingType) -> int:
     """h1 of End: sum over ordered pairs of max(0, b_j - b_i - 1)."""
-    return sum(
-        max(0, bj - bi - 1) for bi in t.parts for bj in t.parts
-    )
+    parts = t.parts
+    return sum([bj - bi - 1 for bi in parts for bj in parts if bj > bi + 1])
 
 
 def is_rigid(t: SplittingType) -> bool:
@@ -107,16 +108,18 @@ def semicontinuity_oracle(general: SplittingType, special: SplittingType) -> boo
     linear in k with kinks only at k = -b - 1, and the two counts agree
     past both ends (0 below, d + r(k+1) above), so comparing them at the
     kinks of both types is exhaustive.  At the kink k = -c - 1 the count
-    is the sum of b - c over the parts b > c.  Rank or degree mismatch is
-    an error, not False.
+    is the sum of b - c over the parts b > c; the first kink where the
+    special count is smaller answers False.  Rank or degree mismatch is an error.
     """
-    if general.rank() != special.rank():
+    gp, sp = general.parts, special.parts
+    if len(gp) != len(sp):
         raise ValueError("semicontinuity comparison needs equal ranks")
-    if general.degree() != special.degree():
+    if sum(gp) != sum(sp):
         raise ValueError("semicontinuity comparison needs equal degrees")
-    return all(sum([b - c for b in special.parts if b > c])
-               >= sum([b - c for b in general.parts if b > c])
-               for c in set(general.parts + special.parts))
+    for c in set(gp + sp):
+        if sum([b - c for b in sp if b > c]) < sum([b - c for b in gp if b > c]):
+            return False
+    return True
 
 
 def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> list[int]:
@@ -197,16 +200,23 @@ def specialization_chain(target: SplittingType) -> list[SplittingType]:
     elementary move), keeps the sequence sorted, and strictly raises the
     prefix-sum vector while staying below the target's, so each step
     specializes the last and the walk is forced to terminate at the target.
+    A step moves 1 to the first part i whose prefix sum is below the target's
+    from the first j > i whose is at it: the prefix sums on [i, j) gain 1 in
+    place, and the next scan resumes at i, as those before it already agree.
     """
     start = rigid_type(target.rank(), target.degree())
     tgt = list(accumulate(target.parts))
     chain = [start]
     cur = list(start.parts)
-    while tuple(cur) != target.parts:
-        pre = list(accumulate(cur))
-        i = next(k for k in range(len(cur)) if pre[k] < tgt[k])
-        j = next(k for k in range(i + 1, len(cur)) if pre[k] == tgt[k])
+    pre, i = list(accumulate(cur)), 0
+    while pre != tgt:
+        while pre[i] == tgt[i]:  # pre <= tgt throughout
+            i += 1
+        j = i + 1
+        while pre[j] != tgt[j]:
+            j += 1
         cur[i] += 1
         cur[j] -= 1
+        pre[i:j] = [p + 1 for p in pre[i:j]]
         chain.append(SplittingType(tuple(cur)))
     return chain

@@ -207,12 +207,11 @@ def _dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
 
 
 def _is_elementary_move(before: SplittingType, after: SplittingType) -> bool:
-    deltas = [bv - av for av, bv in zip(before.parts, after.parts)]
-    return sorted(d for d in deltas if d) == [-1, 1]
+    return sorted([bv - av for av, bv in zip(before.parts, after.parts) if bv != av]) == [-1, 1]
 
 
-def _chain_valid(target: SplittingType, chain: list[SplittingType]) -> bool:
-    if chain[0] != rigid_type(target.rank(), target.degree()):
+def _chain_valid(rigid: SplittingType, target: SplittingType, chain: list[SplittingType]) -> bool:
+    if chain[0] != rigid:  # the rigid type of target's rank and degree
         return False
     if chain[-1] != target:
         return False
@@ -238,7 +237,7 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
                 yield None
                 if not specializes(balanced, t):
                     yield {"r": r, "d": d, "unreachable": t}
-                if not _chain_valid(t, specialization_chain(t)):
+                if not _chain_valid(balanced, t, specialization_chain(t)):
                     yield {"r": r, "d": d, "bad_chain_target": t}
     for r in range(2, 7):
         for a in range(-3, 4):

@@ -13,7 +13,7 @@ compares section counts only at their kinks; `semicontinuity_window`
 compares them at every twist of a window outside which both saturate.
 conormal_vanishing answers from its preconditions; `conormal_vanishing_loop`
 evaluates h_line at every conormal power.  The Riemann-Roch pairing
-D.(D - K) that euler_char halves is checked to be even at 5000 digits.
+D.(D - K), whose half euler_char expands, is checked to be even at 5000 digits.
 endomorphism_growth sums each summand difference's h0 over the
 neighborhoods in closed form, through the floor sums of `_floor_sums`;
 `endomorphism_growth_loop` adds one layer at a time, each as h_line over
@@ -23,7 +23,13 @@ time.  At 5000 digits, where no loop ends, each step of the growth is
 checked against `end_h0` at the next layer, and the floor sums against the
 residues they leave, also past Python's recursion limit.  formal_lift_obstructions builds its list from
 the linear pieces between kinks; `formal_lift_loop` sums every level over
-every pair of parts.
+every pair of parts.  euler_char expands D.(D - K)/2 in ints;
+`euler_char_pairing` builds K and D - K and calls intersect.  h1_end sums
+only the pairs with b_j > b_i + 1; `h1_end_double_sum` sums max(0, ...)
+over every ordered pair.  specialization_chain updates its prefix sums in
+place; `specialization_chain_loop` recomputes them and rescans from the
+first part at every step, and the two chains are compared element by
+element.
 """
 
 import functools
@@ -66,7 +72,10 @@ from ruledsurf.splitting import (
     SplittingType,
     enumerate_types,
     formal_lift_obstructions,
+    h1_end,
+    rigid_type,
     semicontinuity_oracle,
+    specialization_chain,
     specializes,
 )
 
@@ -633,3 +642,83 @@ def huge_lift_cases(draw):
 @given(huge_lift_cases())
 def test_formal_lift_matches_loop_at_5000_digits(case):
     assert formal_lift_obstructions(*case) == formal_lift_loop(*case)
+
+
+def euler_char_pairing(g: SurfaceGeometry, d: DivisorClass) -> int:
+    """(1 - q) + D.(D - K)/2, with K and D - K built as classes and paired by intersect."""
+    return (1 - g.q) + intersect(g, d, d - canonical_class(g)) // 2
+
+
+def test_euler_char_matches_pairing_on_small_grid():
+    for q in range(4):
+        for e, a, b in itertools.product(range(-q, 7), range(-9, 10), range(-9, 10)):
+            g, d = SurfaceGeometry(q, e), DivisorClass(a, b)
+            assert euler_char(g, d) == euler_char_pairing(g, d), (g, d)
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(huge_surfaces_and_classes())
+def test_euler_char_matches_pairing_at_5000_digits(case):
+    assert euler_char(*case) == euler_char_pairing(*case)
+
+
+def h1_end_double_sum(t: SplittingType) -> int:
+    """h1 of End as max(0, b_j - b_i - 1) summed over every ordered pair of parts."""
+    return sum(max(0, bj - bi - 1) for bi in t.parts for bj in t.parts)
+
+
+def specialization_chain_loop(target: SplittingType) -> list[SplittingType]:
+    """The chain with the prefix sums recomputed and both parts found afresh at each step."""
+    start = rigid_type(target.rank(), target.degree())
+    tgt = list(itertools.accumulate(target.parts))
+    chain = [start]
+    cur = list(start.parts)
+    while tuple(cur) != target.parts:
+        pre = list(itertools.accumulate(cur))
+        i = next(k for k in range(len(cur)) if pre[k] < tgt[k])
+        j = next(k for k in range(i + 1, len(cur)) if pre[k] == tgt[k])
+        cur[i] += 1
+        cur[j] -= 1
+        chain.append(SplittingType(tuple(cur)))
+    return chain
+
+
+def small_types():
+    """Every type of rank <= 5 with parts in [-4, 4]: 2 001 of them."""
+    for r in range(1, 6):
+        for parts in itertools.combinations_with_replacement(range(4, -5, -1), r):
+            yield SplittingType(parts)
+
+
+def test_h1_end_matches_double_sum_on_small_grid():
+    types = list(small_types())
+    assert len(types) == 9 + 45 + 165 + 495 + 1287
+    for t in types:
+        assert h1_end(t) == h1_end_double_sum(t), t
+
+
+def test_specialization_chain_matches_loop_on_small_grid():
+    for t in small_types():
+        assert specialization_chain(t) == specialization_chain_loop(t), t
+
+
+@st.composite
+def huge_types(draw, max_offset):
+    """Rank <= 8, parts an offset up to ±10^30/2 plus up to max_offset, often near ties."""
+    r = draw(st.integers(1, 8))
+    base = draw(st.integers(-10 ** 30 // 2, 10 ** 30 // 2))
+    offsets = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, max_offset)),
+                            min_size=r, max_size=r))
+    return SplittingType(tuple(sorted((base + k for k in offsets), reverse=True)))
+
+
+@PROPERTIES
+@given(huge_types(10 ** 30 // 2))
+def test_h1_end_matches_double_sum(t):
+    assert h1_end(t) == h1_end_double_sum(t)
+
+
+@PROPERTIES
+@given(huge_types(12))  # the chain takes up to 7 * 12 steps at rank 8
+def test_specialization_chain_matches_loop(t):
+    assert specialization_chain(t) == specialization_chain_loop(t)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from ruledsurf import cohomology, geometry
 from ruledsurf.cohomology import (
     CohomologyTable,
     ConormalData,
@@ -64,6 +67,15 @@ def test_h_line_of_trivial_bundle():
 def test_h_line_rejects_positive_genus():
     with pytest.raises(PositiveGenusError):
         h_line(SurfaceGeometry(1, 0), ZERO)
+
+
+@pytest.mark.parametrize("q, e", [(1, 0), (1, -1), (3, 2), (10 ** 30, -(10 ** 30))])
+@pytest.mark.parametrize("a, b", [(5, 1), (0, 0), (-1, 3), (-2, 0), (-3, -7), (-(10 ** 30), 4)])
+def test_h_line_refuses_positive_genus_on_both_sides_of_a_minus_2(q, e, a, b):
+    with pytest.raises(PositiveGenusError) as error:
+        h_line(SurfaceGeometry(q, e), DivisorClass(a, b))
+    assert str(error.value) == (
+        f"exact cohomology needs genus zero, got q={q}; use euler_char instead")
 
 
 def test_euler_char():
@@ -190,3 +202,28 @@ def test_growth_strictly_increasing():
     c = ConormalData(1, 3)
     values = [endomorphism_growth(g, bundle, c, n) for n in range(1, 11)]
     assert all(later > earlier for earlier, later in zip(values, values[1:]))
+
+
+def test_h_line_and_euler_char_build_no_intermediate_values(monkeypatch):
+    """h_line builds its one table and no class, on both sides of a = -2;
+    euler_char builds nothing."""
+    built = Counter()
+
+    def counted(cls):
+        def build(*args):
+            built[cls.__name__] += 1
+            return cls(*args)
+        return build
+
+    monkeypatch.setattr(cohomology, "CohomologyTable", counted(CohomologyTable))
+    monkeypatch.setattr(geometry, "DivisorClass", counted(DivisorClass))
+    for q, e, a, b in [(0, 0, 3, 1), (0, 2, -1, 4), (0, 1, -2, 0), (0, 3, -7, -9),
+                       (2, -1, -5, 3), (1, 4, 6, -2)]:
+        g, d = SurfaceGeometry(q, e), DivisorClass(a, b)
+        built.clear()
+        if q == 0:
+            assert type(h_line(g, d)) is CohomologyTable
+            assert built == {"CohomologyTable": 1}
+            built.clear()
+        assert type(euler_char(g, d)) is int
+        assert built == {}

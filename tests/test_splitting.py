@@ -1,8 +1,10 @@
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from ruledsurf import splitting
 from ruledsurf.splitting import (
     SplittingType,
     enumerate_types,
@@ -26,6 +28,40 @@ def test_splitting_type_validation():
     assert t.rank() == 3
     assert t.degree() == 1
     assert t.spread() == 3
+
+
+@pytest.mark.parametrize("parts, name", [
+    ((True,), "bool"),
+    ((1, False), "bool"),
+    ((2.0, 1), "float"),
+    ((3, Fraction(1, 2)), "Fraction"),
+    ((Fraction(2), 1), "Fraction"),
+    ((0, 1.5), "float"),  # the type is checked before the order
+    ((1, 0, "0"), "str"),
+])
+def test_splitting_type_refuses_parts_that_are_not_ints(parts, name):
+    with pytest.raises(TypeError) as error:
+        SplittingType(parts)
+    assert str(error.value) == f"splitting-type parts must be integers, got {name}"
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((), "a splitting type needs at least one part"),
+    ([], "a splitting type needs at least one part"),
+    ((0, 1), "parts must be nonincreasing, got (0, 1)"),
+    ([3, 3, 2, 5], "parts must be nonincreasing, got (3, 3, 2, 5)"),
+    ((10 ** 30, -1, 0), f"parts must be nonincreasing, got ({10 ** 30}, -1, 0)"),
+])
+def test_splitting_type_refuses_empty_or_rising_parts(parts, message):
+    with pytest.raises(ValueError) as error:
+        SplittingType(parts)
+    assert type(error.value) is ValueError
+    assert str(error.value) == message
+
+
+def test_splitting_type_keeps_parts_as_a_tuple():
+    assert SplittingType([2, 2, -1]).parts == (2, 2, -1)
+    assert SplittingType(iter([5])).parts == (5,)
 
 
 def test_rigid_type():
@@ -271,3 +307,34 @@ def test_chain_validity_and_length():
                     t - c for t, c in zip(_prefix_sums(target.parts), rigid_pre)
                 )
                 assert len(chain) == 1 + max_gap
+
+
+def test_chain_steps_are_the_excess_over_the_rigid_type():
+    """len(chain) - 1 == Σ max(0, target_k - rigid_k), over every type with
+    rank <= 7, |degree| <= 6 and spread <= 7."""
+    types = 0
+    for r in range(1, 8):
+        for d in range(-6, 7):
+            rigid = rigid_type(r, d).parts
+            for target in enumerate_types(r, d, 7):
+                excess = sum(max(0, t - b) for t, b in zip(target.parts, rigid))
+                assert len(specialization_chain(target)) - 1 == excess, target
+                types += 1
+    assert types == 6371
+
+
+def test_semicontinuity_oracle_shares_no_code_with_specializes(monkeypatch):
+    """Not specializes, and not the rank() and degree() it reads."""
+    def shared(*args):
+        raise AssertionError("semicontinuity_oracle reached code of specializes")
+
+    types = enumerate_types(3, 1, 4)
+    expected = {(s, t): specializes(s, t) for s in types for t in types}
+    monkeypatch.setattr(splitting, "specializes", shared)
+    monkeypatch.setattr(SplittingType, "rank", shared)
+    monkeypatch.setattr(SplittingType, "degree", shared)
+    assert {(s, t): semicontinuity_oracle(s, t) for s in types for t in types} == expected
+    with pytest.raises(ValueError, match="equal ranks"):
+        semicontinuity_oracle(SplittingType((0, 0)), SplittingType((0, 0, 0)))
+    with pytest.raises(ValueError, match="equal degrees"):
+        semicontinuity_oracle(SplittingType((0, 0)), SplittingType((1, 0)))
