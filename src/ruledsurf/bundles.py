@@ -19,7 +19,6 @@ verification grids and the tests compare them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
@@ -27,29 +26,28 @@ from .geometry import (
     DivisorClass,
     SurfaceGeometry,
     _require_int,
+    _set,
+    _Value,
     canonical_class,
     intersect,
 )
 
 
-@dataclass(frozen=True)
-class BundleNumerics:
+class BundleNumerics(_Value):
     """Numerical data (geometry, rank, c1, c2) of a vector bundle on the surface."""
 
-    g: SurfaceGeometry
-    r: int
-    c1: DivisorClass
-    c2: int
+    def __init__(self, g: SurfaceGeometry, r: int, c1: DivisorClass, c2: int):
+        if type(r) is not int or type(c2) is not int:
+            _require_int("rank and c2", r, c2)
+        if r < 1:
+            raise ValueError(f"rank must be at least 1, got {r}")
+        _set(self, "g", g)
+        _set(self, "r", r)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
 
-    def __post_init__(self):
-        if type(self.r) is not int or type(self.c2) is not int:
-            _require_int("rank and c2", self.r, self.c2)
-        if self.r < 1:
-            raise ValueError(f"rank must be at least 1, got {self.r}")
 
-
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(_Value):
     """Bookkeeping for an extension of pulled-back bundles.
 
     The middle term has rank r; the sub-piece is a pullback of rank r - x
@@ -57,20 +55,18 @@ class ExtensionData:
     rank x twisted by (a-1)*h with base degree deg_quot.
     """
 
-    g: SurfaceGeometry
-    r: int
-    x: int
-    a: int
-    deg_sub: int
-    deg_quot: int
-
-    def __post_init__(self):
-        if not (type(self.r) is type(self.x) is type(self.a) is type(self.deg_sub)
-                is type(self.deg_quot) is int):
-            _require_int("extension ranks, twist and degrees",
-                         self.r, self.x, self.a, self.deg_sub, self.deg_quot)
-        if not 0 < self.x < self.r:
-            raise ValueError(f"need 0 < x < r, got x={self.x}, r={self.r}")
+    def __init__(self, g: SurfaceGeometry, r: int, x: int, a: int, deg_sub: int,
+                 deg_quot: int):
+        if not (type(r) is type(x) is type(a) is type(deg_sub) is type(deg_quot) is int):
+            _require_int("extension ranks, twist and degrees", r, x, a, deg_sub, deg_quot)
+        if not 0 < x < r:
+            raise ValueError(f"need 0 < x < r, got x={x}, r={r}")
+        _set(self, "g", g)
+        _set(self, "r", r)
+        _set(self, "x", x)
+        _set(self, "a", a)
+        _set(self, "deg_sub", deg_sub)
+        _set(self, "deg_quot", deg_quot)
 
 
 def fiber_degree(bundle: BundleNumerics) -> int:
@@ -142,14 +138,15 @@ def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
     return -euler_char_bundle(twist(bundle, -(a + 1) * SECTION))
 
 
-@dataclass(frozen=True)
-class GrrReport:
+class GrrReport(_Value):
     """Comparison of the cycle-level pushforward degree against the closed form."""
 
-    rank_ok: bool
-    degree_ok: bool
-    lhs_degree: Fraction
-    rhs_degree: int
+    def __init__(self, rank_ok: bool, degree_ok: bool, lhs_degree: Fraction,
+                 rhs_degree: int):
+        _set(self, "rank_ok", rank_ok)
+        _set(self, "degree_ok", degree_ok)
+        _set(self, "lhs_degree", lhs_degree)
+        _set(self, "rhs_degree", rhs_degree)
 
 
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -241,6 +240,8 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, dict)):
+        import json  # only lists and dicts need it, so a plain table loads none
+
         return json.dumps(value, separators=(",", ":"))
     if value is None:
         return ""
@@ -268,6 +269,8 @@ def render_report(subcommand: str, inputs: dict, rows: list[dict], status: str, 
     inputs = _encode(inputs)
     rows = [_encode(row) for row in rows]
     if fmt == "json":
+        import json
+
         report = {
             "subcommand": subcommand,
             "inputs": inputs,

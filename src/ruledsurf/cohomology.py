@@ -25,13 +25,13 @@ with a typed error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geometry import (
     ZERO,
     DivisorClass,
     SurfaceGeometry,
     _require_int,
+    _set,
+    _Value,
     canonical_class,
 )
 
@@ -51,36 +51,32 @@ def _require_genus_zero(g: SurfaceGeometry):
         )
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(_Value):
     """The three cohomology dimensions (h0, h1, h2) of a sheaf on a surface."""
 
-    h0: int
-    h1: int
-    h2: int
+    def __init__(self, h0: int, h1: int, h2: int):
+        _set(self, "h0", h0)
+        _set(self, "h1", h1)
+        _set(self, "h2", h2)
 
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(_Value):
     """Direct sum of line bundles, recorded by its summand divisor classes."""
 
-    summands: tuple[DivisorClass, ...]
-
-    def __post_init__(self):
-        summands = tuple(self.summands)
+    def __init__(self, summands: tuple[DivisorClass, ...]):
+        summands = tuple(summands)
         if not summands:
             raise ValueError("a split bundle needs at least one summand")
-        object.__setattr__(self, "summands", summands)
+        _set(self, "summands", summands)
 
     def rank(self) -> int:
         return len(self.summands)
 
 
-@dataclass(frozen=True)
-class ConormalData:
+class ConormalData(_Value):
     """Numerical conormal class t*h + s*f of the surface inside its ambient threefold.
 
     For genus zero the standing assumption is ampleness (t > 0, s > e*t);
@@ -88,13 +84,12 @@ class ConormalData:
     enforced at construction, the genus-dependent part by check_conormal.
     """
 
-    t: int
-    s: int
-
-    def __post_init__(self):
-        _require_int("conormal degrees", self.t, self.s)
-        if self.t <= 0:
-            raise ValueError(f"conormal h-degree must be positive, got t={self.t}")
+    def __init__(self, t: int, s: int):
+        _require_int("conormal degrees", t, s)
+        if t <= 0:
+            raise ValueError(f"conormal h-degree must be positive, got t={t}")
+        _set(self, "t", t)
+        _set(self, "s", s)
 
 
 def check_conormal(g: SurfaceGeometry, c: ConormalData):

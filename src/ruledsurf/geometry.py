@@ -14,8 +14,50 @@ operation is a pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+# how a value's __init__ stores its fields, since _Value refuses assignment
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value, equal within its class and hashed by its fields.
+
+    A subclass's __init__ validates its arguments, then stores them with
+    _set in declared order, so its __dict__ holds the fields in that order.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _repr_pretty_(self, p, cycle):
+        # Pretty printers (hypothesis, IPython) render each field themselves:
+        # an int past Python's str() digit limit shows in hex, where repr raises.
+        name = type(self).__name__
+        if cycle:
+            return p.text(name + "(...)")
+        with p.group(1, name + "(", ")"):
+            for i, (field, value) in enumerate(self.__dict__.items()):
+                if i:
+                    p.text(",")
+                    p.breakable()
+                p.text(field + "=")
+                p.pretty(value)
 
 
 def _as_fraction(value) -> Fraction:
@@ -38,33 +80,29 @@ def _require_int(what: str, *values) -> None:
             raise TypeError(f"{what} must be integers, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class SurfaceGeometry:
+class SurfaceGeometry(_Value):
     """Base-curve genus q and ruled-surface invariant e (minimal section has h^2 = -e)."""
 
-    q: int
-    e: int
-
-    def __post_init__(self):
-        _require_int("genus and invariant", self.q, self.e)
-        if self.q < 0:
-            raise ValueError(f"genus must be nonnegative, got q={self.q}")
-        if self.e < -self.q:
+    def __init__(self, q: int, e: int):
+        _require_int("genus and invariant", q, e)
+        if q < 0:
+            raise ValueError(f"genus must be nonnegative, got q={q}")
+        if e < -q:
             raise ValueError(
-                f"invariant e={self.e} violates the Nagata-Segre bound e >= -q = {-self.q}"
+                f"invariant e={e} violates the Nagata-Segre bound e >= -q = {-q}"
             )
+        _set(self, "q", q)
+        _set(self, "e", e)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Value):
     """Numerical divisor class a*h + b*f with integer coefficients."""
 
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int:
-            _require_int("divisor coefficients", self.a, self.b)
+    def __init__(self, a: int, b: int):
+        if type(a) is not int or type(b) is not int:
+            _require_int("divisor coefficients", a, b)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -125,34 +163,28 @@ def min_good_twist(g: SurfaceGeometry, d: DivisorClass) -> int:
     return max(0, (d.a * (g.e + 2 * g.q - 1) - 2 * d.b) // 2 + 1)
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(_Value):
     """Graded cycle r0 + (dh*h + df*f) + p2*[pt], truncated above degree 2.
 
     Coefficients are exact rationals; integer inputs are converted, anything
     else (floats in particular) is rejected.
     """
 
-    r0: Fraction
-    dh: Fraction
-    df: Fraction
-    p2: Fraction
-
-    def __post_init__(self):
-        for name in ("r0", "dh", "df", "p2"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+    def __init__(self, r0: Fraction, dh: Fraction, df: Fraction, p2: Fraction):
+        r0, dh, df, p2 = map(_as_fraction, (r0, dh, df, p2))
+        _set(self, "r0", r0)
+        _set(self, "dh", dh)
+        _set(self, "df", df)
+        _set(self, "p2", p2)
 
 
-@dataclass(frozen=True)
-class CurveCycle:
+class CurveCycle(_Value):
     """Cycle r0 + p1*[pt] on the base curve (degrees 0 and 1 only)."""
 
-    r0: Fraction
-    p1: Fraction
-
-    def __post_init__(self):
-        for name in ("r0", "p1"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+    def __init__(self, r0: Fraction, p1: Fraction):
+        r0, p1 = _as_fraction(r0), _as_fraction(p1)
+        _set(self, "r0", r0)
+        _set(self, "p1", p1)
 
 
 def cycle_mul(g: SurfaceGeometry, x: CycleClass, y: CycleClass) -> CycleClass:

@@ -13,28 +13,24 @@ of a fiber inside a threefold, built from their linear pieces.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import lt
 
-from .geometry import _require_int
+from .geometry import _require_int, _set, _Value
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(_Value):
     """Nonincreasing integer sequence (b1 >= ... >= br), r >= 1."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a splitting type needs at least one part")
         if set(map(type, parts)) != {int}:  # bool, float and Fraction included
             _require_int("splitting-type parts", *parts)
         if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts must be nonincreasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        _set(self, "parts", parts)
 
     def rank(self) -> int:
         return len(self.parts)

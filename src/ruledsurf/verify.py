@@ -15,15 +15,13 @@ and lists of them), not text: the CLI renders them as literals, with the
 same renderer as every other op, so this module never imports the CLI.
 
 SUITES holds the grids: `_suite(name)` registers a grid generator under
-its name, next to the bounds it accepts, which are the parameters of its
-signature; their defaults reproduce the documented grids.
+its name, next to the bounds it accepts, which are the grid's parameters,
+read from its code object; their defaults reproduce the documented grids.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .bundles import (
     BundleNumerics,
@@ -49,6 +47,8 @@ from .geometry import (
     SECTION,
     DivisorClass,
     SurfaceGeometry,
+    _set,
+    _Value,
     canonical_class,
 )
 from .splitting import (
@@ -67,12 +67,14 @@ from .splitting import (
 Grid = Iterator["dict | None"]
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    points: int
-    ok: bool
-    counterexample: dict | None = None
+class SuiteResult(_Value):
+    """One suite's outcome: the points it counted and, if it failed, a counterexample."""
+
+    def __init__(self, suite: str, points: int, ok: bool, counterexample: dict | None = None):
+        _set(self, "suite", suite)
+        _set(self, "points", points)
+        _set(self, "ok", ok)
+        _set(self, "counterexample", counterexample)
 
 
 # suite name -> (its grid, the bounds it accepts), in registration order
@@ -83,7 +85,8 @@ def _suite(name: str):
     """Register a grid generator as suite `name`, accepting the parameters it takes."""
 
     def register(grid: Callable[..., Grid]) -> Callable[..., Grid]:
-        SUITES[name] = (grid, frozenset(inspect.signature(grid).parameters))
+        code = grid.__code__
+        SUITES[name] = (grid, frozenset(code.co_varnames[:code.co_argcount]))
         return grid
 
     return register

@@ -511,6 +511,26 @@ def test_importing_verify_loads_no_cli():
     assert proc.stdout.split() == ["False", "False", "False"]
 
 
+def _modules_added_by(statement):
+    """The modules a fresh python adds to sys.modules while it runs statement."""
+    probe = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*set(sys.modules) - before)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_cli_loads_no_dataclasses_inspect_or_json():
+    added = _modules_added_by("import ruledsurf.cli")
+    assert "ruledsurf.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
+
+
+def test_importing_verify_loads_no_dataclasses_or_inspect():
+    added = _modules_added_by("import ruledsurf.verify")
+    assert "ruledsurf.verify" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def _subparsers(parser):
     return next((a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)), {})
@@ -720,6 +740,16 @@ def test_a_sequence_longer_than_python_builds_is_an_input_error(capsys, tmp_path
 UNBOUNDED_INTS = (("verify",), ("split", "enumerate", "--max-spread"))
 
 
+def _with_flag(args, flag, value):
+    """args with flag set to value: replaced where args give it, else appended."""
+    swept = list(args)
+    if flag in swept:
+        swept[swept.index(flag) + 1] = value
+    else:
+        swept += [flag, value]
+    return swept
+
+
 def _int_sweep():
     """Each op's well-formed call with one int flag set to +10**30 or -10**30."""
     cases = []
@@ -732,12 +762,7 @@ def _int_sweep():
             if kwargs.get("type") is not int or (*names, flag) in UNBOUNDED_INTS:
                 continue
             for value in (str(BIG), str(-BIG)):
-                swept = list(args)
-                if flag in swept:
-                    swept[swept.index(flag) + 1] = value
-                else:
-                    swept += [flag, value]
-                cases.append([*names, *swept])
+                cases.append([*names, *_with_flag(args, flag, value)])
     return cases
 
 
@@ -761,6 +786,52 @@ def test_every_int_flag_at_huge_magnitude_keeps_the_exit_contract(capsys, argv):
         code = run(argv)
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+# Literals that no literal flag accepts: empty, a stray word or space, missing or
+# foreign pieces, a dangling comma, floats, a zero denominator and a rising type.
+BAD_LITERALS = (
+    "", "x", "h+0*f", "1h+0*f", "1*h+f", "1*h+2*g", "1*h+0*f+", "1*h+0*f,", "1.5*h+0*f",
+    " 1*h+0*f", "(1,2", "(1,,2)", "(1,x)", "(2,3)", "(1/0,0,0,0)", "(1,0.5,0,0)",
+)
+# Literal flags left out of the sweep, as the words that name an op and the flag.
+UNSWEPT_LITERALS = ()
+
+
+def _literal_sweep():
+    """Each op's well-formed call with one literal flag malformed, or at 5000 digits.
+
+    The 5000-digit literal is the flag's well-formed value (from CALLS, or its
+    default) with its first number widened, which Python refuses to read.
+    """
+    cases = []
+    for names in LEAVES:
+        group, op = names[0], names[-1]
+        flags = _GROUPS[group][1][op][1]
+        if callable(flags):  # verify's flags are a suite name and int bounds
+            continue
+        args = CALLS[names]
+        for flag, kwargs in flags:
+            if "type" in kwargs or (*names, flag) in UNSWEPT_LITERALS:
+                continue
+            well_formed = args[args.index(flag) + 1] if flag in args else kwargs["default"]
+            huge = re.sub(r"\d+", "9" * 5000, well_formed, count=1)
+            for value in (*BAD_LITERALS, huge):
+                cases.append([*names, *_with_flag(args, flag, value)])
+    return cases
+
+
+def _sweep_id(argv):
+    return " ".join(a if len(a) < 40 else f"<{len(a)} chars>" for a in argv)
+
+
+@pytest.mark.parametrize("argv", _literal_sweep(), ids=_sweep_id)
+def test_every_literal_flag_malformed_or_huge_is_an_input_error(capsys, argv):
+    with _alarm(2):
+        code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("status: input-error\n")
 
 
 def test_a_reader_that_closes_early_gets_no_traceback():

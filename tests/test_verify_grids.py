@@ -10,6 +10,7 @@ theoremC or extension point calls into bundles;
 tests/test_cli.py pins what it reports for a grid that raises.
 """
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -158,6 +159,13 @@ def test_all_routes_each_bound_to_the_suites_that_take_it():
         ("extension", 2420, True),
         ("growth", 21, True),
     ]
+
+
+def test_each_suite_accepts_the_parameters_of_its_grid():
+    # SUITES reads them off the grid's code object; inspect is the slower reference
+    assert len(verify.SUITES) == 9
+    for name, (grid, accepted) in verify.SUITES.items():
+        assert accepted == frozenset(inspect.signature(grid).parameters), name
 
 
 # theoremC at --r 1 and serre at --e-max -1 are pinned through the CLI in test_cli
