@@ -16,7 +16,10 @@ An error argparse raises is an input error too, rendered in the requested
 --format and written to --out whenever those two flags parse, else as a
 table; so is an --out path that cannot be written.
 
-Literal grammars (parsed and emitted bit-exactly):
+Literal grammars.  Every digit, in a literal or an int flag, is an ASCII
+0-9.  Values are exact, and a literal is echoed in its canonical form,
+which parses back to the same value: `--D "+01*h+002*f"` is echoed as
+1*h+2*f.
 
     divisor         a*h+b*f         e.g.  -2*h+3*f, 1*h-4*f, 0*h+0*f
     splitting type  (b1,b2,...)     e.g.  (2,2,1,1,1)
@@ -45,7 +48,7 @@ class CliInputError(ValueError):
     pass
 
 
-_LEADING_NEG = re.compile(r"-\d")
+_LEADING_NEG = re.compile(r"-[0-9]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,13 +66,19 @@ class _Parser(argparse.ArgumentParser):
             return None
         return result
 
+    def _get_value(self, action, arg_string):
+        # int() also reads other scripts' digits, "1_0" and " 1"; an int flag takes ASCII only.
+        if action.type is int and not _INT.fullmatch(arg_string):
+            raise argparse.ArgumentError(action, f"invalid int value: {arg_string!r}")
+        return super()._get_value(action, arg_string)
+
 
 # ---------------------------------------------------------------------------
 # literal parsing and formatting
 
-_INT = re.compile(r"[+-]?\d+")
-_SIGNED_INT = re.compile(r"[+-]\d+")
-_RATIONAL = re.compile(r"[+-]?\d+(?:/(\d+))?")
+_INT = re.compile(r"[+-]?[0-9]+")
+_SIGNED_INT = re.compile(r"[+-][0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
 
 def _fail(text: str, pos: int, expected: str, kind: str):
@@ -192,7 +201,7 @@ def format_summands(bundle: cohomology.SplitBundle) -> str:
 
 
 _BUNDLE = re.compile(
-    r"r=([+-]?\d+); c1=([^;]+); c2=([+-]?\d+); e=([+-]?\d+); q=([+-]?\d+)"
+    r"r=([+-]?[0-9]+); c1=([^;]+); c2=([+-]?[0-9]+); e=([+-]?[0-9]+); q=([+-]?[0-9]+)"
 )
 
 

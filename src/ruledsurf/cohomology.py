@@ -111,19 +111,24 @@ def _h_line_nonneg(e: int, a: int, b: int) -> tuple[int, int]:
     # (h0, h1); h2 = 0.  h_line passes a >= -1 here, or the Serre dual's -2 - a >= 0.
     if a == -1:
         return 0, 0
-    # h0 sums b - k*e + 1 over the k in 0..a where it is positive, which are
-    # k = 0..top (e >= 0 in genus zero); h1 sums minus the other terms, so
-    # the sum over all k is chi = h0 - h1.  Both are arithmetic series, and
-    # n*(n+1) is even, so each division is exact.
+    # h0 sums b - k*e + 1 over the k in 0..a where it is positive, and h1 sums
+    # k*e - b - 1 over the k in 0..a where that is positive (e >= 0 in genus
+    # zero).  Each is an arithmetic series of its own, so neither is read off
+    # the other or off chi.
+    if e == 0:  # every k gives the same term
+        return ((a + 1) * (b + 1), 0) if b >= -1 else (0, -(a + 1) * (b + 1))
+    # h0 takes k = 0..top and h1 takes k = low..a.  top*(top + 1) is even, and
+    # so is n*(low + a) for the n = a - low + 1 terms of h1: each division is exact.
     if b < 0:
-        top = -1
-    elif e == 0:
-        top = a
+        h0 = 0
+        low = 1 if b == -1 else 0
     else:
         top = min(a, b // e)
-    h0 = (top + 1) * (b + 1) - e * top * (top + 1) // 2
-    chi = (a + 1) * (b + 1) - e * a * (a + 1) // 2
-    return h0, h0 - chi
+        h0 = (top + 1) * (b + 1) - e * top * (top + 1) // 2
+        low = (b + 1) // e + 1
+    if low > a:
+        return h0, 0
+    return h0, (a - low + 1) * (e * (low + a) - 2 * (b + 1)) // 2
 
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:

@@ -345,13 +345,22 @@ def _run(name: str, grid: Callable[..., Grid], bounds: dict) -> SuiteResult:
 
 
 def run_suite(name: str, **bounds) -> list[SuiteResult]:
-    """Run one named suite, or all of them, each given only the bounds it accepts."""
+    """Run one named suite, or all of them, each given only the bounds it accepts.
+
+    A bound that the named suite, or for `all` every suite, does not take is
+    refused with a ValueError before any grid runs.
+    """
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    taken = frozenset().union(*(SUITES[suite_name][1] for suite_name in names))
+    unknown = [k for k in bounds if k not in taken]
+    if unknown:
+        who = "no suite takes" if name == "all" else f"suite {name} takes no"
+        raise ValueError(f"{who} {', '.join(unknown)}")
     results = []
     for suite_name in names:
         grid, accepted = SUITES[suite_name]

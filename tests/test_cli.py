@@ -141,6 +141,16 @@ MALFORMED_LITERALS = [
      "malformed cycle literal '1,0,0,0)': expected '(' at position 0"),
     (["surface", "push", "--e", "0", "--x", "(1,0.5,0,0)"],
      "malformed cycle literal '(1,0.5,0,0)': expected exact rational p or p/q at position 3"),
+    # digits that int() reads but the grammar does not: the position is the first of them
+    (["coh", "line", "--e", "0", "--D", "\uff11*h+\u0663*f"],
+     "malformed divisor literal '\uff11*h+\u0663*f': expected integer h-coefficient at position 0"),
+    (["coh", "line", "--e", "0", "--D", "1*h+\u0663*f"],
+     "malformed divisor literal '1*h+\u0663*f': "
+     "expected signed integer f-coefficient at position 3"),
+    (["split", "h1end", "--type", "(1,\u0660)"],
+     "malformed splitting type literal '(1,\u0660)': expected integer part at position 3"),
+    (["surface", "push", "--e", "0", "--x", "(1,0,0,\u0661)"],
+     "malformed cycle literal '(1,0,0,\u0661)': expected exact rational p or p/q at position 7"),
 ]
 
 
@@ -156,9 +166,12 @@ def test_a_result_with_no_rows_renders_as_no_rows(capsys):
 
 @pytest.mark.parametrize("r", [1000, 5000])
 def test_enumerate_at_a_rank_past_the_recursion_limit(capsys, r):
+    start = time.perf_counter()
     code, out = _run(capsys, ["split", "enumerate", "--r", str(r), "--d", "0",
                               "--max-spread", "0"])
+    elapsed = time.perf_counter() - start
     assert code == 0
+    assert elapsed < 2.0, f"split enumerate took {elapsed:.2f} s"
     assert out.splitlines() == ["type", "(" + ",".join(["0"] * r) + ")"]
 
 
@@ -178,6 +191,17 @@ ARGPARSE_ERRORS = {
                          "the following arguments are required: --r"),
     "unknown flag": (["split", "rigid", "--r", "5", "--d", "1", "--frobnicate", "1"],
                      "unrecognized arguments: --frobnicate 1"),
+    "unknown flag, coh": (["coh", "line", "--e", "0", "--D", "1*h+0*f", "--bogus"],
+                          "unrecognized arguments: --bogus"),
+    # an int flag takes [+-]?[0-9]+ only, though int() also reads these
+    "foreign digit": (["split", "rigid", "--r", " \u0665", "--d", "1_0"],
+                      "argument --r: invalid int value: ' \u0665'"),
+    "foreign digit e": (["coh", "line", "--e", "\u0663", "--D", "1*h+1*f"],
+                        "argument --e: invalid int value: '\u0663'"),
+    "underscore": (["coh", "line", "--e", "1_0", "--D", "1*h+1*f"],
+                   "argument --e: invalid int value: '1_0'"),
+    "space": (["coh", "line", "--e", " 1", "--D", "1*h+1*f"],
+              "argument --e: invalid int value: ' 1'"),
 }
 
 
@@ -187,9 +211,10 @@ def test_argparse_error_honours_format_and_out(capsys, tmp_path, case):
     target = tmp_path / "report.json"
     code, out = _run(capsys, argv + ["--format", "json", "--out", str(target)])
     assert code == 1
-    assert json.loads(out) == {"subcommand": "split", "inputs": {},
+    assert json.loads(out) == {"subcommand": argv[0], "inputs": {},
                                "results": [{"error": error}], "status": "input-error"}
     assert target.read_text(encoding="utf-8") == out
+    assert _run(capsys, argv) == (1, f"status: input-error\nerror\n{error}\n")
 
 
 def test_argparse_error_falls_back_to_table(capsys, tmp_path):
@@ -283,6 +308,14 @@ def test_bundle_literal_round_trip():
     assert format_bundle(bundle) == text
     with pytest.raises(ValueError):
         parse_bundle("r=2; c2=3")
+    with pytest.raises(ValueError):
+        parse_bundle("r=\u0662; c1=2*h+0*f; c2=3; e=1; q=0")
+
+
+def test_a_literal_is_echoed_in_its_canonical_form(capsys):
+    code, out = _run(capsys, ["coh", "line", "--e", "+1", "--D", "+01*h+002*f", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"op": "line", "q": 0, "e": 1, "D": "1*h+2*f"}
 
 
 def test_rational_and_cycle_literals():
@@ -512,21 +545,28 @@ def test_importing_verify_loads_no_cli():
 
 
 def _modules_added_by(statement):
-    """The modules a fresh python adds to sys.modules while it runs statement."""
+    """What a fresh python prints while it runs statement, and the modules it adds meanwhile."""
     probe = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*set(sys.modules) - before)"
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True,
                           text=True, timeout=60, check=True)
-    return set(proc.stdout.split())
+    *printed, added = proc.stdout.split("\n")[:-1]
+    return printed, set(added.split())
 
 
 def test_importing_cli_loads_no_dataclasses_inspect_or_json():
-    added = _modules_added_by("import ruledsurf.cli")
+    # the fresh python imports the CLI, then answers a table request as the console script does
+    printed, added = _modules_added_by(
+        "import ruledsurf.cli\n"
+        "sys.argv = ['ruledsurf', 'split', 'rigid', '--r', '5', '--d', '7']\n"
+        "assert ruledsurf.cli.main() == 0")
+    assert printed == ["type", "(2,2,1,1,1)"]
     assert "ruledsurf.cli" in added
     assert not added & {"dataclasses", "inspect", "json"}
 
 
 def test_importing_verify_loads_no_dataclasses_or_inspect():
-    added = _modules_added_by("import ruledsurf.verify")
+    printed, added = _modules_added_by("import ruledsurf.verify")
+    assert printed == []
     assert "ruledsurf.verify" in added
     assert not added & {"dataclasses", "inspect"}
 
@@ -688,12 +728,18 @@ LARGE_COEFFICIENT_OPS = {
     "stab-far-certificate": (["coh", "stab", "--e", "0", "--summands",
                               "0*h+0*f,-1000000*h-1000000*f", "--t", "1", "--s", "1",
                               "--y-max", "1000000"], "1"),
+    "stab-far-certificate-1e8": (["coh", "stab", "--e", "0", "--summands",
+                                  "0*h+0*f,-100000000*h-100000000*f", "--t", "1", "--s", "1",
+                                  "--y-max", "100000000"], "1"),
     "growth-far": (["coh", "growth", "--e", "1", "--summands", "0*h+0*f,1*h+5*f",
                     "--t", "1", "--s", "2", "--n", "300000"], "54000180002700003"),
     "growth-long-stretch": (["coh", "growth", "--e", "1", "--summands",
                              "0*h+0*f,0*h-100000000*f", "--t", "1", "--s", "2",
                              "--n", "200000000"], "16083333414583333325000000"),
     "verify-growth": (["verify", "growth", "--n-max", "400"], "growth 21 true"),
+    # one row of 12 MB: three million zero obstructions, then the lifts cell
+    "lift": (["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", "3000000"],
+             "[" + ",".join(["0"] * 3000000) + "] true"),
 }
 
 
@@ -789,10 +835,12 @@ def test_every_int_flag_at_huge_magnitude_keeps_the_exit_contract(capsys, argv):
 
 
 # Literals that no literal flag accepts: empty, a stray word or space, missing or
-# foreign pieces, a dangling comma, floats, a zero denominator and a rising type.
+# foreign pieces, a dangling comma, floats, a zero denominator, a rising type and a
+# digit from another script (ARABIC-INDIC THREE).
 BAD_LITERALS = (
     "", "x", "h+0*f", "1h+0*f", "1*h+f", "1*h+2*g", "1*h+0*f+", "1*h+0*f,", "1.5*h+0*f",
     " 1*h+0*f", "(1,2", "(1,,2)", "(1,x)", "(2,3)", "(1/0,0,0,0)", "(1,0.5,0,0)",
+    "1*h+\u0663*f",
 )
 # Literal flags left out of the sweep, as the words that name an op and the flag.
 UNSWEPT_LITERALS = ()
@@ -930,6 +978,21 @@ def test_verify_all_reports_a_raising_suite_in_its_row(capsys):
     assert rows[-1] == {"suite": "growth", "points": 21, "ok": False, "counterexample": {
         "exception": "StabilizationError",
         "message": "no stabilization within y_max=3: the certified tail was not reached"}}
+
+
+def test_verify_all_prints_the_default_table(capsys):
+    assert _run(capsys, ["verify", "all"]) == (0, textwrap.dedent("""\
+        suite      points  ok
+        serre      1445    true
+        euler      1445    true
+        conormal   48      true
+        theoremC   9680    true
+        dominance  1013    true
+        rigid      356     true
+        lifting    235     true
+        extension  24200   true
+        growth     21      true
+        """))
 
 
 def test_verify_table_leaves_the_counterexample_cell_of_an_ok_row_blank(capsys):

@@ -161,6 +161,19 @@ def test_all_routes_each_bound_to_the_suites_that_take_it():
     ]
 
 
+@pytest.mark.parametrize("name, bounds, error", [
+    ("theoremC", {"r_mx": 2}, "suite theoremC takes no r_mx"),
+    ("rigid", {"e_max": 1, "d_max": 2}, "suite rigid takes no e_max"),
+    ("all", {"r_max": 2, "r_mx": 2, "spred": 1}, "no suite takes r_mx, spred"),
+], ids=["typo", "another suite's bound", "all"])
+def test_a_bound_no_suite_takes_is_refused_before_any_grid_runs(monkeypatch, name, bounds,
+                                                                 error):
+    monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a grid ran"))
+    with pytest.raises(ValueError) as err:
+        verify.run_suite(name, **bounds)
+    assert str(err.value) == error
+
+
 def test_each_suite_accepts_the_parameters_of_its_grid():
     # SUITES reads them off the grid's code object; inspect is the slower reference
     assert len(verify.SUITES) == 9
