@@ -5,16 +5,22 @@
 
 BASE.jsonl and HEAD.jsonl hold the lines that `perfbench/run.py --record`
 appended while running the parent commit and the change, with the same
-seeds and --seconds.  For every workload with runs on both sides and every
-end-to-end metric of BENCHMARK.json, the file gives each side's median and
-quartiles and its seeds, the change of the medians (positive means better)
-and the verdict of `perfbench/compare.py`, whose rules it imports.
+seeds and --seconds.  For every workload with untraced runs on both sides
+and every end-to-end metric of BENCHMARK.json, the file gives each side's
+median and quartiles and its seeds, the change of the medians (positive
+means better) and the verdict of `perfbench/compare.py`, whose rules it
+imports.  Where both sides also hold `--trace 1` runs of the workload, every
+per-layer metric of BENCHMARK.json follows the end-to-end rows, with each
+side's median over its traced runs, their seeds and the change of the
+medians, but no verdict: a traced round or two per side is a view of where
+the time goes, not paired evidence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -23,9 +29,39 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.compare import ROOT, load, quartiles, verdict  # noqa: E402
 
 
+def load_traced(path) -> dict:
+    """The correct `--trace 1` records of a --record file, by workload."""
+    runs = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["trace"] == 1 and record["result"]["correct"]:
+            runs.setdefault(record["workload"], []).append(record)
+    return runs
+
+
+def per_layer(declared, base_runs, head_runs) -> dict:
+    """Each side's median of every declared per-layer metric that both sides report."""
+    rows = {}
+    for metric in declared:
+        m = metric["name"]
+        sides = [{r["seed"]: r["result"]["metrics"][m]["value"]
+                  for r in runs if m in r["result"]["metrics"]}
+                 for runs in (base_runs, head_runs)]
+        if not all(sides):
+            continue
+        base, head = (statistics.median(side.values()) for side in sides)
+        sign = 1 if metric["better"] == "higher" else -1
+        rows[m] = {"base": {"median": base, "seeds": sorted(sides[0])},
+                   "head": {"median": head, "seeds": sorted(sides[1])},
+                   "unit": metric["unit"],
+                   "change": sign * (head - base) / base if base else None}
+    return rows
+
+
 def summary(base_path, head_path, parent: str) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     base, head = load(base_path), load(head_path)
+    traced = [load_traced(base_path), load_traced(head_path)]
     workloads = {}
     for workload in spec["workloads"]:
         name = workload["name"]
@@ -42,6 +78,8 @@ def summary(base_path, head_path, parent: str) -> dict:
                 q1, median, q3 = quartiles(list(side.values()))
                 row[label] = {"median": median, "q1": q1, "q3": q3, "seeds": sorted(side)}
             metrics[m] = {**row, "unit": metric["unit"], "change": change, "verdict": word}
+        if all(name in side for side in traced):
+            metrics.update(per_layer(spec["per_layer"], *(side[name] for side in traced)))
         workloads[name] = metrics
     return {"parent": parent, "workloads": workloads}
 

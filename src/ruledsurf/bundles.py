@@ -10,11 +10,14 @@ The jumping count deliberately travels four independent roads: the
 closed form, c2 of the normalizing twist, minus the Euler characteristic
 of the once-more twisted bundle, and grr_verify, which pushes the Chern
 character times the Todd class to the base (Grothendieck-Riemann-Roch).
-That road holds the truncated cycle ring in integers scaled by 2, since
-every denominator there divides 2; the public Fraction ring of geometry
-(chern_character, cycle_mul, pushforward_to_curve, curve_mul) is its
-oracle in the tests.  No road calls another to check itself; the
-verification grids and the tests compare them all.
+Every road runs in ints: each pairing is written out from the
+coefficients instead of building classes for intersect, and the GRR road
+holds the truncated cycle ring in integers scaled by 2, since every
+denominator there divides 2.  The public Fraction ring of geometry
+(chern_character, cycle_mul, pushforward_to_curve, curve_mul) and the
+class arithmetic these bodies replaced are their oracles in the tests.
+No road calls another to check itself; the verification grids and the
+tests compare them all.
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import (
-    SECTION,
     DivisorClass,
     SurfaceGeometry,
     _require_int,
-    _set,
     _Value,
-    canonical_class,
+    _wrong_type,
     intersect,
 )
 
@@ -37,14 +38,19 @@ class BundleNumerics(_Value):
     """Numerical data (geometry, rank, c1, c2) of a vector bundle on the surface."""
 
     def __init__(self, g: SurfaceGeometry, r: int, c1: DivisorClass, c2: int):
+        if type(g) is not SurfaceGeometry:
+            raise _wrong_type("g", SurfaceGeometry, g)
         if type(r) is not int or type(c2) is not int:
             _require_int("rank and c2", r, c2)
+        if type(c1) is not DivisorClass:
+            raise _wrong_type("c1", DivisorClass, c1)
         if r < 1:
             raise ValueError(f"rank must be at least 1, got {r}")
-        _set(self, "g", g)
-        _set(self, "r", r)
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
+        fields = self.__dict__
+        fields["g"] = g
+        fields["r"] = r
+        fields["c1"] = c1
+        fields["c2"] = c2
 
 
 class ExtensionData(_Value):
@@ -57,16 +63,19 @@ class ExtensionData(_Value):
 
     def __init__(self, g: SurfaceGeometry, r: int, x: int, a: int, deg_sub: int,
                  deg_quot: int):
+        if type(g) is not SurfaceGeometry:
+            raise _wrong_type("g", SurfaceGeometry, g)
         if not (type(r) is type(x) is type(a) is type(deg_sub) is type(deg_quot) is int):
             _require_int("extension ranks, twist and degrees", r, x, a, deg_sub, deg_quot)
         if not 0 < x < r:
             raise ValueError(f"need 0 < x < r, got x={x}, r={r}")
-        _set(self, "g", g)
-        _set(self, "r", r)
-        _set(self, "x", x)
-        _set(self, "a", a)
-        _set(self, "deg_sub", deg_sub)
-        _set(self, "deg_quot", deg_quot)
+        fields = self.__dict__
+        fields["g"] = g
+        fields["r"] = r
+        fields["x"] = x
+        fields["a"] = a
+        fields["deg_sub"] = deg_sub
+        fields["deg_quot"] = deg_quot
 
 
 def fiber_degree(bundle: BundleNumerics) -> int:
@@ -75,15 +84,21 @@ def fiber_degree(bundle: BundleNumerics) -> int:
 
 
 def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
-    """Tensor by the line bundle O(line): standard rank/c1/c2 transformation."""
-    g, r = bundle.g, bundle.r
-    c1 = bundle.c1 + r * line
+    """Tensor by the line bundle O(line): standard rank/c1/c2 transformation.
+
+    c1 + r*L and c2 + (r-1) c1.L + r(r-1)/2 L.L, the pairings written out
+    from the coefficients as in intersect.
+    """
+    if type(line) is not DivisorClass:  # its coefficients are read as ints
+        raise _wrong_type("line", DivisorClass, line)
+    g, r, c1 = bundle.g, bundle.r, bundle.c1
+    e, a, b, la, lb = g.e, c1.a, c1.b, line.a, line.b
     c2 = (
         bundle.c2
-        + (r - 1) * intersect(g, bundle.c1, line)
-        + (r * (r - 1) // 2) * intersect(g, line, line)
+        + (r - 1) * (-e * a * la + a * lb + la * b)
+        + (r * (r - 1) // 2) * (la * (2 * lb - e * la))
     )
-    return BundleNumerics(g, r, c1, c2)
+    return BundleNumerics(g, r, DivisorClass(a + r * la, b + r * lb), c2)
 
 
 def _require_balanced_regime(bundle: BundleNumerics, a: int):
@@ -103,28 +118,28 @@ def jumping_count(bundle: BundleNumerics, a: int) -> int:
     the twist by -a*h; the theoremC grid compares the two.
     """
     _require_balanced_regime(bundle, a)
-    g, r = bundle.g, bundle.r
-    return (
-        bundle.c2
-        - a * (r - 1) * intersect(g, bundle.c1, SECTION)
-        - g.e * a * a * (r * (r - 1) // 2)
-    )
+    e, r, c1 = bundle.g.e, bundle.r, bundle.c1
+    # c1.h = -e*c1.a + c1.b
+    return bundle.c2 - a * (r - 1) * (c1.b - e * c1.a) - e * a * a * (r * (r - 1) // 2)
+
+
+def _pushforward_degree(bundle: BundleNumerics, a: int) -> int:
+    e, r, c1 = bundle.g.e, bundle.r, bundle.c1
+    return ((1 + a * (r - 1)) * (c1.b - e * c1.a) - bundle.c2
+            + e * a * (r + a * (r * (r - 1) // 2)))
 
 
 def pushforward_degree(bundle: BundleNumerics, a: int) -> int:
     """Degree of the pushforward of the normalized bundle: -z + c1.h + r*a*e, z expanded."""
     _require_balanced_regime(bundle, a)
-    g, r = bundle.g, bundle.r
-    c1h = intersect(g, bundle.c1, SECTION)
-    return (1 + a * (r - 1)) * c1h - bundle.c2 + g.e * a * (r + a * (r * (r - 1) // 2))
+    return _pushforward_degree(bundle, a)
 
 
 def euler_char_bundle(bundle: BundleNumerics) -> int:
     """Riemann-Roch on the surface: r(1-q) + c1.(c1 - K)/2 - c2, any genus."""
-    g = bundle.g
-    # c1.(c1 - K) = 2(ab - qa + a + b) - e*a(a + 1) is even, so the halving is exact
-    pairing = intersect(g, bundle.c1, bundle.c1 - canonical_class(g))
-    return bundle.r * (1 - g.q) + pairing // 2 - bundle.c2
+    q, e, a, b = bundle.g.q, bundle.g.e, bundle.c1.a, bundle.c1.b
+    # c1.(c1 - K)/2 = ab - qa + a + b - e*a(a + 1)/2, and a(a + 1) is even
+    return bundle.r * (1 - q) + a * b - q * a + a + b - e * (a * (a + 1) // 2) - bundle.c2
 
 
 def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
@@ -135,7 +150,7 @@ def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
     z = -chi.  Computed without reference to the closed form.
     """
     _require_balanced_regime(bundle, a)
-    return -euler_char_bundle(twist(bundle, -(a + 1) * SECTION))
+    return -euler_char_bundle(twist(bundle, DivisorClass(-(a + 1), 0)))
 
 
 class GrrReport(_Value):
@@ -143,10 +158,11 @@ class GrrReport(_Value):
 
     def __init__(self, rank_ok: bool, degree_ok: bool, lhs_degree: Fraction,
                  rhs_degree: int):
-        _set(self, "rank_ok", rank_ok)
-        _set(self, "degree_ok", degree_ok)
-        _set(self, "lhs_degree", lhs_degree)
-        _set(self, "rhs_degree", rhs_degree)
+        fields = self.__dict__
+        fields["rank_ok"] = rank_ok
+        fields["degree_ok"] = degree_ok
+        fields["lhs_degree"] = lhs_degree
+        fields["rhs_degree"] = rhs_degree
 
 
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
@@ -160,15 +176,17 @@ def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     (c1^2 - 2c2)/2, so ch and td are held as integers scaled by 2, their
     product as integers scaled by 4, and only lhs_degree becomes a
     Fraction.  geometry's public cycle ring computes the same product in
-    Fractions and is the oracle for this one in the tests.
+    Fractions and is the oracle for this one in the tests.  The right side
+    is the closed form of pushforward_degree, on the regime checked here.
     """
     _require_balanced_regime(bundle, a)
     g = bundle.g
-    normalized = twist(bundle, -a * SECTION)
+    normalized = twist(bundle, DivisorClass(-a, 0))
     c1 = normalized.c1
-    # 2*ch = (2r, 2*c1, c1^2 - 2c2); 2*td = (2, -K, 2(1 - q)) with -K = 2h + (e + 2 - 2q)f
+    # 2*ch = (2r, 2*c1, c1^2 - 2c2) with c1^2 = c1.a*(2*c1.b - e*c1.a);
+    # 2*td = (2, -K, 2(1 - q)) with -K = 2h + (e + 2 - 2q)f
     ch_r, ch_h, ch_f = 2 * normalized.r, 2 * c1.a, 2 * c1.b
-    ch_pt = intersect(g, c1, c1) - 2 * normalized.c2
+    ch_pt = c1.a * (2 * c1.b - g.e * c1.a) - 2 * normalized.c2
     td_r, td_h, td_f, td_pt = 2, 2, g.e + 2 - 2 * g.q, 2 * (1 - g.q)
     # 4 * pi_*(ch * td): the h part maps onto the base, the point part to a
     # point, and the degree-0 and f parts die
@@ -179,7 +197,7 @@ def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     )
     # times todd_curve(q)^-1 = 1 + (q - 1)[pt]
     degree4 = pushed_pt4 + (g.q - 1) * rank4
-    rhs = pushforward_degree(bundle, a)
+    rhs = _pushforward_degree(bundle, a)
     return GrrReport(
         rank_ok=rank4 == 4 * bundle.r,
         degree_ok=degree4 == 4 * rhs,

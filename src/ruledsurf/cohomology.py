@@ -30,8 +30,8 @@ from .geometry import (
     DivisorClass,
     SurfaceGeometry,
     _require_int,
-    _set,
     _Value,
+    _wrong_type,
     canonical_class,
 )
 
@@ -55,9 +55,12 @@ class CohomologyTable(_Value):
     """The three cohomology dimensions (h0, h1, h2) of a sheaf on a surface."""
 
     def __init__(self, h0: int, h1: int, h2: int):
-        _set(self, "h0", h0)
-        _set(self, "h1", h1)
-        _set(self, "h2", h2)
+        if not (type(h0) is type(h1) is type(h2) is int):
+            _require_int("cohomology dimensions", h0, h1, h2)
+        fields = self.__dict__
+        fields["h0"] = h0
+        fields["h1"] = h1
+        fields["h2"] = h2
 
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
@@ -70,7 +73,10 @@ class SplitBundle(_Value):
         summands = tuple(summands)
         if not summands:
             raise ValueError("a split bundle needs at least one summand")
-        _set(self, "summands", summands)
+        for summand in summands:
+            if type(summand) is not DivisorClass:
+                raise _wrong_type("each summand", DivisorClass, summand)
+        self.__dict__["summands"] = summands
 
     def rank(self) -> int:
         return len(self.summands)
@@ -88,8 +94,9 @@ class ConormalData(_Value):
         _require_int("conormal degrees", t, s)
         if t <= 0:
             raise ValueError(f"conormal h-degree must be positive, got t={t}")
-        _set(self, "t", t)
-        _set(self, "s", s)
+        fields = self.__dict__
+        fields["t"] = t
+        fields["s"] = s
 
 
 def check_conormal(g: SurfaceGeometry, c: ConormalData):

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# how a value's __init__ stores its fields, since _Value refuses assignment
-_set = object.__setattr__
-
 
 class _Value:
     """An immutable value, equal within its class and hashed by its fields.
 
-    A subclass's __init__ validates its arguments, then stores them with
-    _set in declared order, so its __dict__ holds the fields in that order.
+    A subclass's __init__ validates its arguments, then writes them straight
+    into its instance dict, `fields = self.__dict__; fields["x"] = x`, in
+    declared order, so __dict__ holds the fields in that order.  Writing the
+    dict bypasses __setattr__, which refuses every assignment, for the cost
+    of one dict store per field.
     """
 
     def __eq__(self, other):
@@ -68,12 +68,19 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact integer or rational, got {value!r}")
 
 
+def _wrong_type(what: str, expected: type, value) -> TypeError:
+    """The refusal of a field that must hold a value of class `expected` exactly."""
+    return TypeError(f"{what} must be a {expected.__name__}, got {type(value).__name__}")
+
+
 def _require_int(what: str, *values) -> None:
     """Reject any value that is not an exact int: bool, float and Fraction included.
 
-    DivisorClass, built several times per point of every verify grid, tests
-    `type(v) is int` inline and calls this only to raise: one call per
-    divisor made the extension grid about a sixth slower.
+    The classes built at every point of a verify grid test their int fields
+    inline and call this only to raise: DivisorClass, BundleNumerics,
+    ExtensionData and CohomologyTable with `type(v) is int`, SplittingType
+    with one pass of `map(type, parts)`.  One call per divisor made the
+    extension grid about a sixth slower.
     """
     for value in values:
         if type(value) is not int:  # bool is a subclass of int, so no isinstance
@@ -91,8 +98,9 @@ class SurfaceGeometry(_Value):
             raise ValueError(
                 f"invariant e={e} violates the Nagata-Segre bound e >= -q = {-q}"
             )
-        _set(self, "q", q)
-        _set(self, "e", e)
+        fields = self.__dict__
+        fields["q"] = q
+        fields["e"] = e
 
 
 class DivisorClass(_Value):
@@ -101,8 +109,9 @@ class DivisorClass(_Value):
     def __init__(self, a: int, b: int):
         if type(a) is not int or type(b) is not int:
             _require_int("divisor coefficients", a, b)
-        _set(self, "a", a)
-        _set(self, "b", b)
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -172,10 +181,11 @@ class CycleClass(_Value):
 
     def __init__(self, r0: Fraction, dh: Fraction, df: Fraction, p2: Fraction):
         r0, dh, df, p2 = map(_as_fraction, (r0, dh, df, p2))
-        _set(self, "r0", r0)
-        _set(self, "dh", dh)
-        _set(self, "df", df)
-        _set(self, "p2", p2)
+        fields = self.__dict__
+        fields["r0"] = r0
+        fields["dh"] = dh
+        fields["df"] = df
+        fields["p2"] = p2
 
 
 class CurveCycle(_Value):
@@ -183,8 +193,9 @@ class CurveCycle(_Value):
 
     def __init__(self, r0: Fraction, p1: Fraction):
         r0, p1 = _as_fraction(r0), _as_fraction(p1)
-        _set(self, "r0", r0)
-        _set(self, "p1", p1)
+        fields = self.__dict__
+        fields["r0"] = r0
+        fields["p1"] = p1
 
 
 def cycle_mul(g: SurfaceGeometry, x: CycleClass, y: CycleClass) -> CycleClass:

@@ -16,7 +16,7 @@ import sys
 from itertools import accumulate, chain
 from operator import lt
 
-from .geometry import _require_int, _set, _Value
+from .geometry import _require_int, _Value
 
 
 class SplittingType(_Value):
@@ -30,7 +30,7 @@ class SplittingType(_Value):
             _require_int("splitting-type parts", *parts)
         if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts must be nonincreasing, got {parts}")
-        _set(self, "parts", parts)
+        self.__dict__["parts"] = parts
 
     def rank(self) -> int:
         return len(self.parts)

@@ -44,10 +44,8 @@ from .cohomology import (
     stabilization_index,
 )
 from .geometry import (
-    SECTION,
     DivisorClass,
     SurfaceGeometry,
-    _set,
     _Value,
     canonical_class,
 )
@@ -71,10 +69,11 @@ class SuiteResult(_Value):
     """One suite's outcome: the points it counted and, if it failed, a counterexample."""
 
     def __init__(self, suite: str, points: int, ok: bool, counterexample: dict | None = None):
-        _set(self, "suite", suite)
-        _set(self, "points", points)
-        _set(self, "ok", ok)
-        _set(self, "counterexample", counterexample)
+        fields = self.__dict__
+        fields["suite"] = suite
+        fields["points"] = points
+        fields["ok"] = ok
+        fields["counterexample"] = counterexample
 
 
 # suite name -> (its grid, the bounds it accepts), in registration order
@@ -145,10 +144,10 @@ def _theorem_c(
                     for c2 in range(-c2_max, c2_max + 1):
                         bundle = BundleNumerics(g, r, DivisorClass(r * a, b), c2)
                         z = jumping_count(bundle, a)
-                        z_twist = twist(bundle, -a * SECTION).c2
+                        z_twist = twist(bundle, DivisorClass(-a, 0)).c2
                         z_chi = jumping_count_chi_oracle(bundle, a)
                         report = grr_verify(bundle, a)
-                        m = report.rhs_degree  # grr_verify computed pushforward_degree(bundle, a)
+                        m = report.rhs_degree  # pushforward_degree(bundle, a), in grr_verify
                         yield None
                         ok = (
                             z == z_twist == z_chi

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -219,3 +220,36 @@ def test_integer_fields_reject_every_non_int(field, wrong):
         bundle[field] = wrong
         with pytest.raises(TypeError, match="must be integers"):
             BundleNumerics(G0, bundle[0], ZERO, bundle[1])
+
+
+@pytest.mark.parametrize("build, text", [
+    # a geometry or c1 with the right attributes but the wrong class
+    (lambda: BundleNumerics(SimpleNamespace(q=0, e=1), 2, DivisorClass(2, 0), 0),
+     "g must be a SurfaceGeometry, got SimpleNamespace"),
+    (lambda: BundleNumerics(G1, 2, SimpleNamespace(a=2.0, b=0.5), 0),
+     "c1 must be a DivisorClass, got SimpleNamespace"),
+    (lambda: BundleNumerics(G1, 2, (2, 0), 0), "c1 must be a DivisorClass, got tuple"),
+    (lambda: ExtensionData(SimpleNamespace(e=0.5), 3, 1, 0, 1, 1),
+     "g must be a SurfaceGeometry, got SimpleNamespace"),
+    (lambda: ExtensionData(None, 3, 1, 0, 1, 1), "g must be a SurfaceGeometry, got NoneType"),
+])
+def test_composite_fields_refuse_every_other_class(build, text):
+    with pytest.raises(TypeError) as error:
+        build()
+    assert str(error.value) == text
+
+
+@pytest.mark.parametrize("line, name", [
+    (SimpleNamespace(a=True, b=0), "SimpleNamespace"), ((1, 0), "tuple"), (None, "NoneType"),
+])
+def test_twist_refuses_a_line_of_another_class(line, name):
+    with pytest.raises(TypeError) as error:
+        twist(BundleNumerics(G1, 2, DivisorClass(2, 0), 3), line)
+    assert str(error.value) == f"line must be a DivisorClass, got {name}"
+
+
+def test_a_float_c1_never_reaches_a_jumping_count():
+    # without the class checks, jumping_count answers 0.5 here
+    geometry, c1 = SimpleNamespace(q=0, e=1), SimpleNamespace(a=2.0, b=0.5)
+    with pytest.raises(TypeError, match="^g must be a SurfaceGeometry"):
+        jumping_count(BundleNumerics(geometry, 2, c1, 0), 1)

@@ -29,19 +29,31 @@ only the pairs with b_j > b_i + 1; `h1_end_double_sum` sums max(0, ...)
 over every ordered pair.  specialization_chain updates its prefix sums in
 place; `specialization_chain_loop` recomputes them and rescans from the
 first part at every step, and the two chains are compared element by
-element.
+element.  The bundles roads write their pairings out in ints: `twist_by_classes`
+builds c1 + r*L as classes and pairs by intersect, `euler_char_bundle_pairing`
+builds K and c1 - K, and `jumping_count_section` and
+`pushforward_degree_section` pair c1 with SECTION; grr_verify's right side
+is checked against the last.
 """
 
 import functools
 import itertools
 import sys
+from fractions import Fraction
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from ruledsurf.bundles import BundleNumerics, euler_char_bundle
+from ruledsurf.bundles import (
+    BundleNumerics,
+    euler_char_bundle,
+    grr_verify,
+    jumping_count,
+    pushforward_degree,
+    twist,
+)
 from ruledsurf.cohomology import (
     CohomologyTable,
     ConormalData,
@@ -59,6 +71,7 @@ from ruledsurf.cohomology import (
 )
 from ruledsurf.geometry import (
     FIBER,
+    SECTION,
     ZERO,
     DivisorClass,
     SurfaceGeometry,
@@ -722,3 +735,109 @@ def test_h1_end_matches_double_sum(t):
 @given(huge_types(12))  # the chain takes up to 7 * 12 steps at rank 8
 def test_specialization_chain_matches_loop(t):
     assert specialization_chain(t) == specialization_chain_loop(t)
+
+
+def twist_by_classes(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
+    """c1 + r*L by DivisorClass arithmetic, c2 + (r-1) c1.L + r(r-1)/2 L.L by intersect."""
+    g, r = bundle.g, bundle.r
+    c2 = (bundle.c2 + (r - 1) * intersect(g, bundle.c1, line)
+          + (r * (r - 1) // 2) * intersect(g, line, line))
+    return BundleNumerics(g, r, bundle.c1 + r * line, c2)
+
+
+def euler_char_bundle_pairing(bundle: BundleNumerics) -> int:
+    """r(1 - q) + c1.(c1 - K)/2 - c2, with K and c1 - K built as classes."""
+    g = bundle.g
+    pairing = intersect(g, bundle.c1, bundle.c1 - canonical_class(g))
+    return bundle.r * (1 - g.q) + pairing // 2 - bundle.c2
+
+
+def jumping_count_section(bundle: BundleNumerics, a: int) -> int:
+    """c2 - a(r-1) c1.h - e a^2 r(r-1)/2, with c1.h paired with SECTION by intersect."""
+    g, r = bundle.g, bundle.r
+    return (bundle.c2 - a * (r - 1) * intersect(g, bundle.c1, SECTION)
+            - g.e * a * a * (r * (r - 1) // 2))
+
+
+def pushforward_degree_section(bundle: BundleNumerics, a: int) -> int:
+    """(1 + a(r-1)) c1.h - c2 + e a (r + a r(r-1)/2), c1.h by intersect with SECTION."""
+    g, r = bundle.g, bundle.r
+    c1h = intersect(g, bundle.c1, SECTION)
+    return (1 + a * (r - 1)) * c1h - bundle.c2 + g.e * a * (r + a * (r * (r - 1) // 2))
+
+
+def small_geometries(q_max: int, e_max: int):
+    """Every surface with q <= q_max and -q <= e <= e_max."""
+    for q in range(q_max + 1):
+        for e in range(-q, e_max + 1):
+            yield SurfaceGeometry(q, e)
+
+
+def test_twist_matches_class_arithmetic_on_small_grid():
+    lines = [DivisorClass(la, lb) for la in range(-2, 3) for lb in range(-2, 3)]
+    cases = 0
+    for g in small_geometries(2, 3):
+        for r, a, b, c2 in itertools.product(range(1, 4), range(-2, 3), range(-2, 3), (0, 3)):
+            bundle = BundleNumerics(g, r, DivisorClass(a, b), c2)
+            for line in lines:
+                assert twist(bundle, line) == twist_by_classes(bundle, line), (bundle, line)
+                cases += 1
+    assert cases == (4 + 5 + 6) * 3 * 25 * 2 * 25
+
+
+def test_euler_char_bundle_matches_pairing_on_small_grid():
+    for g in small_geometries(3, 5):
+        for r, a, b, c2 in itertools.product(range(1, 4), range(-6, 7), range(-6, 7), (-2, 0, 5)):
+            bundle = BundleNumerics(g, r, DivisorClass(a, b), c2)
+            assert euler_char_bundle(bundle) == euler_char_bundle_pairing(bundle), bundle
+
+
+def test_balanced_counts_match_section_pairing_on_small_grid():
+    """jumping_count, pushforward_degree and grr_verify's right side, in the balanced regime."""
+    for e, r, a, b, c2 in itertools.product(range(5), range(1, 5), range(-3, 4), range(-4, 5),
+                                            range(-3, 4)):
+        bundle = BundleNumerics(SurfaceGeometry(0, e), r, DivisorClass(r * a, b), c2)
+        degree = pushforward_degree_section(bundle, a)
+        assert jumping_count(bundle, a) == jumping_count_section(bundle, a), bundle
+        assert pushforward_degree(bundle, a) == degree, bundle
+        report = grr_verify(bundle, a)
+        assert report.rhs_degree == degree, bundle
+        assert type(report.lhs_degree) is Fraction
+
+
+SMALL_OR_HUGE = st.one_of(st.integers(-5, 5), DIGITS_5000, DIGITS_5000.map(lambda n: -n))
+RANKS = st.one_of(st.integers(1, 5), DIGITS_5000)
+
+
+@st.composite
+def huge_bundles(draw):
+    """A bundle on any surface of huge_surfaces_and_classes, and a line class to twist by."""
+    g, c1 = draw(huge_surfaces_and_classes())
+    bundle = BundleNumerics(g, draw(RANKS), c1, draw(SMALL_OR_HUGE))
+    return bundle, DivisorClass(draw(SMALL_OR_HUGE), draw(SMALL_OR_HUGE))
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(huge_bundles())
+def test_twist_and_euler_char_bundle_match_their_oracles_at_5000_digits(case):
+    bundle, line = case
+    assert twist(bundle, line) == twist_by_classes(bundle, line)
+    assert euler_char_bundle(bundle) == euler_char_bundle_pairing(bundle)
+
+
+@st.composite
+def huge_balanced_bundles(draw):
+    """A genus-zero bundle with c1 = r*a*h + b*f, each number small or at 5000 digits."""
+    e, r = draw(st.one_of(st.integers(0, 5), DIGITS_5000)), draw(RANKS)
+    a, b, c2 = (draw(SMALL_OR_HUGE) for _ in range(3))
+    return BundleNumerics(SurfaceGeometry(0, e), r, DivisorClass(r * a, b), c2), a
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(huge_balanced_bundles())
+def test_balanced_counts_match_section_pairing_at_5000_digits(case):
+    bundle, a = case
+    degree = pushforward_degree_section(bundle, a)
+    assert jumping_count(bundle, a) == jumping_count_section(bundle, a)
+    assert pushforward_degree(bundle, a) == degree
+    assert grr_verify(bundle, a).rhs_degree == degree

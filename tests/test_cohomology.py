@@ -1,4 +1,6 @@
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -227,3 +229,25 @@ def test_h_line_and_euler_char_build_no_intermediate_values(monkeypatch):
             built.clear()
         assert type(euler_char(g, d)) is int
         assert built == {}
+
+
+@pytest.mark.parametrize("summands, text", [
+    ((SimpleNamespace(a=0.5, b=1),), "each summand must be a DivisorClass, got SimpleNamespace"),
+    ((ZERO, (1, 0)), "each summand must be a DivisorClass, got tuple"),
+    ([ZERO, None], "each summand must be a DivisorClass, got NoneType"),
+])
+def test_split_bundle_refuses_a_summand_of_another_class(summands, text):
+    with pytest.raises(TypeError) as error:
+        SplitBundle(summands)
+    assert str(error.value) == text
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("wrong", [True, 1.0, Fraction(1), "1"])
+def test_cohomology_table_refuses_every_non_int(field, wrong):
+    entries = [1, 0, 0]
+    entries[field] = wrong
+    with pytest.raises(TypeError) as error:
+        CohomologyTable(*entries)
+    assert str(error.value) == (
+        f"cohomology dimensions must be integers, got {type(wrong).__name__}")

@@ -6,7 +6,7 @@ before it stopped, and the counterexample it stopped at, as the CLI
 renders the library values it holds.  The default grids passing, with
 their point counts, is pinned by test_acceptance.  The last tests pin
 what the runner reports for a grid that counts no point, and how often a
-theoremC or extension point calls into bundles;
+theoremC or extension point calls into bundles and what values it builds;
 tests/test_cli.py pins what it reports for a grid that raises.
 """
 
@@ -230,3 +230,45 @@ def test_extension_call_structure(monkeypatch):
     assert (result.points, result.ok) == (2420, True)
     assert calls["extension_chern"] == result.points
     assert calls["extension_data_from_chern"] == result.points
+
+
+def _count_builds(monkeypatch, builds, *classes):
+    """Count the values of each class built, by wrapping its __init__.
+
+    The class itself stays bound under its name, since the constructors
+    test `type(x) is DivisorClass` and the like against that name.
+    """
+    for cls in classes:
+        real = cls.__init__
+
+        def counted(self, *args, _name=cls.__name__, _real=real, **kwargs):
+            builds[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+
+def test_theorem_c_builds_per_point(monkeypatch):
+    """Per theoremC point: no intersect, at most 7 divisor classes and 4 bundles.
+
+    The grid's bundle and its c1, then a shift -a*h or -(a+1)*h and the
+    twisted bundle with its c1 for each of the three twists.
+    """
+    builds = Counter()
+    _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics)
+    _count_calls(monkeypatch, builds, geometry, "intersect")
+    (result,) = verify.run_suite("theoremC", r_max=2)
+    assert (result.points, result.ok) == (2420, True)
+    assert builds["intersect"] == 0
+    assert builds["DivisorClass"] <= 7 * result.points
+    assert builds["BundleNumerics"] <= 4 * result.points
+
+
+def test_extension_builds_per_point(monkeypatch):
+    """Per extension point: the grid's ExtensionData, the middle term with its c1, the inverse."""
+    builds = Counter()
+    _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics, ExtensionData)
+    (result,) = verify.run_suite("extension", r_max=2)
+    assert (result.points, result.ok) == (2420, True)
+    assert builds == {"DivisorClass": result.points, "BundleNumerics": result.points,
+                      "ExtensionData": 2 * result.points}
