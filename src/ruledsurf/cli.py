@@ -44,27 +44,16 @@ from .geometry import CurveCycle, CycleClass, DivisorClass, SurfaceGeometry
 from .splitting import SplittingType
 
 
-class CliInputError(ValueError):
-    pass
-
-
 _LEADING_NEG = re.compile(r"-[0-9]")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliInputError(message)
+        raise ValueError(message)
 
     def _parse_optional(self, arg_string):
-        # Divisor literals like -2*h+3*f are values, never flags.
-        result = super()._parse_optional(arg_string)
-        if (
-            isinstance(result, tuple)
-            and result[0] is None
-            and _LEADING_NEG.match(arg_string)
-        ):
-            return None
-        return result
+        # Divisor literals like -2*h+3*f are values: no flag starts with - and a digit.
+        return None if _LEADING_NEG.match(arg_string) else super()._parse_optional(arg_string)
 
     def _get_value(self, action, arg_string):
         # int() also reads other scripts' digits, "1_0" and " 1"; an int flag takes ASCII only.
@@ -82,7 +71,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
 
 def _fail(text: str, pos: int, expected: str, kind: str):
-    raise CliInputError(
+    raise ValueError(
         f"malformed {kind} literal {text!r}: expected {expected} at position {pos}"
     )
 
@@ -528,8 +517,8 @@ def _verify_rows(v):
                    if dest in bounds and dest not in accepted]
         if refused:
             own = [flag for flag, dest in _VERIFY_BOUNDS if dest in accepted]
-            raise CliInputError(f"suite {suite} takes no {', '.join(refused)}; "
-                                f"its bounds are {', '.join(own)}")
+            raise ValueError(f"suite {suite} takes no {', '.join(refused)}; "
+                             f"its bounds are {', '.join(own)}")
     rows = []
     for res in run_suite(suite, **bounds):
         row = {"suite": res.suite, "points": res.points, "ok": res.ok}
@@ -611,7 +600,7 @@ def _requested_output(argv: list[str], ns: argparse.Namespace) -> argparse.Names
     _add_common(p)
     try:
         return p.parse_known_args(argv, ns)[0]
-    except CliInputError:
+    except ValueError:
         ns.format, ns.out = "table", None
         return ns
 
@@ -625,11 +614,12 @@ def _input_error(ns: argparse.Namespace, error: str) -> str:
 
 def _emit(text: str, code: int, ns: argparse.Namespace) -> int:
     """Write --out first, so a reader that closes stdout early cannot lose it, then print."""
-    if ns.out:
+    if ns.out is not None:
         try:
             Path(ns.out).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            text, code = _input_error(ns, f"cannot write --out {ns.out}: {exc.strerror}"), 1
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte, with no strerror
+            reason = getattr(exc, "strerror", None) or exc
+            text, code = _input_error(ns, f"cannot write --out {ns.out}: {reason}"), 1
     print(text)
     return code
 
@@ -644,7 +634,7 @@ def run(argv: list[str]) -> int:
     names = [group] if group in ops else argv[:2] if len(argv) > 1 and argv[1] in ops else []
     try:
         ns = _parser(*names).parse_args(argv[len(names):])
-    except CliInputError as exc:
+    except ValueError as exc:
         ns = _requested_output(argv, argparse.Namespace(group=group))
         return _emit(_input_error(ns, str(exc)), 1, ns)
     except SystemExit:  # argparse --help; _Parser.error raises instead of exiting
@@ -654,7 +644,7 @@ def run(argv: list[str]) -> int:
     args = _Args(ns)
     try:
         rows = rows_of(args)
-    except ValueError as exc:  # CliInputError among them
+    except ValueError as exc:
         return _emit(_input_error(ns, str(exc)), 1, ns)
 
     status = "ok"

@@ -13,6 +13,8 @@ fails as empty, since a check of nothing is no pass.
 A counterexample holds library values (ints, DivisorClass, SplittingType
 and lists of them), not text: the CLI renders them as literals, with the
 same renderer as every other op, so this module never imports the CLI.
+The one exception is theoremC's `grr_degree`, already text: the str() of
+GrrReport.lhs_degree, a Fraction.
 
 SUITES holds the grids: `_suite(name)` registers a grid generator under
 its name, next to the bounds it accepts, which are the grid's parameters,
@@ -100,9 +102,25 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
             for b in range(-coeff_max, coeff_max + 1):
                 d = DivisorClass(a, b)
                 lhs = h_line(g, d)
-                rhs = h_line(g, k - d)
+                if a >= 0:
+                    # h_line would answer for K - D = a'h + b'f (a' <= -2) by Serre
+                    # duality, from D itself, so the dual is taken apart, by relative
+                    # duality on the ruling: pi_* O(K - D) = 0 and R^1 pi_* O(K - D) is
+                    # the sum of O(c), c = b' + i*e for i = 1..-a'-1.  Each O(c) adds its
+                    # h0 (c + 1 if c >= 0) to K - D's h1 and its h1 (-c - 1) to its h2.
+                    h1 = h2 = 0
+                    for i in range(1, a - k.a):
+                        c = k.b - b + i * e
+                        if c >= 0:
+                            h1 += c + 1
+                        else:
+                            h2 -= c + 1
+                    rhs = (h2, h1, 0)
+                else:
+                    dual = h_line(g, k - d)
+                    rhs = (dual.h2, dual.h1, dual.h0)
                 yield None
-                if (lhs.h0, lhs.h1, lhs.h2) != (rhs.h2, rhs.h1, rhs.h0):
+                if (lhs.h0, lhs.h1, lhs.h2) != rhs:
                     yield {"e": e, "D": d}
 
 

@@ -22,7 +22,6 @@ import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
     _GROUPS,
     _VERIFY_BOUNDS,
-    CliInputError,
     _parser,
     build_parser,
     format_bundle,
@@ -593,7 +592,7 @@ def _outcome(parser, argv):
     try:
         with contextlib.redirect_stdout(printed):
             return "namespace", vars(parser.parse_args(argv))
-    except CliInputError as exc:
+    except ValueError as exc:
         return "error", str(exc)
     except SystemExit as exc:
         return "exit", exc.code, printed.getvalue()
@@ -653,6 +652,16 @@ def test_a_request_that_names_an_op_runs_argparse_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_no_option_string_starts_with_a_dash_and_a_digit():
+    # _Parser._parse_optional reads every such word as a value before argparse sees it,
+    # so a flag like -1 could never be given: it would be taken for a literal.
+    full = build_parser()
+    parsers = [full, *_subparsers(full).values(), *(build_parser(*names) for names in LEAVES)]
+    strings = set().union(*(parser._option_string_actions for parser in parsers))
+    assert {"-h", "--help", "--format", "--out", "--coeff-max", "--sub-c1"} <= strings
+    assert [s for s in strings if cli_mod._LEADING_NEG.match(s)] == []
+
+
 def _edited(words, edits, extra):
     """words after each edit: drop, duplicate, swap or add a word."""
     words = list(words)
@@ -688,13 +697,18 @@ def test_leaf_parse_matches_full_tree_parse(names, edits):
 @pytest.mark.parametrize("argv", [["coh", "line", "--e", "0", "--D", "1*h+1*f"],
                                   ["split", "rigid", "--r", "x", "--d", "1"]])
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_an_unwritable_out_is_an_input_error(capsys, tmp_path, argv, fmt):
-    target = tmp_path / "missing" / "x.txt"
-    code, out = _run(capsys, argv + ["--format", fmt, "--out", str(target)])
+@pytest.mark.parametrize("target, reason", [("missing/x.txt", "No such file or directory"),
+                                            ("", "Is a directory"),
+                                            ("a\x00b", "embedded null byte")],
+                         ids=["missing directory", "empty", "NUL byte"])
+def test_an_unwritable_out_is_an_input_error(capsys, monkeypatch, tmp_path, argv, fmt,
+                                             target, reason):
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(capsys, argv + ["--format", fmt, "--out", target])
     assert code == 1
-    error = f"cannot write --out {target}: No such file or directory"
+    error = f"cannot write --out {target}: {reason}"
     assert out == render_report(argv[0], {}, [{"error": error}], "input-error", fmt) + "\n"
-    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_run_latency_budget(capsys):
@@ -796,19 +810,23 @@ def _with_flag(args, flag, value):
     return swept
 
 
-def _int_sweep():
-    """Each op's well-formed call with one int flag set to +10**30 or -10**30."""
+def _int_sweep(values, excluded=()):
+    """Each op's well-formed call with one int flag set to each of values.
+
+    excluded names ops, or an op and one of its flags, as in UNBOUNDED_INTS.
+    """
     cases = []
     for names in LEAVES:
-        if names in UNBOUNDED_INTS:
+        if names in excluded:
             continue
         group, op = names[0], names[-1]
         args = CALLS[names]
-        for flag, kwargs in _GROUPS[group][1][op][1]:
-            if kwargs.get("type") is not int or (*names, flag) in UNBOUNDED_INTS:
+        flags = _GROUPS[group][1][op][1]
+        for flag, kwargs in flags() if callable(flags) else flags:
+            if kwargs.get("type") is not int or (*names, flag) in excluded:
                 continue
-            for value in (str(BIG), str(-BIG)):
-                cases.append([*names, *_with_flag(args, flag, value)])
+            for value in values:
+                cases.append([*names, *_with_flag(args, flag, str(value))])
     return cases
 
 
@@ -826,12 +844,21 @@ def _alarm(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("argv", _int_sweep(), ids=" ".join)
-def test_every_int_flag_at_huge_magnitude_keeps_the_exit_contract(capsys, argv):
+def _keeps_the_exit_contract(capsys, argv):
     with _alarm(2):
         code = run(argv)
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", _int_sweep((BIG, -BIG), UNBOUNDED_INTS), ids=" ".join)
+def test_every_int_flag_at_huge_magnitude_keeps_the_exit_contract(capsys, argv):
+    _keeps_the_exit_contract(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", _int_sweep((0, 1, -1, 2, -2)), ids=" ".join)
+def test_every_int_flag_at_a_boundary_value_keeps_the_exit_contract(capsys, argv):
+    _keeps_the_exit_contract(capsys, argv)
 
 
 # Literals that no literal flag accepts: empty, a stray word or space, missing or

@@ -1,13 +1,14 @@
 """Point counts and first counterexamples of the verify grids.
 
 Each case breaks one oracle that `ruledsurf.verify` calls, at one input or
-everywhere, and pins what the suite reports: how many points it counted
-before it stopped, and the counterexample it stopped at, as the CLI
-renders the library values it holds.  The default grids passing, with
-their point counts, is pinned by test_acceptance.  The last tests pin
-what the runner reports for a grid that counts no point, and how often a
-theoremC or extension point calls into bundles and what values it builds;
-tests/test_cli.py pins what it reports for a grid that raises.
+everywhere, or one line of the library beneath it, and pins what the suite
+reports: how many points it counted before it stopped, and the
+counterexample it stopped at, as the CLI renders the library values it
+holds.  The default grids passing, with their point counts, is pinned by
+test_acceptance.  The last tests pin what the runner reports for a grid
+that counts no point, and how often a theoremC or extension point calls
+into bundles and what values it builds; tests/test_cli.py pins what it
+reports for a grid that raises.
 """
 
 import inspect
@@ -17,6 +18,7 @@ import pytest
 
 import ruledsurf.bundles as bundles
 import ruledsurf.cli as cli
+import ruledsurf.cohomology as cohomology
 import ruledsurf.geometry as geometry
 import ruledsurf.verify as verify
 from ruledsurf.bundles import ExtensionData
@@ -36,6 +38,15 @@ def _lie_at(monkeypatch, name, when, wrong):
     monkeypatch.setattr(verify, name, patched)
 
 
+def _mutated(monkeypatch, module, name, old, new):
+    """Make module.<name> run its own source with old replaced by new, once."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
 def _spread_step(general, special):
     # reflexive and antisymmetric, but (0,-4) is two steps from (-2,-2)
     return general == special or special.spread() - general.spread() == 2
@@ -47,6 +58,11 @@ INJECTED = {
         lambda mp: _lie_at(mp, "h_line", lambda g, d: g.e == 2 and d == DivisorClass(1, 3),
                            lambda t: CohomologyTable(t.h0 + 1, t.h1, t.h2)),
         665, {"e": 2, "D": "-3*h-7*f"}),
+    # a wrong h0 series: the dual side of a point with a >= 0 does not call h_line
+    "serre-h0-series": (
+        lambda mp: _mutated(mp, cohomology, "_h_line_nonneg",
+                            "top = min(a, b // e)", "top = min(a, b // e + 1)"),
+        740, {"e": 2, "D": "1*h+0*f"}),
     "euler": (
         lambda mp: _lie_at(mp, "euler_char", lambda g, d: g.e == 3 and d == DivisorClass(2, -1),
                            lambda chi: chi + 1),
