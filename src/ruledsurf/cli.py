@@ -264,18 +264,13 @@ def render_table(rows: list[dict]) -> str:
 
 
 def render_report(subcommand: str, inputs: dict, rows: list[dict], status: str, fmt: str) -> str:
-    inputs = _encode(inputs)
+    """The report as one JSON object, or as a table of its rows that never reads the inputs."""
     rows = [_encode(row) for row in rows]
     if fmt == "json":
         import json
 
-        report = {
-            "subcommand": subcommand,
-            "inputs": inputs,
-            "results": rows,
-            "status": status,
-        }
-        return json.dumps(report, indent=2)
+        return json.dumps({"subcommand": subcommand, "inputs": _encode(inputs),
+                           "results": rows, "status": status}, indent=2)
     body = render_table(rows)
     if status == "ok":
         return body
@@ -594,12 +589,17 @@ def _parser(*names: str) -> _Parser:
     return build_parser(*names)
 
 
-def _requested_output(argv: list[str], ns: argparse.Namespace) -> argparse.Namespace:
-    """ns given the --format and --out of argv, or a table and no file if they do not parse."""
+@functools.cache
+def _output_parser() -> _Parser:
     p = _Parser(add_help=False)
     _add_common(p)
+    return p
+
+
+def _requested_output(argv: list[str], ns: argparse.Namespace) -> argparse.Namespace:
+    """ns given the --format and --out of argv, or a table and no file if they do not parse."""
     try:
-        return p.parse_known_args(argv, ns)[0]
+        return _output_parser().parse_known_args(argv, ns)[0]
     except ValueError:
         ns.format, ns.out = "table", None
         return ns
@@ -619,7 +619,7 @@ def _emit(text: str, code: int, ns: argparse.Namespace) -> int:
             Path(ns.out).write_text(text + "\n", encoding="utf-8")
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte, with no strerror
             reason = getattr(exc, "strerror", None) or exc
-            text, code = _input_error(ns, f"cannot write --out {ns.out}: {reason}"), 1
+            text, code = _input_error(ns, f"cannot write --out {ns.out!r}: {reason}"), 1
     print(text)
     return code
 

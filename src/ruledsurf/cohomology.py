@@ -196,15 +196,24 @@ def h_split_end(
     """Cohomology of End(bundle) twisted by a divisor class.
 
     End of a direct sum splits into the lines O(D_j - D_i), so the table is
-    the componentwise sum of h_line over all ordered summand pairs.
+    the componentwise sum of h_line over all ordered summand pairs, each
+    distinct difference weighted by its multiplicity.  The sum is taken in
+    ints, with h_line's two branches written out: _h_line_nonneg for
+    a >= -1, and for a <= -2 the same on the Serre dual
+    (-2 - a)*h + (-2 - e - b)*f, whose h0 is this line's h2.
     """
     _require_genus_zero(g)
+    e, ta, tb = g.e, twist.a, twist.b
     h0 = h1 = h2 = 0
     for (da, db), weight in _differences(bundle).items():
-        table = h_line(g, DivisorClass(da + twist.a, db + twist.b))
-        h0 += weight * table.h0
-        h1 += weight * table.h1
-        h2 += weight * table.h2
+        a, b = da + ta, db + tb
+        if a >= -1:
+            x0, x1 = _h_line_nonneg(e, a, b)
+            h0 += weight * x0
+        else:
+            x2, x1 = _h_line_nonneg(e, -2 - a, -2 - e - b)
+            h2 += weight * x2
+        h1 += weight * x1
     return CohomologyTable(h0, h1, h2)
 
 

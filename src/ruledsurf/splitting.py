@@ -18,17 +18,20 @@ from operator import lt
 
 from .geometry import _require_int, _Value
 
+_INT = {int}
+
 
 class SplittingType(_Value):
     """Nonincreasing integer sequence (b1 >= ... >= br), r >= 1."""
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
-        if not parts:
-            raise ValueError("a splitting type needs at least one part")
-        if set(map(type, parts)) != {int}:  # bool, float and Fraction included
+        # one test passes every valid type; the order is compared only once
+        # every part is an int (bool, float and Fraction included)
+        if not parts or {*map(type, parts)} != _INT or any(map(lt, parts, parts[1:])):
+            if not parts:
+                raise ValueError("a splitting type needs at least one part")
             _require_int("splitting-type parts", *parts)
-        if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts must be nonincreasing, got {parts}")
         self.__dict__["parts"] = parts
 
@@ -85,10 +88,11 @@ def specializes(general: SplittingType, special: SplittingType) -> bool:
     type is at least the corresponding prefix sum of the general one (the
     special Harder-Narasimhan polygon lies above).
     """
-    if general.rank() != special.rank() or general.degree() != special.degree():
+    gp, sp = general.parts, special.parts
+    if len(gp) != len(sp) or sum(gp) != sum(sp):
         return False
     pg = ps = 0
-    for bg, bs in zip(general.parts, special.parts):
+    for bg, bs in zip(gp, sp):
         pg += bg
         ps += bs
         if ps < pg:
@@ -102,19 +106,31 @@ def semicontinuity_oracle(general: SplittingType, special: SplittingType) -> boo
     special specializes from general iff h0(special(k)) >= h0(general(k))
     for every twist k.  h0(type(k)) = sum of max(0, b + k + 1) is piecewise
     linear in k with kinks only at k = -b - 1, and the two counts agree
-    past both ends (0 below, d + r(k+1) above), so comparing them at the
-    kinks of both types is exhaustive.  At the kink k = -c - 1 the count
-    is the sum of b - c over the parts b > c; the first kink where the
-    special count is smaller answers False.  Rank or degree mismatch is an error.
+    past both ends (0 below, d + r(k+1) above).  Their difference bends up
+    only at a kink of the special type, so if it is ever negative, it is
+    negative at one of those: comparing the counts there is exhaustive.
+    At the kink k = -c - 1 a count is the sum of b - c over the parts
+    b > c, that is the sum of those parts less c times their number.  The
+    special type's parts are swept once, from largest to smallest, with
+    the number and sum of each type's parts above the current one kept up
+    to date; the first kink where the special count is smaller answers
+    False.  Rank or degree mismatch is an error.
     """
     gp, sp = general.parts, special.parts
-    if len(gp) != len(sp):
+    r = len(gp)
+    if r != len(sp):
         raise ValueError("semicontinuity comparison needs equal ranks")
     if sum(gp) != sum(sp):
         raise ValueError("semicontinuity comparison needs equal degrees")
-    for c in set(gp + sp):
-        if sum([b - c for b in sp if b > c]) < sum([b - c for b in gp if b > c]):
+    # i parts of general lie above c, and j of special at or above it (one at c adds 0)
+    i = above_g = above_s = 0
+    for j, c in enumerate(sp):
+        while i < r and gp[i] > c:
+            above_g += gp[i]
+            i += 1
+        if above_s - j * c < above_g - i * c:
             return False
+        above_s += c
     return True
 
 
@@ -200,8 +216,9 @@ def specialization_chain(target: SplittingType) -> list[SplittingType]:
     from the first j > i whose is at it: the prefix sums on [i, j) gain 1 in
     place, and the next scan resumes at i, as those before it already agree.
     """
-    start = rigid_type(target.rank(), target.degree())
-    tgt = list(accumulate(target.parts))
+    parts = target.parts
+    start = rigid_type(len(parts), sum(parts))
+    tgt = list(accumulate(parts))
     chain = [start]
     cur = list(start.parts)
     pre, i = list(accumulate(cur)), 0

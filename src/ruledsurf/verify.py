@@ -109,8 +109,9 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
                     # the sum of O(c), c = b' + i*e for i = 1..-a'-1.  Each O(c) adds its
                     # h0 (c + 1 if c >= 0) to K - D's h1 and its h1 (-c - 1) to its h2.
                     h1 = h2 = 0
+                    dual_b = k.b - b
                     for i in range(1, a - k.a):
-                        c = k.b - b + i * e
+                        c = dual_b + i * e
                         if c >= 0:
                             h1 += c + 1
                         else:
@@ -227,7 +228,8 @@ def _dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
 
 
 def _is_elementary_move(before: SplittingType, after: SplittingType) -> bool:
-    return sorted([bv - av for av, bv in zip(before.parts, after.parts) if bv != av]) == [-1, 1]
+    moved = [bv - av for av, bv in zip(before.parts, after.parts) if bv != av]
+    return moved == [1, -1] or moved == [-1, 1]
 
 
 def _chain_valid(rigid: SplittingType, target: SplittingType, chain: list[SplittingType]) -> bool:

@@ -699,16 +699,33 @@ def test_leaf_parse_matches_full_tree_parse(names, edits):
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("target, reason", [("missing/x.txt", "No such file or directory"),
                                             ("", "Is a directory"),
+                                            ("nodir\nstatus: ok/x", "No such file or directory"),
                                             ("a\x00b", "embedded null byte")],
-                         ids=["missing directory", "empty", "NUL byte"])
+                         ids=["missing directory", "empty", "newline", "NUL byte"])
 def test_an_unwritable_out_is_an_input_error(capsys, monkeypatch, tmp_path, argv, fmt,
                                              target, reason):
     monkeypatch.chdir(tmp_path)
     code, out = _run(capsys, argv + ["--format", fmt, "--out", target])
     assert code == 1
-    error = f"cannot write --out {target}: {reason}"
+    error = f"cannot write --out {target!r}: {reason}"
     assert out == render_report(argv[0], {}, [{"error": error}], "input-error", fmt) + "\n"
+    if fmt == "table":  # the path is quoted, so a newline in it cannot start a row
+        assert out.splitlines() == ["status: input-error", "error", error]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("status", ["ok", "input-error"])
+def test_a_table_report_does_not_read_its_inputs(status):
+    rows = [{"h0": 3, "h1": 0, "h2": 0}]
+    table = render_report("coh", {}, rows, status, "table")
+    # an input past Python's digit limit, and one that no literal renders
+    for inputs in ({"op": "line", "D": DivisorClass(10 ** 5000, 1)}, {"x": object()}):
+        assert render_report("coh", inputs, rows, status, "table") == table
+    inputs = {"op": "line", "e": 2, "D": DivisorClass(1, -2)}
+    report = json.loads(render_report("coh", inputs, rows, status, "json"))
+    assert report["inputs"] == {"op": "line", "e": 2, "D": "1*h-2*f"}
+    with pytest.raises(TypeError):
+        render_report("coh", {"x": object()}, rows, status, "json")
 
 
 def test_repeated_run_latency_budget(capsys):

@@ -9,8 +9,12 @@ stabilization_index reads the y with h1 != 0 off each summand difference;
 `stabilization_descent` is the search it replaced, which walks down from the
 certificate evaluating h1 at one twist at a time, and the index is also
 checked against the h1 values past it.  semicontinuity_oracle
-compares section counts only at their kinks; `semicontinuity_window`
-compares them at every twist of a window outside which both saturate.
+sweeps the special type's kinks once, keeping both counts up to date;
+`semicontinuity_window` compares them at every twist of a window outside
+which both saturate, and `semicontinuity_at_every_kink` sums both afresh
+at every kink of either type.  h_split_end sums _h_line_nonneg's ints
+over the summand differences; `h_split_end_by_h_line` builds a class and
+a table per difference and calls h_line, also at 5000 digits.
 conormal_vanishing answers from its preconditions; `conormal_vanishing_loop`
 evaluates h_line at every conormal power.  The Riemann-Roch pairing
 D.(D - K), whose half euler_char expands, is checked to be even at 5000 digits.
@@ -60,6 +64,7 @@ from ruledsurf.cohomology import (
     PositiveGenusError,
     SplitBundle,
     StabilizationError,
+    _differences,
     _floor_sums,
     check_conormal,
     conormal_vanishing,
@@ -322,6 +327,19 @@ def semicontinuity_window(general: SplittingType, special: SplittingType) -> boo
     return all(h0(special, k) >= h0(general, k) for k in range(lo, hi + 1))
 
 
+def semicontinuity_at_every_kink(general: SplittingType, special: SplittingType) -> bool:
+    """Both section counts at every kink of either type, each summed afresh."""
+    gp, sp = general.parts, special.parts
+    if len(gp) != len(sp):
+        raise ValueError("semicontinuity comparison needs equal ranks")
+    if sum(gp) != sum(sp):
+        raise ValueError("semicontinuity comparison needs equal degrees")
+    for c in set(gp + sp):
+        if sum([b - c for b in sp if b > c]) < sum([b - c for b in gp if b > c]):
+            return False
+    return True
+
+
 def test_semicontinuity_oracle_matches_window_on_small_grid():
     pairs = 0
     for r in range(1, 5):
@@ -330,9 +348,21 @@ def test_semicontinuity_oracle_matches_window_on_small_grid():
             for general, special in itertools.product(types, repeat=2):
                 expected = semicontinuity_window(general, special)
                 assert semicontinuity_oracle(general, special) == expected, (general, special)
+                assert semicontinuity_at_every_kink(general, special) == expected
                 assert specializes(general, special) == expected, (general, special)
                 pairs += 1
     assert pairs == 4931
+
+
+@pytest.mark.parametrize("general, special, message", [
+    ((1, 0), (1, 0, -1), "semicontinuity comparison needs equal ranks"),
+    ((1, 0), (1, 1), "semicontinuity comparison needs equal degrees"),
+])
+def test_semicontinuity_oracle_refuses_as_every_kink_did(general, special, message):
+    for oracle in (semicontinuity_oracle, semicontinuity_at_every_kink):
+        with pytest.raises(ValueError) as error:
+            oracle(SplittingType(general), SplittingType(special))
+        assert str(error.value) == message
 
 
 @st.composite
@@ -358,7 +388,72 @@ def type_pairs(draw):
 @given(type_pairs())
 def test_semicontinuity_oracle_matches_window(pair):
     general, special = pair
-    assert semicontinuity_oracle(general, special) == semicontinuity_window(general, special)
+    expected = semicontinuity_window(general, special)
+    assert semicontinuity_oracle(general, special) == expected
+    assert semicontinuity_at_every_kink(general, special) == expected
+
+
+def h_split_end_by_h_line(g: SurfaceGeometry, bundle: SplitBundle,
+                          twist: DivisorClass = ZERO) -> CohomologyTable:
+    """The table as weight * h_line(D_j - D_i + twist) summed over the summand differences."""
+    h0 = h1 = h2 = 0
+    for (da, db), weight in _differences(bundle).items():
+        table = h_line(g, DivisorClass(da + twist.a, db + twist.b))
+        h0 += weight * table.h0
+        h1 += weight * table.h1
+        h2 += weight * table.h2
+    return CohomologyTable(h0, h1, h2)
+
+
+def test_h_split_end_matches_h_line_sum_on_small_grid():
+    """Bundles (0, D) with D in [-2, 2]^2 and rank 3 from [-1, 1]^2, twists a in [-5, 3].
+
+    The rank-2 bundles cover every difference and the rank-3 ones the
+    weights of repeated differences.  A twist with a <= -2 takes a
+    difference to a line answered by the Serre dual, so both of h_line's
+    branches are summed.
+    """
+    unit = [DivisorClass(a, b) for a, b in itertools.product(range(-1, 2), repeat=2)]
+    bundles = ([SplitBundle((ZERO,))]
+               + [SplitBundle((ZERO, DivisorClass(a, b)))
+                  for a, b in itertools.product(range(-2, 3), repeat=2)]
+               + [SplitBundle(s) for s in itertools.combinations_with_replacement(unit, 3)])
+    twists = [DivisorClass(a, b) for a in range(-5, 4) for b in range(-3, 4)]
+    serre = 0
+    for e in range(4):
+        g = SurfaceGeometry(0, e)
+        for bundle in bundles:
+            for twist in twists:
+                table = h_split_end(g, bundle, twist)
+                assert table == h_split_end_by_h_line(g, bundle, twist), (e, bundle, twist)
+                serre += table.h2 > 0
+    assert len(bundles) * len(twists) == (1 + 25 + 165) * 63
+    assert serre > 0
+
+
+def test_h_split_end_refuses_positive_genus_as_h_line_did():
+    bundle = SplitBundle((ZERO, DivisorClass(1, 2)))
+    for function in (h_split_end, h_split_end_by_h_line):
+        with pytest.raises(PositiveGenusError):
+            function(SurfaceGeometry(1, 0), bundle, DivisorClass(-3, 0))
+
+
+@st.composite
+def huge_split_ends(draw):
+    """e, the summands' and the twist's coefficients small or at 5000 digits, of either sign."""
+    e = draw(st.one_of(st.integers(0, 4), DIGITS_5000))
+    coefficient = st.one_of(st.integers(-4, 4), DIGITS_5000, DIGITS_5000.map(lambda v: -v))
+    summands = draw(st.lists(st.builds(DivisorClass, coefficient, coefficient),
+                             min_size=1, max_size=3))
+    twist = draw(st.builds(DivisorClass, coefficient, coefficient))
+    return SurfaceGeometry(0, e), SplitBundle(tuple(summands)), twist
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(huge_split_ends())
+def test_h_split_end_matches_h_line_sum_at_5000_digits(case):
+    g, bundle, twist = case
+    assert h_split_end(g, bundle, twist) == h_split_end_by_h_line(g, bundle, twist)
 
 
 def conormal_vanishing_loop(g: SurfaceGeometry, c: ConormalData, n_max: int) -> bool:

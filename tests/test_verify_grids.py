@@ -20,6 +20,7 @@ import ruledsurf.bundles as bundles
 import ruledsurf.cli as cli
 import ruledsurf.cohomology as cohomology
 import ruledsurf.geometry as geometry
+import ruledsurf.splitting as splitting
 import ruledsurf.verify as verify
 from ruledsurf.bundles import ExtensionData
 from ruledsurf.cohomology import CohomologyTable
@@ -88,6 +89,15 @@ INJECTED = {
                                                    SplittingType((2, -1, -1))),
                            lambda ok: not ok),
         179, {"r": 3, "d": 0, "general": "(1,0,-1)", "special": "(2,-1,-1)"}),
+    # a sweep of the special type's largest kink alone; one that skips only the
+    # smallest kink answers the same, as both counts agree there whenever the
+    # larger kinks pass
+    "dominance-sweep": (
+        lambda mp: (_mutated(mp, splitting, "semicontinuity_oracle",
+                             "enumerate(sp)", "enumerate(sp[:1])"),
+                    mp.setattr(verify, "semicontinuity_oracle",
+                               splitting.semicontinuity_oracle)),
+        82, {"r": 3, "d": -4, "general": "(0,-1,-3)", "special": "(0,-2,-2)"}),
     "dominance-reflexive": (
         lambda mp: (mp.setattr(verify, "specializes", lambda s, t: False),
                     mp.setattr(verify, "semicontinuity_oracle", lambda s, t: False)),
