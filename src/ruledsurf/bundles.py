@@ -13,11 +13,13 @@ character times the Todd class to the base (Grothendieck-Riemann-Roch).
 Every road runs in ints: each pairing is written out from the
 coefficients instead of building classes for intersect, and the GRR road
 holds the truncated cycle ring in integers scaled by 2, since every
-denominator there divides 2.  The public Fraction ring of geometry
-(chern_character, cycle_mul, pushforward_to_curve, curve_mul) and the
-class arithmetic these bodies replaced are their oracles in the tests.
-No road calls another to check itself; the verification grids and the
-tests compare them all.
+denominator there divides 2.  The twist formula lives in _twisted alone:
+twist wraps its ints in a new bundle, and the chi and GRR roads read them
+as they are, building no shifted class or bundle.  The public Fraction
+ring of geometry (chern_character, cycle_mul, pushforward_to_curve,
+curve_mul) and the class arithmetic these bodies replaced are their
+oracles in the tests.  No road calls another to check itself; the
+verification grids and the tests compare them all.
 """
 
 from __future__ import annotations
@@ -83,25 +85,32 @@ def fiber_degree(bundle: BundleNumerics) -> int:
     return bundle.c1.a
 
 
-def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
-    """Tensor by the line bundle O(line): standard rank/c1/c2 transformation.
+def _twisted(bundle: BundleNumerics, la: int, lb: int) -> tuple[int, int, int]:
+    """(c1.a, c1.b, c2) of bundle tensored by O(la*h + lb*f), as ints.
 
     c1 + r*L and c2 + (r-1) c1.L + r(r-1)/2 L.L, the pairings written out
     from the coefficients as in intersect.
     """
-    if type(line) is not DivisorClass:  # its coefficients are read as ints
-        raise _wrong_type("line", DivisorClass, line)
-    g, r, c1 = bundle.g, bundle.r, bundle.c1
-    e, a, b, la, lb = g.e, c1.a, c1.b, line.a, line.b
+    r, e, a, b = bundle.r, bundle.g.e, bundle.c1.a, bundle.c1.b
     c2 = (
         bundle.c2
         + (r - 1) * (-e * a * la + a * lb + la * b)
         + (r * (r - 1) // 2) * (la * (2 * lb - e * la))
     )
-    return BundleNumerics(g, r, DivisorClass(a + r * la, b + r * lb), c2)
+    return a + r * la, b + r * lb, c2
+
+
+def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
+    """Tensor by the line bundle O(line): _twisted's ints as a new bundle."""
+    if type(line) is not DivisorClass:  # its coefficients are read as ints
+        raise _wrong_type("line", DivisorClass, line)
+    a, b, c2 = _twisted(bundle, line.a, line.b)
+    return BundleNumerics(bundle.g, bundle.r, DivisorClass(a, b), c2)
 
 
 def _require_balanced_regime(bundle: BundleNumerics, a: int):
+    if type(a) is not int:
+        _require_int("fiber twists", a)
     if bundle.g.q != 0:
         raise ValueError("jumping-fiber invariants are defined for genus zero only")
     if fiber_degree(bundle) != bundle.r * a:
@@ -135,11 +144,14 @@ def pushforward_degree(bundle: BundleNumerics, a: int) -> int:
     return _pushforward_degree(bundle, a)
 
 
+def _euler_char(q: int, e: int, r: int, a: int, b: int, c2: int) -> int:
+    # c1.(c1 - K)/2 = ab - qa + a + b - e*a(a + 1)/2 for c1 = a*h + b*f; a(a + 1) is even
+    return r * (1 - q) + a * b - q * a + a + b - e * (a * (a + 1) // 2) - c2
+
+
 def euler_char_bundle(bundle: BundleNumerics) -> int:
     """Riemann-Roch on the surface: r(1-q) + c1.(c1 - K)/2 - c2, any genus."""
-    q, e, a, b = bundle.g.q, bundle.g.e, bundle.c1.a, bundle.c1.b
-    # c1.(c1 - K)/2 = ab - qa + a + b - e*a(a + 1)/2, and a(a + 1) is even
-    return bundle.r * (1 - q) + a * b - q * a + a + b - e * (a * (a + 1) // 2) - bundle.c2
+    return _euler_char(bundle.g.q, bundle.g.e, bundle.r, bundle.c1.a, bundle.c1.b, bundle.c2)
 
 
 def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
@@ -147,10 +159,12 @@ def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
 
     After twisting by -(a+1)*h the general fiber type is (-1,...,-1), which
     kills both direct images, so all of chi is the jumping torsion and
-    z = -chi.  Computed without reference to the closed form.
+    z = -chi, Riemann-Roch read from _twisted's ints.  Computed without
+    reference to the closed form.
     """
     _require_balanced_regime(bundle, a)
-    return -euler_char_bundle(twist(bundle, DivisorClass(-(a + 1), 0)))
+    g = bundle.g
+    return -_euler_char(g.q, g.e, bundle.r, *_twisted(bundle, -(a + 1), 0))
 
 
 class GrrReport(_Value):
@@ -168,25 +182,24 @@ class GrrReport(_Value):
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     """Push ch(twisted bundle) * td(surface) to the base and compare degrees.
 
-    The left side is ch * td of the normalized twist, pushed along the
-    ruling and corrected by the inverse curve Todd class; in the balanced
-    regime the higher direct image vanishes, so its degree-1 part is the
-    pushforward degree and its degree-0 part the rank.  The only
-    denominators of this truncated ring are the halves in K/2 and
+    The left side is ch * td of the normalized twist, read from _twisted's
+    ints, pushed along the ruling and corrected by the inverse curve Todd
+    class; in the balanced regime the higher direct image vanishes, so its
+    degree-1 part is the pushforward degree and its degree-0 part the rank.
+    The only denominators of this truncated ring are the halves in K/2 and
     (c1^2 - 2c2)/2, so ch and td are held as integers scaled by 2, their
-    product as integers scaled by 4, and only lhs_degree becomes a
-    Fraction.  geometry's public cycle ring computes the same product in
-    Fractions and is the oracle for this one in the tests.  The right side
-    is the closed form of pushforward_degree, on the regime checked here.
+    product as integers scaled by 4, and only lhs_degree becomes a Fraction.
+    geometry's public cycle ring computes the same product in Fractions and
+    is the oracle for this one in the tests.  The right side is the closed
+    form of pushforward_degree, on the regime checked here.
     """
     _require_balanced_regime(bundle, a)
     g = bundle.g
-    normalized = twist(bundle, DivisorClass(-a, 0))
-    c1 = normalized.c1
+    n_a, n_b, n_c2 = _twisted(bundle, -a, 0)
     # 2*ch = (2r, 2*c1, c1^2 - 2c2) with c1^2 = c1.a*(2*c1.b - e*c1.a);
     # 2*td = (2, -K, 2(1 - q)) with -K = 2h + (e + 2 - 2q)f
-    ch_r, ch_h, ch_f = 2 * normalized.r, 2 * c1.a, 2 * c1.b
-    ch_pt = c1.a * (2 * c1.b - g.e * c1.a) - 2 * normalized.c2
+    ch_r, ch_h, ch_f = 2 * bundle.r, 2 * n_a, 2 * n_b
+    ch_pt = n_a * (2 * n_b - g.e * n_a) - 2 * n_c2
     td_r, td_h, td_f, td_pt = 2, 2, g.e + 2 - 2 * g.q, 2 * (1 - g.q)
     # 4 * pi_*(ch * td): the h part maps onto the base, the point part to a
     # point, and the degree-0 and f parts die

@@ -159,11 +159,13 @@ def _theorem_c(
         g = SurfaceGeometry(0, e)
         for r in range(2, r_max + 1):
             for a in range(-a_max, a_max + 1):
+                shift = DivisorClass(-a, 0)
                 for b in range(-b_max, b_max + 1):
+                    c1 = DivisorClass(r * a, b)
                     for c2 in range(-c2_max, c2_max + 1):
-                        bundle = BundleNumerics(g, r, DivisorClass(r * a, b), c2)
+                        bundle = BundleNumerics(g, r, c1, c2)
                         z = jumping_count(bundle, a)
-                        z_twist = twist(bundle, DivisorClass(-a, 0)).c2
+                        z_twist = twist(bundle, shift).c2
                         z_chi = jumping_count_chi_oracle(bundle, a)
                         report = grr_verify(bundle, a)
                         m = report.rhs_degree  # pushforward_degree(bundle, a), in grr_verify
@@ -178,7 +180,7 @@ def _theorem_c(
                                 "e": e,
                                 "r": r,
                                 "a": a,
-                                "c1": bundle.c1,
+                                "c1": c1,
                                 "c2": c2,
                                 "z": z,
                                 "z_twist": z_twist,

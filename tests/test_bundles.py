@@ -253,3 +253,15 @@ def test_a_float_c1_never_reaches_a_jumping_count():
     geometry, c1 = SimpleNamespace(q=0, e=1), SimpleNamespace(a=2.0, b=0.5)
     with pytest.raises(TypeError, match="^g must be a SurfaceGeometry"):
         jumping_count(BundleNumerics(geometry, 2, c1, 0), 1)
+
+
+@pytest.mark.parametrize("road", [
+    jumping_count, pushforward_degree, jumping_count_chi_oracle, grr_verify,
+])
+@pytest.mark.parametrize("a", [1.0, True, Fraction(1)])
+def test_every_road_refuses_a_twist_that_is_not_an_int(road, a):
+    # r*a equals c1.a for each of them, so only the type check refuses;
+    # without it jumping_count answers 4.0 for the float
+    with pytest.raises(TypeError) as error:
+        road(BundleNumerics(G1, 2, DivisorClass(2, 0), 3), a)
+    assert str(error.value) == f"fiber twists must be integers, got {type(a).__name__}"

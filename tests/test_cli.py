@@ -1060,27 +1060,31 @@ def test_verify_table_leaves_the_counterexample_cell_of_an_ok_row_blank(capsys):
 
 
 def _twist_at_one_point(monkeypatch, wrong):
-    """Make bundles.twist answer wrong(twisted) for one theoremC bundle, truly elsewhere."""
-    real = bundles_mod.twist
+    """Make bundles._twisted answer wrong(*twisted) for one theoremC bundle, truly elsewhere.
 
-    def patched(bundle, line):
-        twisted = real(bundle, line)
+    twist, the chi oracle and grr_verify all read their twist from
+    _twisted, so the lie reaches the grid's z_twist and both oracle roads.
+    """
+    real = bundles_mod._twisted
+
+    def patched(bundle, la, lb):
+        twisted = real(bundle, la, lb)
         if (bundle.g.e, bundle.r, bundle.c1.b, bundle.c2) == (1, 3, 2, -1):
-            return wrong(twisted)
+            return wrong(*twisted)
         return twisted
 
-    monkeypatch.setattr(bundles_mod, "twist", patched)
+    monkeypatch.setattr(bundles_mod, "_twisted", patched)
 
 
 def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
-    # the chi oracle and grr_verify twist through bundles; the grid's z_twist does not
-    _twist_at_one_point(monkeypatch, lambda twisted: bundles_mod.BundleNumerics(
-        twisted.g, twisted.r, twisted.c1, twisted.c2 + 1))
+    # c2 one too many moves z_twist and z_chi by +1 and the GRR degree by -1;
+    # the closed form z and its m read no twist
+    _twist_at_one_point(monkeypatch, lambda c1_a, c1_b, c2: (c1_a, c1_b, c2 + 1))
     code, out = _run(capsys, ["verify", "theoremC", "--format", "json"])
     assert code == 2
     assert json.loads(out)["results"] == [{
         "suite": "theoremC", "points": 3107, "ok": False, "counterexample": {
-            "e": 1, "r": 3, "a": -2, "c1": "-6*h+2*f", "c2": -1, "z": 19, "z_twist": 19,
+            "e": 1, "r": 3, "a": -2, "c1": "-6*h+2*f", "c2": -1, "z": 19, "z_twist": 20,
             "z_chi": 20, "m": -17, "grr_degree": "-18"}}]
 
 
@@ -1097,7 +1101,7 @@ def test_verify_rigid_renders_a_list_of_types(capsys, monkeypatch):
 
 
 def test_verify_raising_twist_gives_an_exception_row(capsys, monkeypatch):
-    def raising(twisted):
+    def raising(*twisted):
         raise ArithmeticError("twist refused at one point")
 
     _twist_at_one_point(monkeypatch, raising)

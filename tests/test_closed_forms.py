@@ -37,7 +37,9 @@ element.  The bundles roads write their pairings out in ints: `twist_by_classes`
 builds c1 + r*L as classes and pairs by intersect, `euler_char_bundle_pairing`
 builds K and c1 - K, and `jumping_count_section` and
 `pushforward_degree_section` pair c1 with SECTION; grr_verify's right side
-is checked against the last.
+is checked against the last.  The chi road and grr_verify read their
+shifted Chern data from bundles._twisted's ints; `chi_road_by_twist` and
+`grr_verify_by_twist` build the shifted bundle with twist, as they did.
 """
 
 import functools
@@ -52,9 +54,11 @@ import pytest
 
 from ruledsurf.bundles import (
     BundleNumerics,
+    GrrReport,
     euler_char_bundle,
     grr_verify,
     jumping_count,
+    jumping_count_chi_oracle,
     pushforward_degree,
     twist,
 )
@@ -936,3 +940,43 @@ def test_balanced_counts_match_section_pairing_at_5000_digits(case):
     assert jumping_count(bundle, a) == jumping_count_section(bundle, a)
     assert pushforward_degree(bundle, a) == degree
     assert grr_verify(bundle, a).rhs_degree == degree
+
+
+def chi_road_by_twist(bundle: BundleNumerics, a: int) -> int:
+    """-chi of twist(bundle, -(a+1)*h), the shifted bundle built by twist."""
+    return -euler_char_bundle(twist(bundle, DivisorClass(-(a + 1), 0)))
+
+
+def grr_verify_by_twist(bundle: BundleNumerics, a: int) -> GrrReport:
+    """grr_verify with its normalization built by twist(bundle, -a*h)."""
+    g = bundle.g
+    normalized = twist(bundle, DivisorClass(-a, 0))
+    c1 = normalized.c1
+    ch_r, ch_h, ch_f = 2 * normalized.r, 2 * c1.a, 2 * c1.b
+    ch_pt = c1.a * (2 * c1.b - g.e * c1.a) - 2 * normalized.c2
+    td_r, td_h, td_f, td_pt = 2, 2, g.e + 2 - 2 * g.q, 2 * (1 - g.q)
+    rank4 = ch_r * td_h + td_r * ch_h
+    pushed_pt4 = (ch_r * td_pt + td_r * ch_pt
+                  - g.e * ch_h * td_h + ch_h * td_f + td_h * ch_f)
+    degree4 = pushed_pt4 + (g.q - 1) * rank4
+    rhs = pushforward_degree(bundle, a)
+    return GrrReport(rank4 == 4 * bundle.r, degree4 == 4 * rhs, Fraction(degree4, 4), rhs)
+
+
+def test_chi_and_grr_roads_match_their_twist_bodies_on_small_grid():
+    cases = 0
+    for e, r, a, b, c2 in itertools.product(range(5), range(1, 5), range(-3, 4), range(-4, 5),
+                                            range(-3, 4)):
+        bundle = BundleNumerics(SurfaceGeometry(0, e), r, DivisorClass(r * a, b), c2)
+        assert jumping_count_chi_oracle(bundle, a) == chi_road_by_twist(bundle, a), bundle
+        assert grr_verify(bundle, a) == grr_verify_by_twist(bundle, a), bundle
+        cases += 1
+    assert cases == 5 * 4 * 7 * 9 * 7
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(huge_balanced_bundles())
+def test_chi_and_grr_roads_match_their_twist_bodies_at_5000_digits(case):
+    bundle, a = case
+    assert jumping_count_chi_oracle(bundle, a) == chi_road_by_twist(bundle, a)
+    assert grr_verify(bundle, a) == grr_verify_by_twist(bundle, a)
