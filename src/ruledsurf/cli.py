@@ -4,10 +4,14 @@ Five subcommand groups (surface, coh, split, bundle, verify) expose every
 library operation.  Each op is declared once, in the registry `_GROUPS`:
 its help text, its flags, and a function from the parsed flags to result
 rows.  `build_parser` and `run` both read that registry.  A request that
-names an op is parsed in one argparse pass, by that op's own leaf parser;
-only help and refusals need the full tree.  Literal flags are parsed after
-argparse, in the order the op reads them, and the values read are echoed
-as the report's inputs.
+names a group and an op, then gives only `--flag value` pairs, each flag
+one of the op's own spelt out in full and set once, with values argparse
+would take, is parsed from the registry with no argparse pass.  Any other
+request that names an op (verify, --help, --flag=value, an abbreviation, a
+refusal) takes one pass of that op's own leaf parser; only help and
+refusals that name no op need the full tree.  Literal flags are parsed
+after that, in the order the op reads them, and the values read are
+echoed as the report's inputs.
 
 Output is an aligned text table by default or a single JSON object with
 --format json; --out writes the rendered report verbatim to a file first,
@@ -538,11 +542,16 @@ _GROUPS = {
 # ---------------------------------------------------------------------------
 # parser construction
 
+# the flags every op takes
+_COMMON = (("--format", {"choices": ("table", "json"), "default": "table",
+                         "help": "output rendering (default: table)"}),
+           ("--out", {"metavar": "PATH", "default": None,
+                      "help": "also write the rendered report to PATH"}))
+
+
 def _add_common(p: _Parser):
-    p.add_argument("--format", choices=("table", "json"), default="table",
-                   help="output rendering (default: table)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="also write the rendered report to PATH")
+    for flag, kwargs in _COMMON:
+        p.add_argument(flag, **kwargs)
 
 
 def _add_op(p: _Parser, help_text: str, flags):
@@ -590,6 +599,41 @@ def _parser(*names: str) -> _Parser:
 
 
 @functools.cache
+def _leaf_flags(group: str, op: str):
+    """One leaf's flags as {flag: (dest, add_argument kwargs)}, its defaults and required dests."""
+    flags = {flag: (flag.lstrip("-").replace("-", "_"), kwargs)
+             for flag, kwargs in _COMMON + _GROUPS[group][1][op][1]}
+    defaults = {dest: kwargs.get("default") for dest, kwargs in flags.values()}
+    required = {dest for dest, kwargs in flags.values() if kwargs.get("required")}
+    return flags, defaults, required
+
+
+def _plain_parse(group: str, op: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace the leaf parser gives words that are plain `--flag value` pairs, else None."""
+    flags, defaults, required = _leaf_flags(group, op)
+    if len(words) % 2:
+        return None
+    given = {}
+    for flag, value in zip(words[::2], words[1::2]):
+        dest, kwargs = flags.get(flag, (None, None))
+        if dest is None or dest in given or value[:1] == "-" and not _LEADING_NEG.match(value):
+            return None
+        if kwargs.get("type") is int:
+            if not _INT.fullmatch(value):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the digit limit: argparse words the refusal
+                return None
+        elif "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[dest] = value
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **given}, group=group, op=op)
+
+
+@functools.cache
 def _output_parser() -> _Parser:
     p = _Parser(add_help=False)
     _add_common(p)
@@ -628,12 +672,15 @@ def run(argv: list[str]) -> int:
     """Parse argv, execute, print the rendered report, and return the exit code."""
     group = argv[0] if argv and argv[0] in _GROUPS else ""
     ops = _GROUPS[group][1] if group else {}
-    # A request names its op right after its group, or is verify, its own op;
-    # only that op's leaf parses the words after the names.  Any other argv is
-    # help or a refusal, which the full tree gives.
+    # A request names its op right after its group, or is verify, its own op.
+    # Plain `--flag value` words after a group and op need no argparse pass;
+    # other words after the names go to that op's leaf parser.  Any other argv
+    # is help or a refusal, which the full tree gives.
     names = [group] if group in ops else argv[:2] if len(argv) > 1 and argv[1] in ops else []
     try:
-        ns = _parser(*names).parse_args(argv[len(names):])
+        ns = _plain_parse(*names, argv[2:]) if len(names) == 2 else None
+        if ns is None:
+            ns = _parser(*names).parse_args(argv[len(names):])
     except ValueError as exc:
         ns = _requested_output(argv, argparse.Namespace(group=group))
         return _emit(_input_error(ns, str(exc)), 1, ns)

@@ -41,7 +41,7 @@ from ruledsurf.cli import (
 )
 from ruledsurf.geometry import CurveCycle, DivisorClass
 from ruledsurf.splitting import SplittingType
-from test_cli_golden import CALLS
+from test_cli_golden import CALLS, FIXTURE, OUT
 
 
 def _run(capsys, argv):
@@ -411,6 +411,18 @@ def test_input_literal_past_digit_limit_is_input_error(capsys):
     assert (code, out.split("\n")[0]) == (1, "status: input-error")
 
 
+def test_an_int_flag_past_the_digit_limit_is_refused_in_argparse_words(capsys):
+    # int() refuses the digits with text of its own; the report must give the leaf's refusal
+    digits = "7" * 5000
+    argv = ["surface", "chern", "--e", "0", "--r", "1", "--c1", "0*h+0*f", "--c2", digits]
+    error = f"argument --c2: invalid int value: '{digits}'"
+    assert _outcome(_parser(*argv[:2]), argv[2:]) == ("error", error)
+    assert _run(capsys, argv) == (1, f"status: input-error\nerror\n{error}\n")
+    report = {"subcommand": "surface", "inputs": {}, "results": [{"error": error}],
+              "status": "input-error"}
+    assert _run(capsys, argv + ["--format", "json"]) == (1, json.dumps(report, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # the parser is built per group, on first use, and reused
 
@@ -627,12 +639,14 @@ def test_leaf_parser_matches_full_tree(monkeypatch, names):
     assert _outcome(leaf, valid) == _outcome(full, [*names, *valid])
 
 
-def test_a_request_that_names_an_op_runs_argparse_once(capsys, monkeypatch):
+def test_a_request_that_names_an_op_runs_argparse_at_most_once(capsys, monkeypatch):
+    # a plain request takes no argparse pass; verify and a refusal take one of their own leaf
     parses, builds = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def counted_parse(self, *args, **kwargs):
-        parses.append(self.prog)
+        if self is not cli_mod._output_parser():  # reads --format and --out of a refusal
+            parses.append(self.prog)
         return parse_known_args(self, *args, **kwargs)
 
     def counted_build(*names):
@@ -642,13 +656,17 @@ def test_a_request_that_names_an_op_runs_argparse_once(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
     monkeypatch.setattr(cli_mod, "build_parser", counted_build)
     _parser.cache_clear()
-    for argv, prog in ((["coh", "line", "--e", "0", "--D", "1*h+1*f"], "ruledsurf coh line"),
-                       (["verify", "rigid"], "ruledsurf verify")):
+    line = ["coh", "line", "--e", "0", "--D", "1*h+1*f"]
+    for argv, code, progs, built in ((line, 0, [], []),
+                                     (["verify", "rigid"], 0, ["ruledsurf verify"], [("verify",)]),
+                                     (line + ["--bogus"], 1, ["ruledsurf coh line"],
+                                      [("coh", "line")])):
+        builds.clear()
         for _ in range(2):
             parses.clear()
-            assert run(argv) == 0
-            assert parses == [prog]
-    assert builds == [("coh", "line"), ("verify",)]
+            assert run(argv) == code
+            assert parses == progs
+        assert builds == built
     capsys.readouterr()
 
 
@@ -692,6 +710,39 @@ def test_leaf_parse_matches_full_tree_parse(names, edits):
     extra = STRAY_WORDS + flags + [f[:3] for f in flags] + [f + "=1" for f in flags]
     words = _edited(_valid_words(names), edits, extra)
     assert _outcome(_parser(*names), words) == _outcome(_parser(), [*names, *words])
+
+
+# the words that name each op other than verify, whose requests the plain parse may answer
+PLAIN_LEAVES = [names for names in LEAVES if len(names) == 2]
+EDGE_WORDS = ["7" * 5000, "", "-", "-1", "-2*h+3*f", "--fo", "--format=json"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(names=st.sampled_from(PLAIN_LEAVES), slot=st.integers(0, 99),
+       value=st.sampled_from([None, *EDGE_WORDS]), repeat=st.booleans(), edits=EDITS)
+def test_a_plain_parse_matches_the_leaf_parse(names, slot, value, repeat, edits):
+    flags = [a.option_strings[0] for a in _parser(*names)._actions if a.option_strings]
+    extra = STRAY_WORDS + EDGE_WORDS + flags + [f[:3] for f in flags] + [f + "=1" for f in flags]
+    words = _valid_words(names)
+    if value is not None and words:  # an edge word in place of one flag's value
+        words[2 * (slot % (len(words) // 2)) + 1] = value
+    if repeat and words:  # a flag given twice
+        words += words[:2]
+    words = _edited(words, edits, extra)
+    plain = cli_mod._plain_parse(*names, words)
+    if plain is not None:
+        assert _outcome(_parser(*names), words) == ("namespace", vars(plain))
+
+
+def test_every_golden_report_of_a_library_op_takes_the_plain_parse():
+    ops = set()
+    for entry in json.loads(FIXTURE.read_text(encoding="utf-8")):
+        names, words = tuple(entry["argv"][:2]), entry["argv"][2:]
+        if names in PLAIN_LEAVES and entry["code"] == 0 and not entry["stdout"].startswith("usage:"):
+            words = [word.replace(OUT, "report.out") for word in words]
+            assert cli_mod._plain_parse(*names, words) is not None, entry["argv"]
+            ops.add(names)
+    assert ops == set(PLAIN_LEAVES)
 
 
 @pytest.mark.parametrize("argv", [["coh", "line", "--e", "0", "--D", "1*h+1*f"],
