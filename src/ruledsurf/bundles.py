@@ -244,6 +244,8 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
     is always integral and unique.  It inverts extension_chern; the
     extension grid and the tests check the round trip.
     """
+    if type(a) is not int or type(x) is not int:
+        _require_int("twist and quotient rank", a, x)
     r = bundle.r
     if not 0 < x < r:
         raise ValueError(f"need 0 < x < r, got x={x}, r={r}")

@@ -91,7 +91,8 @@ class ConormalData(_Value):
     """
 
     def __init__(self, t: int, s: int):
-        _require_int("conormal degrees", t, s)
+        if type(t) is not int or type(s) is not int:
+            _require_int("conormal degrees", t, s)
         if t <= 0:
             raise ValueError(f"conormal h-degree must be positive, got t={t}")
         fields = self.__dict__
@@ -169,6 +170,8 @@ def conormal_vanishing(g: SurfaceGeometry, c: ConormalData, n_max: int) -> bool:
     """
     _require_genus_zero(g)
     check_conormal(g, c)
+    if type(n_max) is not int:
+        _require_int("n_max values", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     # n*(t,s) pushes down to the sum of O(n*s - k*e), k = 0..n*t, and each
@@ -240,6 +243,8 @@ def stabilization_index(
     """
     _require_genus_zero(g)
     check_conormal(g, c)
+    if type(y_max) is not int:
+        _require_int("y_max values", y_max)
     if y_max < 1:
         raise ValueError(f"y_max must be at least 1, got {y_max}")
 
@@ -320,6 +325,8 @@ def endomorphism_growth(
     """
     _require_genus_zero(g)
     check_conormal(g, c)
+    if type(n) is not int:
+        _require_int("neighborhood indices", n)
     if n < 1:
         raise ValueError(f"neighborhood index must be at least 1, got {n}")
     e, t, s = g.e, c.t, c.s

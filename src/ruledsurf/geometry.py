@@ -76,11 +76,15 @@ def _wrong_type(what: str, expected: type, value) -> TypeError:
 def _require_int(what: str, *values) -> None:
     """Reject any value that is not an exact int: bool, float and Fraction included.
 
-    The classes built at every point of a verify grid test their int fields
-    inline and call this only to raise: DivisorClass, BundleNumerics,
-    ExtensionData and CohomologyTable with `type(v) is int`, SplittingType
-    with one pass of `map(type, parts)`.  One call per divisor made the
-    extension grid about a sixth slower.
+    The input values' public constructors and every public function check
+    each int they take (tests/test_int_arguments.py lists them all), most
+    of them inline, calling this only to raise: SurfaceGeometry,
+    DivisorClass, BundleNumerics, ExtensionData, ConormalData and
+    CohomologyTable test `type(v) is int`, SplittingType makes one pass of
+    `map(type, parts)`; one call per divisor made the extension grid about
+    a sixth slower.  The list builders, splitting.enumerate_types and
+    specialization_chain, check their arguments once and build each listed
+    type unchecked.
     """
     for value in values:
         if type(value) is not int:  # bool is a subclass of int, so no isinstance
@@ -91,7 +95,8 @@ class SurfaceGeometry(_Value):
     """Base-curve genus q and ruled-surface invariant e (minimal section has h^2 = -e)."""
 
     def __init__(self, q: int, e: int):
-        _require_int("genus and invariant", q, e)
+        if type(q) is not int or type(e) is not int:
+            _require_int("genus and invariant", q, e)
         if q < 0:
             raise ValueError(f"genus must be nonnegative, got q={q}")
         if e < -q:

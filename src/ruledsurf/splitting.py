@@ -8,6 +8,11 @@ a section-count semicontinuity oracle as its independent twin, explicit
 degeneration chains down from the rigid type, and the fiberwise
 obstruction counts for lifting a splitting through the formal neighborhood
 of a fiber inside a threefold, built from their linear pieces.
+
+A SplittingType built by its public constructor checks every part, and
+rigid_type and jumping_type build theirs that way.  The list builders,
+enumerate_types and specialization_chain, check their arguments once and
+then build each listed type unchecked from ints they made themselves.
 """
 
 from __future__ import annotations
@@ -16,13 +21,17 @@ import sys
 from itertools import accumulate, chain
 from operator import lt
 
-from .geometry import _require_int, _Value
+from .geometry import _require_int, _Value, _wrong_type
 
 _INT = {int}
 
 
 class SplittingType(_Value):
-    """Nonincreasing integer sequence (b1 >= ... >= br), r >= 1."""
+    """Nonincreasing integer sequence (b1 >= ... >= br), r >= 1.
+
+    The constructor checks every part; enumerate_types and
+    specialization_chain build their types through _listed instead.
+    """
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
@@ -45,6 +54,13 @@ class SplittingType(_Value):
         return self.parts[0] - self.parts[-1]
 
 
+def _listed(parts: tuple[int, ...]) -> SplittingType:
+    """The type of parts a list builder made from ints it checked, built unchecked."""
+    t = object.__new__(SplittingType)
+    t.__dict__["parts"] = parts
+    return t
+
+
 def _require_buildable(what: str, length: int) -> None:
     """Refuse, before building it, a sequence longer than Python can index."""
     if length > sys.maxsize:
@@ -52,14 +68,20 @@ def _require_buildable(what: str, length: int) -> None:
                          f"Python can build, got {length}")
 
 
+def _rigid_parts(r: int, d: int) -> tuple[int, ...]:
+    a = -(-d // r)
+    x = a * r - d
+    return (a,) * (r - x) + (a - 1,) * x
+
+
 def rigid_type(r: int, d: int) -> SplittingType:
     """The unique rigid type of rank r and degree d: a's then (a-1)'s, a = ceil(d/r)."""
+    if type(r) is not int or type(d) is not int:
+        _require_int("rank and degree", r, d)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     _require_buildable("rank", r)
-    a = -(-d // r)
-    x = a * r - d
-    return SplittingType((a,) * (r - x) + (a - 1,) * x)
+    return SplittingType(_rigid_parts(r, d))
 
 
 def h1_end(t: SplittingType) -> int:
@@ -75,6 +97,8 @@ def is_rigid(t: SplittingType) -> bool:
 
 def jumping_type(r: int, a: int) -> SplittingType:
     """The minimal degeneration (a+1, a, ..., a, a-1) of the balanced type (a, ..., a)."""
+    if type(r) is not int or type(a) is not int:
+        _require_int("rank and balanced part", r, a)
     if r < 2:
         raise ValueError(f"jumping types need rank at least 2, got {r}")
     _require_buildable("rank", r)
@@ -151,6 +175,8 @@ def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> l
     its kink ⌈c/conormal_t⌉, so layer(k) is one range between kinks and 0
     past the last: O(r² log r) Python steps build the list.
     """
+    if type(conormal_t) is not int or type(n_max) is not int:
+        _require_int("conormal fiber degree and n_max", conormal_t, n_max)
     if conormal_t <= 0:
         raise ValueError(f"conormal fiber degree must be positive, got {conormal_t}")
     if n_max < 1:
@@ -176,6 +202,7 @@ def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> l
 
 def enumerate_types(r: int, d: int, max_spread: int) -> list[SplittingType]:
     """All rank-r, degree-d types with spread <= max_spread, lexicographically."""
+    _require_int("rank, degree and max_spread", r, d, max_spread)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     if max_spread < 0:
@@ -184,22 +211,29 @@ def enumerate_types(r: int, d: int, max_spread: int) -> list[SplittingType]:
     if tops:  # with no top part there is no type to build
         _require_buildable("rank", r)
     found: list[SplittingType] = []
+    last = r - 1
     for top in tops:
-        parts, i, tail = [top], 0, d - top
+        low = top - max_spread
+        parts, i, tail = [top] * r, 0, d - top
         while True:
             # the least tail of the sum left is the balanced one (m = 0 iff r = 1)
-            m = r - 1 - i
-            q, extra = divmod(tail, m or 1)
-            parts[i + 1:] = [q + 1] * extra + [q] * (m - extra)
-            found.append(SplittingType(tuple(parts)))
-            # next: raise the last part below its predecessor whose followers can drop
-            tail = 0
-            for i in range(r - 1, 0, -1):
-                if parts[i] < parts[i - 1] and tail > (r - 1 - i) * (top - max_spread):
+            if i == last - 1:
+                parts[last] = tail
+            else:
+                m = last - i
+                q, extra = divmod(tail, m or 1)
+                parts[i + 1:] = [q + 1] * extra + [q] * (m - extra)
+            found.append(_listed(tuple(parts)))
+            # next: raise the last part below its predecessor whose followers
+            # can drop: they sum to more than `bound`, what they would sum to all at `low`
+            tail, bound = parts[last], low
+            for i in range(last - 1, 0, -1):
+                if tail > bound and parts[i] < parts[i - 1]:
                     parts[i] += 1
                     tail -= 1
                     break
                 tail += parts[i]
+                bound += low
             else:
                 break
     return found
@@ -213,23 +247,30 @@ def specialization_chain(target: SplittingType) -> list[SplittingType]:
     prefix-sum vector while staying below the target's, so each step
     specializes the last and the walk is forced to terminate at the target.
     A step moves 1 to the first part i whose prefix sum is below the target's
-    from the first j > i whose is at it: the prefix sums on [i, j) gain 1 in
-    place, and the next scan resumes at i, as those before it already agree.
+    from the first j > i whose is at it.  The gaps between the target's prefix
+    sums and the current ones are kept in place: those on [i, j) drop by 1 as
+    j is sought, the next scan resumes at i, as the gaps before it are 0, and
+    the walk stops when the gaps sum to 0.
     """
+    if type(target) is not SplittingType:
+        raise _wrong_type("target", SplittingType, target)
     parts = target.parts
-    start = rigid_type(len(parts), sum(parts))
-    tgt = list(accumulate(parts))
-    chain = [start]
-    cur = list(start.parts)
-    pre, i = list(accumulate(cur)), 0
-    while pre != tgt:
-        while pre[i] == tgt[i]:  # pre <= tgt throughout
+    start = _rigid_parts(len(parts), sum(parts))
+    cur = list(start)
+    gap = [t - p for t, p in zip(accumulate(parts), accumulate(cur))]  # all >= 0
+    left = sum(gap)
+    chain = [_listed(start)]
+    i = 0
+    while left:
+        while not gap[i]:
             i += 1
+        gap[i] -= 1
         j = i + 1
-        while pre[j] != tgt[j]:
+        while gap[j]:
+            gap[j] -= 1
             j += 1
+        left -= j - i
         cur[i] += 1
         cur[j] -= 1
-        pre[i:j] = [p + 1 for p in pre[i:j]]
-        chain.append(SplittingType(tuple(cur)))
+        chain.append(_listed(tuple(cur)))
     return chain

@@ -48,6 +48,7 @@ from .cohomology import (
 from .geometry import (
     DivisorClass,
     SurfaceGeometry,
+    _require_int,
     _Value,
     canonical_class,
 )
@@ -102,6 +103,7 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
             for b in range(-coeff_max, coeff_max + 1):
                 d = DivisorClass(a, b)
                 lhs = h_line(g, d)
+                dual_a, dual_b = k.a - a, k.b - b
                 if a >= 0:
                     # h_line would answer for K - D = a'h + b'f (a' <= -2) by Serre
                     # duality, from D itself, so the dual is taken apart, by relative
@@ -109,8 +111,7 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
                     # the sum of O(c), c = b' + i*e for i = 1..-a'-1.  Each O(c) adds its
                     # h0 (c + 1 if c >= 0) to K - D's h1 and its h1 (-c - 1) to its h2.
                     h1 = h2 = 0
-                    dual_b = k.b - b
-                    for i in range(1, a - k.a):
+                    for i in range(1, -dual_a):
                         c = dual_b + i * e
                         if c >= 0:
                             h1 += c + 1
@@ -118,8 +119,19 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
                             h2 -= c + 1
                     rhs = (h2, h1, 0)
                 else:
-                    dual = h_line(g, k - d)
-                    rhs = (dual.h2, dual.h1, dual.h0)
+                    # h_line answers for D from the series of K - D = a'h + b'f
+                    # (a' >= -1) by Serre duality, so that series is summed here one
+                    # summand at a time: pi_* O(K - D) is the sum of O(c), c = b' - i*e
+                    # for i = 0..a'.  Each O(c) adds its h0 (c + 1 if c >= 0) to K - D's
+                    # h0 and its h1 (-c - 1) to its h1; h2(K - D) = 0.
+                    h0 = h1 = 0
+                    for i in range(dual_a + 1):
+                        c = dual_b - i * e
+                        if c >= 0:
+                            h0 += c + 1
+                        else:
+                            h1 -= c + 1
+                    rhs = (0, h1, h0)
                 yield None
                 if (lhs.h0, lhs.h1, lhs.h2) != rhs:
                     yield {"e": e, "D": d}
@@ -382,6 +394,7 @@ def run_suite(name: str, **bounds) -> list[SuiteResult]:
     if unknown:
         who = "no suite takes" if name == "all" else f"suite {name} takes no"
         raise ValueError(f"{who} {', '.join(unknown)}")
+    _require_int("suite bounds", *bounds.values())
     results = []
     for suite_name in names:
         grid, accepted = SUITES[suite_name]

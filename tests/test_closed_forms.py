@@ -30,12 +30,19 @@ the linear pieces between kinks; `formal_lift_loop` sums every level over
 every pair of parts.  euler_char expands D.(D - K)/2 in ints;
 `euler_char_pairing` builds K and D - K and calls intersect.  h1_end sums
 only the pairs with b_j > b_i + 1; `h1_end_double_sum` sums max(0, ...)
-over every ordered pair.  specialization_chain updates its prefix sums in
-place; `specialization_chain_loop` recomputes them and rescans from the
-first part at every step, and the two chains are compared element by
-element.  The bundles roads write their pairings out in ints: `twist_by_classes`
-builds c1 + r*L as classes and pairs by intersect, `euler_char_bundle_pairing`
-builds K and c1 - K, and `jumping_count_section` and
+over every ordered pair.  specialization_chain keeps the gaps to the
+target's prefix sums in place and stops when they sum to 0;
+`specialization_chain_slices` raises its prefix sums a slice at a time and
+compares whole lists, `specialization_chain_loop` recomputes them and
+rescans from the first part at every step, and the chains are compared
+element by element.  enumerate_types fills the last part alone and carries
+the bound its followers must exceed; `enumerate_types_scan` rebuilds both at
+every step.  The types enumerate_types and specialization_chain list are
+built unchecked, so each is checked to equal the type its parts build
+through the checked constructor.  The bundles roads write their
+pairings out in ints: `twist_by_classes` builds c1 + r*L as classes and
+pairs by intersect, `euler_char_bundle_pairing` builds K and c1 - K, and
+`jumping_count_section` and
 `pushforward_degree_section` pair c1 with SECTION; grr_verify's right side
 is checked against the last.  The chi road and grr_verify read their
 shifted Chern data from bundles._twisted's ints; `chi_road_by_twist` and
@@ -44,6 +51,7 @@ shifted Chern data from bundles._twisted's ints; `chi_road_by_twist` and
 
 import functools
 import itertools
+import pickle
 import sys
 from fractions import Fraction
 
@@ -795,6 +803,27 @@ def specialization_chain_loop(target: SplittingType) -> list[SplittingType]:
     return chain
 
 
+def specialization_chain_slices(target: SplittingType) -> list[SplittingType]:
+    """The chain with the prefix sums raised a slice at a time, until they equal the target's."""
+    parts = target.parts
+    start = rigid_type(len(parts), sum(parts))
+    tgt = list(itertools.accumulate(parts))
+    chain = [start]
+    cur = list(start.parts)
+    pre, i = list(itertools.accumulate(cur)), 0
+    while pre != tgt:
+        while pre[i] == tgt[i]:  # pre <= tgt throughout
+            i += 1
+        j = i + 1
+        while pre[j] != tgt[j]:
+            j += 1
+        cur[i] += 1
+        cur[j] -= 1
+        pre[i:j] = [p + 1 for p in pre[i:j]]
+        chain.append(SplittingType(tuple(cur)))
+    return chain
+
+
 def small_types():
     """Every type of rank <= 5 with parts in [-4, 4]: 2 001 of them."""
     for r in range(1, 6):
@@ -809,9 +838,21 @@ def test_h1_end_matches_double_sum_on_small_grid():
         assert h1_end(t) == h1_end_double_sum(t), t
 
 
+def assert_checked(types):
+    """Each listed type is the one its parts build through the checked constructor."""
+    for t in types:
+        assert type(t) is SplittingType
+        assert all(type(p) is int for p in t.parts), t
+        checked = SplittingType(t.parts)
+        assert t == checked and hash(t) == hash(checked) and repr(t) == repr(checked)
+        assert pickle.loads(pickle.dumps(t)) == checked
+
+
 def test_specialization_chain_matches_loop_on_small_grid():
     for t in small_types():
-        assert specialization_chain(t) == specialization_chain_loop(t), t
+        chain = specialization_chain(t)
+        assert chain == specialization_chain_loop(t) == specialization_chain_slices(t), t
+        assert_checked(chain)
 
 
 @st.composite
@@ -833,7 +874,46 @@ def test_h1_end_matches_double_sum(t):
 @PROPERTIES
 @given(huge_types(12))  # the chain takes up to 7 * 12 steps at rank 8
 def test_specialization_chain_matches_loop(t):
-    assert specialization_chain(t) == specialization_chain_loop(t)
+    chain = specialization_chain(t)
+    assert chain == specialization_chain_loop(t) == specialization_chain_slices(t)
+    assert_checked(chain)
+
+
+def enumerate_types_scan(r, d, max_spread):
+    """The loop enumerate_types replaced: every raise found by a scan from the last part."""
+    found = []
+    for top in range(-(-d // r), (d + (r - 1) * max_spread) // r + 1):
+        parts, i, tail = [top], 0, d - top
+        while True:
+            m = r - 1 - i
+            q, extra = divmod(tail, m or 1)
+            parts[i + 1:] = [q + 1] * extra + [q] * (m - extra)
+            found.append(SplittingType(tuple(parts)))
+            tail = 0
+            for i in range(r - 1, 0, -1):
+                if parts[i] < parts[i - 1] and tail > (r - 1 - i) * (top - max_spread):
+                    parts[i] += 1
+                    tail -= 1
+                    break
+                tail += parts[i]
+            else:
+                break
+    return found
+
+
+def test_enumerate_types_matches_scan_on_small_grid():
+    for r, d, spread in itertools.product(range(1, 7), range(-6, 7), range(7)):
+        types = enumerate_types(r, d, spread)
+        assert types == enumerate_types_scan(r, d, spread), (r, d, spread)
+        assert_checked(types)
+
+
+@PROPERTIES
+@given(st.integers(1, 8), st.integers(-10 ** 30, 10 ** 30), st.integers(0, 6))
+def test_enumerate_types_matches_scan_at_10_30(r, d, spread):
+    types = enumerate_types(r, d, spread)
+    assert types == enumerate_types_scan(r, d, spread)
+    assert_checked(types)
 
 
 def twist_by_classes(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:

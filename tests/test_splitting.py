@@ -2,6 +2,9 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import pytest
 
 from ruledsurf import splitting
@@ -233,6 +236,26 @@ def test_enumerate_matches_recursive_search():
         assert [t.parts for t in enumerate_types(r, d, spread)] == expected, (r, d, spread)
         count += len(expected)
     assert count == 4535
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(3)), st.one_of(st.booleans(), st.floats(), st.fractions()))
+@example(0, True)  # enumerate_types(True, 3, 1) once listed (3,)
+@example(2, Fraction(1))  # and enumerate_types(2, 3, Fraction(1)) (2, 1)
+def test_enumerate_types_refuses_a_non_int_argument(position, value):
+    args = [2, 3, 1]
+    args[position] = value
+    with pytest.raises(TypeError) as error:
+        enumerate_types(*args)
+    assert str(error.value) == ("rank, degree and max_spread must be integers, "
+                                f"got {type(value).__name__}")
+
+
+@pytest.mark.parametrize("target, name", [((1, 0), "tuple"), ([1, 0], "list")])
+def test_specialization_chain_refuses_a_target_that_is_not_a_splitting_type(target, name):
+    with pytest.raises(TypeError) as error:
+        specialization_chain(target)
+    assert str(error.value) == f"target must be a SplittingType, got {name}"
 
 
 @pytest.mark.parametrize("build, what", [

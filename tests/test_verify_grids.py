@@ -48,6 +48,17 @@ def _mutated(monkeypatch, module, name, old, new):
     monkeypatch.setattr(module, name, namespace[name])
 
 
+def _lie_in_series(monkeypatch, when):
+    """Make cohomology._h_line_nonneg answer h0 + 1 and h1 + 1 where when(e, a, b) holds."""
+    real = cohomology._h_line_nonneg
+
+    def patched(e, a, b):
+        h0, h1 = real(e, a, b)
+        return (h0 + 1, h1 + 1) if when(e, a, b) else (h0, h1)
+
+    monkeypatch.setattr(cohomology, "_h_line_nonneg", patched)
+
+
 def _spread_step(general, special):
     # reflexive and antisymmetric, but (0,-4) is two steps from (-2,-2)
     return general == special or special.spread() - general.spread() == 2
@@ -55,15 +66,21 @@ def _spread_step(general, special):
 
 # suite -> (how to break it, points counted, first counterexample)
 INJECTED = {
+    # the grid sums every dual K - D itself, so the lie shows at D = h + 3f alone
     "serre": (
         lambda mp: _lie_at(mp, "h_line", lambda g, d: g.e == 2 and d == DivisorClass(1, 3),
                            lambda t: CohomologyTable(t.h0 + 1, t.h1, t.h2)),
-        665, {"e": 2, "D": "-3*h-7*f"}),
-    # a wrong h0 series: the dual side of a point with a >= 0 does not call h_line
+        743, {"e": 2, "D": "1*h+3*f"}),
+    # a wrong h0 series, first seen where the dual K - D = 6h + 4f is summed
     "serre-h0-series": (
         lambda mp: _mutated(mp, cohomology, "_h_line_nonneg",
                             "top = min(a, b // e)", "top = min(a, b // e + 1)"),
-        740, {"e": 2, "D": "1*h+0*f"}),
+        579, {"e": 2, "D": "-8*h-8*f"}),
+    # h0 and h1 of one series both 1 too large keep every chi; only the grid's
+    # sum of K - D's summands at a point with a <= -2 sees them
+    "serre-dual-series": (
+        lambda mp: _lie_in_series(mp, lambda e, a, b: a >= 0 and b < -8),
+        16, {"e": 0, "D": "-8*h+7*f"}),
     "euler": (
         lambda mp: _lie_at(mp, "euler_char", lambda g, d: g.e == 3 and d == DivisorClass(2, -1),
                            lambda chi: chi + 1),
