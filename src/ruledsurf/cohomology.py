@@ -5,7 +5,8 @@ on the base P^1, so for a >= 0 the dimensions h0 and h1 are the section and
 obstruction counts of the summands O(b - k*e), k = 0..a.  Those counts are
 arithmetic series with closed forms, so h_line does a fixed number of
 integer operations whatever the coefficients.  h2 vanishes whenever
-a >= -1, and the remaining case a <= -2 reduces to the a >= 0 case through
+a >= -1; _h_line_ints, the one integer kernel behind h_line and
+h_split_end, takes the remaining case a <= -2 to the a >= 0 case through
 Serre duality in a single step.
 
 On top of the line-bundle table this module evaluates the endomorphism
@@ -115,16 +116,18 @@ def check_conormal(g: SurfaceGeometry, c: ConormalData):
             )
 
 
-def _h_line_nonneg(e: int, a: int, b: int) -> tuple[int, int]:
-    # (h0, h1); h2 = 0.  h_line passes a >= -1 here, or the Serre dual's -2 - a >= 0.
-    if a == -1:
-        return 0, 0
-    # h0 sums b - k*e + 1 over the k in 0..a where it is positive, and h1 sums
-    # k*e - b - 1 over the k in 0..a where that is positive (e >= 0 in genus
-    # zero).  Each is an arithmetic series of its own, so neither is read off
-    # the other or off chi.
+def _h_line_ints(e: int, a: int, b: int) -> tuple[int, int, int]:
+    # (h0, h1, h2) of O(a*h + b*f) on F_e.  For a <= -2, Serre duality:
+    # h^i(D) = h^(2-i)(K - D), K - D = (-2 - a)*h + (-2 - e - b)*f.
+    if a <= -2:
+        h0, h1, h2 = _h_line_ints(e, -2 - a, -2 - e - b)
+        return h2, h1, h0
+    # Now h2 = 0.  h0 sums b - k*e + 1 over the k in 0..a where it is positive,
+    # and h1 sums k*e - b - 1 over the k in 0..a where that is positive (e >= 0
+    # in genus zero; a = -1 leaves no k).  Each is an arithmetic series of its
+    # own, so neither is read off the other or off chi.
     if e == 0:  # every k gives the same term
-        return ((a + 1) * (b + 1), 0) if b >= -1 else (0, -(a + 1) * (b + 1))
+        return ((a + 1) * (b + 1), 0, 0) if b >= -1 else (0, -(a + 1) * (b + 1), 0)
     # h0 takes k = 0..top and h1 takes k = low..a.  top*(top + 1) is even, and
     # so is n*(low + a) for the n = a - low + 1 terms of h1: each division is exact.
     if b < 0:
@@ -135,19 +138,14 @@ def _h_line_nonneg(e: int, a: int, b: int) -> tuple[int, int]:
         h0 = (top + 1) * (b + 1) - e * top * (top + 1) // 2
         low = (b + 1) // e + 1
     if low > a:
-        return h0, 0
-    return h0, (a - low + 1) * (e * (low + a) - 2 * (b + 1)) // 2
+        return h0, 0, 0
+    return h0, (a - low + 1) * (e * (low + a) - 2 * (b + 1)) // 2, 0
 
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:
     """Exact cohomology of the line bundle O(a*h + b*f) on a Hirzebruch surface."""
     _require_genus_zero(g)
-    if d.a >= -1:
-        h0, h1 = _h_line_nonneg(g.e, d.a, d.b)
-        return CohomologyTable(h0, h1, 0)
-    # Serre duality: h^i(D) = h^(2-i)(K - D), K - D = (-2 - a)*h + (-2 - e - b)*f
-    h2, h1 = _h_line_nonneg(g.e, -2 - d.a, -2 - g.e - d.b)
-    return CohomologyTable(0, h1, h2)
+    return CohomologyTable(*_h_line_ints(g.e, d.a, d.b))
 
 
 def euler_char(g: SurfaceGeometry, d: DivisorClass) -> int:
@@ -201,22 +199,16 @@ def h_split_end(
     End of a direct sum splits into the lines O(D_j - D_i), so the table is
     the componentwise sum of h_line over all ordered summand pairs, each
     distinct difference weighted by its multiplicity.  The sum is taken in
-    ints, with h_line's two branches written out: _h_line_nonneg for
-    a >= -1, and for a <= -2 the same on the Serre dual
-    (-2 - a)*h + (-2 - e - b)*f, whose h0 is this line's h2.
+    ints, one call of h_line's kernel _h_line_ints per difference.
     """
     _require_genus_zero(g)
     e, ta, tb = g.e, twist.a, twist.b
     h0 = h1 = h2 = 0
     for (da, db), weight in _differences(bundle).items():
-        a, b = da + ta, db + tb
-        if a >= -1:
-            x0, x1 = _h_line_nonneg(e, a, b)
-            h0 += weight * x0
-        else:
-            x2, x1 = _h_line_nonneg(e, -2 - a, -2 - e - b)
-            h2 += weight * x2
+        x0, x1, x2 = _h_line_ints(e, da + ta, db + tb)
+        h0 += weight * x0
         h1 += weight * x1
+        h2 += weight * x2
     return CohomologyTable(h0, h1, h2)
 
 

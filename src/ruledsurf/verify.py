@@ -104,34 +104,26 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
                 d = DivisorClass(a, b)
                 lhs = h_line(g, d)
                 dual_a, dual_b = k.a - a, k.b - b
+                # h_line answers for one of D and K - D = a'h + b'f from the other by
+                # Serre duality, so K - D's series is summed here one summand at a
+                # time, on the ruling.  For a' >= -1, pi_* O(K - D) is the sum of O(c),
+                # c = b' - i*e for i = 0..a', which feeds K - D's h0 and h1; for
+                # a' <= -2, pi_* O(K - D) = 0 and R^1 pi_* O(K - D) is the sum of
+                # O(c), c = b' + i*e for i = 1..-a'-1, which feeds its h1 and h2.
+                # Each O(c) adds c + 1 to the lower h^i when c >= 0, else -c - 1
+                # to the next one up.
                 if a >= 0:
-                    # h_line would answer for K - D = a'h + b'f (a' <= -2) by Serre
-                    # duality, from D itself, so the dual is taken apart, by relative
-                    # duality on the ruling: pi_* O(K - D) = 0 and R^1 pi_* O(K - D) is
-                    # the sum of O(c), c = b' + i*e for i = 1..-a'-1.  Each O(c) adds its
-                    # h0 (c + 1 if c >= 0) to K - D's h1 and its h1 (-c - 1) to its h2.
-                    h1 = h2 = 0
-                    for i in range(1, -dual_a):
-                        c = dual_b + i * e
-                        if c >= 0:
-                            h1 += c + 1
-                        else:
-                            h2 -= c + 1
-                    rhs = (h2, h1, 0)
+                    first, step, n = dual_b + e, e, -dual_a - 1
                 else:
-                    # h_line answers for D from the series of K - D = a'h + b'f
-                    # (a' >= -1) by Serre duality, so that series is summed here one
-                    # summand at a time: pi_* O(K - D) is the sum of O(c), c = b' - i*e
-                    # for i = 0..a'.  Each O(c) adds its h0 (c + 1 if c >= 0) to K - D's
-                    # h0 and its h1 (-c - 1) to its h1; h2(K - D) = 0.
-                    h0 = h1 = 0
-                    for i in range(dual_a + 1):
-                        c = dual_b - i * e
-                        if c >= 0:
-                            h0 += c + 1
-                        else:
-                            h1 -= c + 1
-                    rhs = (0, h1, h0)
+                    first, step, n = dual_b, -e, dual_a + 1
+                lower = upper = 0
+                for i in range(n):
+                    c = first + i * step
+                    if c >= 0:
+                        lower += c + 1
+                    else:
+                        upper -= c + 1
+                rhs = (upper, lower, 0) if a >= 0 else (0, upper, lower)
                 yield None
                 if (lhs.h0, lhs.h1, lhs.h2) != rhs:
                     yield {"e": e, "D": d}

@@ -12,7 +12,7 @@ checked against the h1 values past it.  semicontinuity_oracle
 sweeps the special type's kinks once, keeping both counts up to date;
 `semicontinuity_window` compares them at every twist of a window outside
 which both saturate, and `semicontinuity_at_every_kink` sums both afresh
-at every kink of either type.  h_split_end sums _h_line_nonneg's ints
+at every kink of either type.  h_split_end sums _h_line_ints's tables
 over the summand differences; `h_split_end_by_h_line` builds a class and
 a table per difference and calls h_line, also at 5000 digits.
 conormal_vanishing answers from its preconditions; `conormal_vanishing_loop`

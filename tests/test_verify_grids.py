@@ -49,14 +49,14 @@ def _mutated(monkeypatch, module, name, old, new):
 
 
 def _lie_in_series(monkeypatch, when):
-    """Make cohomology._h_line_nonneg answer h0 + 1 and h1 + 1 where when(e, a, b) holds."""
-    real = cohomology._h_line_nonneg
+    """Make cohomology._h_line_ints answer h0 + 1 and h1 + 1 where when(e, a, b) holds."""
+    real = cohomology._h_line_ints
 
     def patched(e, a, b):
-        h0, h1 = real(e, a, b)
-        return (h0 + 1, h1 + 1) if when(e, a, b) else (h0, h1)
+        h0, h1, h2 = real(e, a, b)
+        return (h0 + 1, h1 + 1, h2) if when(e, a, b) else (h0, h1, h2)
 
-    monkeypatch.setattr(cohomology, "_h_line_nonneg", patched)
+    monkeypatch.setattr(cohomology, "_h_line_ints", patched)
 
 
 def _spread_step(general, special):
@@ -73,9 +73,15 @@ INJECTED = {
         743, {"e": 2, "D": "1*h+3*f"}),
     # a wrong h0 series, first seen where the dual K - D = 6h + 4f is summed
     "serre-h0-series": (
-        lambda mp: _mutated(mp, cohomology, "_h_line_nonneg",
+        lambda mp: _mutated(mp, cohomology, "_h_line_ints",
                             "top = min(a, b // e)", "top = min(a, b // e + 1)"),
         579, {"e": 2, "D": "-8*h-8*f"}),
+    # the kernel's Serre map drops K's -e*f: only lines with a <= -2 go wrong
+    "serre-duality-map": (
+        lambda mp: _mutated(mp, cohomology, "_h_line_ints",
+                            "_h_line_ints(e, -2 - a, -2 - e - b)",
+                            "_h_line_ints(e, -2 - a, -2 - b)"),
+        290, {"e": 1, "D": "-8*h-8*f"}),
     # h0 and h1 of one series both 1 too large keep every chi; only the grid's
     # sum of K - D's summands at a point with a <= -2 sees them
     "serre-dual-series": (
