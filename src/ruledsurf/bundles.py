@@ -26,14 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import (
-    DivisorClass,
-    SurfaceGeometry,
-    _require_int,
-    _Value,
-    _wrong_type,
-    intersect,
-)
+from ._value import _require_int, _Value, _wrong_type
+from .geometry import DivisorClass, SurfaceGeometry, intersect
 
 
 class BundleNumerics(_Value):

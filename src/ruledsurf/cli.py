@@ -13,6 +13,13 @@ refusals that name no op need the full tree.  Literal flags are parsed
 after that, in the order the op reads them, and the values read are
 echoed as the report's inputs.
 
+A request loads only what its op reaches.  The library layers are reached
+through the package, which imports each on first use: `split rigid` loads
+splitting alone, and `coh line` cohomology and geometry, with no fractions
+for either, as only the cycle literals and ring need them.  argparse
+loads only for a request that takes a parser pass, and a value is rendered
+by the name of its class, so rendering loads no layer.
+
 Output is an aligned text table by default or a single JSON object with
 --format json; --out writes the rendered report verbatim to a file first,
 then it is printed.  Exit codes: 0 ok, 1 input error, 2 property violation.
@@ -35,35 +42,37 @@ which parses back to the same value: `--D "+01*h+002*f"` is echoed as
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
-from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
-from . import bundles, cohomology, geometry, splitting
-from .geometry import CurveCycle, CycleClass, DivisorClass, SurfaceGeometry
-from .splitting import SplittingType
-
+import ruledsurf as _lib  # the package loads each layer on its first use
 
 _LEADING_NEG = re.compile(r"-[0-9]")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValueError(message)
+@functools.cache
+def _parser_class():
+    """argparse's parser as the CLI needs it, defined when a request first needs a parser."""
+    import argparse
 
-    def _parse_optional(self, arg_string):
-        # Divisor literals like -2*h+3*f are values: no flag starts with - and a digit.
-        return None if _LEADING_NEG.match(arg_string) else super()._parse_optional(arg_string)
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
 
-    def _get_value(self, action, arg_string):
-        # int() also reads other scripts' digits, "1_0" and " 1"; an int flag takes ASCII only.
-        if action.type is int and not _INT.fullmatch(arg_string):
-            raise argparse.ArgumentError(action, f"invalid int value: {arg_string!r}")
-        return super()._get_value(action, arg_string)
+        def _parse_optional(self, arg_string):
+            # Divisor literals like -2*h+3*f are values: no flag starts with - and a digit.
+            return None if _LEADING_NEG.match(arg_string) else super()._parse_optional(arg_string)
+
+        def _get_value(self, action, arg_string):
+            # int() also reads other scripts' digits, "1_0" and " 1"; an int flag takes ASCII only.
+            if action.type is int and not _INT.fullmatch(arg_string):
+                raise argparse.ArgumentError(action, f"invalid int value: {arg_string!r}")
+            return super()._get_value(action, arg_string)
+
+    return _Parser
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +89,7 @@ def _fail(text: str, pos: int, expected: str, kind: str):
     )
 
 
-def parse_divisor(text: str, base: int = 0) -> DivisorClass:
+def parse_divisor(text: str, base: int = 0) -> _lib.geometry.DivisorClass:
     pos = 0
     m = _INT.match(text, pos)
     if not m:
@@ -100,14 +109,14 @@ def parse_divisor(text: str, base: int = 0) -> DivisorClass:
     pos += 2
     if pos != len(text):
         _fail(text, base + pos, "end of literal", "divisor")
-    return DivisorClass(a, b)
+    return _lib.geometry.DivisorClass(a, b)
 
 
-def format_divisor(d: DivisorClass) -> str:
+def format_divisor(d: _lib.geometry.DivisorClass) -> str:
     return f"{d.a}*h{d.b:+d}*f"
 
 
-def parse_type(text: str) -> SplittingType:
+def parse_type(text: str) -> _lib.splitting.SplittingType:
     if not text.startswith("("):
         _fail(text, 0, "'('", "splitting type")
     if not text.endswith(")"):
@@ -124,14 +133,15 @@ def parse_type(text: str) -> SplittingType:
             _fail(text, pos, "a part no larger than the previous one", "splitting type")
         parts.append(value)
         pos += len(chunk) + 1
-    return SplittingType(tuple(parts))
+    return _lib.splitting.SplittingType(tuple(parts))
 
 
-def format_type(t: SplittingType) -> str:
+def format_type(t: _lib.splitting.SplittingType) -> str:
     return "(" + ",".join(str(b) for b in t.parts) + ")"
 
 
 def _parse_rational_list(text: str, count: int, kind: str) -> list[Fraction]:
+    from fractions import Fraction  # only the cycle literals load it
     if not text.startswith("("):
         _fail(text, 0, "'('", kind)
     if not text.endswith(")"):
@@ -154,16 +164,16 @@ def _parse_rational_list(text: str, count: int, kind: str) -> list[Fraction]:
     return values
 
 
-def parse_cycle(text: str) -> CycleClass:
+def parse_cycle(text: str) -> _lib.geometry.CycleClass:
     r0, dh, df, p2 = _parse_rational_list(text, 4, "cycle")
-    return CycleClass(r0, dh, df, p2)
+    return _lib.geometry.CycleClass(r0, dh, df, p2)
 
 
 def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def format_cycle(c: CycleClass) -> str:
+def format_cycle(c: _lib.geometry.CycleClass) -> str:
     return (
         "("
         + ",".join(format_rational(v) for v in (c.r0, c.dh, c.df, c.p2))
@@ -171,25 +181,25 @@ def format_cycle(c: CycleClass) -> str:
     )
 
 
-def parse_curve_cycle(text: str) -> CurveCycle:
+def parse_curve_cycle(text: str) -> _lib.geometry.CurveCycle:
     r0, p1 = _parse_rational_list(text, 2, "curve cycle")
-    return CurveCycle(r0, p1)
+    return _lib.geometry.CurveCycle(r0, p1)
 
 
-def format_curve_cycle(c: CurveCycle) -> str:
+def format_curve_cycle(c: _lib.geometry.CurveCycle) -> str:
     return "(" + ",".join(format_rational(v) for v in (c.r0, c.p1)) + ")"
 
 
-def parse_summands(text: str) -> cohomology.SplitBundle:
+def parse_summands(text: str) -> _lib.cohomology.SplitBundle:
     summands = []
     offset = 0
     for chunk in text.split(","):
         summands.append(parse_divisor(chunk, base=offset))
         offset += len(chunk) + 1
-    return cohomology.SplitBundle(tuple(summands))
+    return _lib.cohomology.SplitBundle(tuple(summands))
 
 
-def format_summands(bundle: cohomology.SplitBundle) -> str:
+def format_summands(bundle: _lib.cohomology.SplitBundle) -> str:
     return ",".join(format_divisor(d) for d in bundle.summands)
 
 
@@ -198,16 +208,17 @@ _BUNDLE = re.compile(
 )
 
 
-def parse_bundle(text: str) -> bundles.BundleNumerics:
+def parse_bundle(text: str) -> _lib.bundles.BundleNumerics:
     m = _BUNDLE.fullmatch(text)
     if not m:
         _fail(text, 0, "'r=<int>; c1=<divisor>; c2=<int>; e=<int>; q=<int>'", "bundle")
     r, c1_text, c2, e, q = m.groups()
     c1 = parse_divisor(c1_text, base=m.start(2))
-    return bundles.BundleNumerics(SurfaceGeometry(int(q), int(e)), int(r), c1, int(c2))
+    g = _lib.geometry.SurfaceGeometry(int(q), int(e))
+    return _lib.bundles.BundleNumerics(g, int(r), c1, int(c2))
 
 
-def format_bundle(b: bundles.BundleNumerics) -> str:
+def format_bundle(b: _lib.bundles.BundleNumerics) -> str:
     return f"r={b.r}; c1={format_divisor(b.c1)}; c2={b.c2}; e={b.g.e}; q={b.g.q}"
 
 
@@ -217,19 +228,21 @@ def format_bundle(b: bundles.BundleNumerics) -> str:
 def _encode(value):
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, Fraction):
+    # a value class is known by its name, so that encoding loads no module defining one
+    kind = type(value).__name__
+    if kind == "Fraction":
         return int(value) if value.denominator == 1 else format_rational(value)
-    if isinstance(value, DivisorClass):
+    if kind == "DivisorClass":
         return format_divisor(value)
-    if isinstance(value, SplittingType):
+    if kind == "SplittingType":
         return format_type(value)
-    if isinstance(value, CycleClass):
+    if kind == "CycleClass":
         return format_cycle(value)
-    if isinstance(value, CurveCycle):
+    if kind == "CurveCycle":
         return format_curve_cycle(value)
-    if isinstance(value, cohomology.SplitBundle):
+    if kind == "SplitBundle":
         return format_summands(value)
-    if isinstance(value, bundles.BundleNumerics):
+    if kind == "BundleNumerics":
         return format_bundle(value)
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
@@ -319,14 +332,14 @@ class _Args:
         return self._read("summands", parse_summands)
 
     @property
-    def g(self) -> SurfaceGeometry:
-        return SurfaceGeometry(self["q"], self["e"])
+    def g(self) -> _lib.geometry.SurfaceGeometry:
+        return _lib.geometry.SurfaceGeometry(self["q"], self["e"])
 
-    def conormal(self) -> cohomology.ConormalData:
-        return cohomology.ConormalData(self["t"], self["s"])
+    def conormal(self) -> _lib.cohomology.ConormalData:
+        return _lib.cohomology.ConormalData(self["t"], self["s"])
 
-    def bundle(self, prefix="") -> bundles.BundleNumerics:
-        return bundles.BundleNumerics(
+    def bundle(self, prefix="") -> _lib.bundles.BundleNumerics:
+        return _lib.bundles.BundleNumerics(
             self.g, self[prefix + "r"], self.divisor(prefix + "c1"), self[prefix + "c2"])
 
 
@@ -344,8 +357,24 @@ def _row(obj, *labels) -> dict:
 
 
 def _mintwist_row(g, ample):
-    t = geometry.min_good_twist(g, ample)
-    return {"t": t, "polarization": ample + t * geometry.FIBER}
+    t = _lib.geometry.min_good_twist(g, ample)
+    return {"t": t, "polarization": ample + t * _lib.geometry.FIBER}
+
+
+def _unprintable() -> str:
+    return (f"result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "which Python will not print")
+
+
+def _growth_row(g, bundle, c, n):
+    # Each layer is an h0, so the last, at (n - 1)*(t, s), bounds the sum from below:
+    # a sum too long to print is refused in O(r²), after the checks growth makes first.
+    if g.q == 0 and n >= 1 and (limit := sys.get_int_max_str_digits()):
+        _lib.cohomology.check_conormal(g, c)
+        last = _lib.geometry.DivisorClass((n - 1) * c.t, (n - 1) * c.s)
+        if _lib.cohomology.h_split_end(g, bundle, last).h0 >= 10 ** limit:
+            raise ValueError(_unprintable())
+    return {"sections": _lib.cohomology.endomorphism_growth(g, bundle, c, n)}
 
 
 def _lift_row(obstructions):
@@ -362,125 +391,125 @@ _SURFACE = {
     "intersect": ("intersection number of two divisors",
                   _GEOM + (_flag("--d1", "first divisor, a*h+b*f"),
                            _flag("--d2", "second divisor, a*h+b*f")),
-                  lambda v: [{"product": geometry.intersect(
+                  lambda v: [{"product": _lib.geometry.intersect(
                       v.g, v.divisor("d1"), v.divisor("d2"))}]),
     "canonical": ("canonical divisor class", _GEOM,
-                  lambda v: [{"K": geometry.canonical_class(v.g)}]),
+                  lambda v: [{"K": _lib.geometry.canonical_class(v.g)}]),
     "ample": ("ampleness test", _GEOM + (_flag("--D", "divisor to test"),),
-              lambda v: [{"ample": geometry.is_ample(v.g, v.divisor("D"))}]),
+              lambda v: [{"ample": _lib.geometry.is_ample(v.g, v.divisor("D"))}]),
     "good": ("good-polarization test", _GEOM + (_flag("--R", "polarization to test"),),
-             lambda v: [{"good": geometry.is_good_polarization(v.g, v.divisor("R"))}]),
+             lambda v: [{"good": _lib.geometry.is_good_polarization(v.g, v.divisor("R"))}]),
     "mintwist": ("fewest fibers to add to an ample class to make it good",
                  _GEOM + (_flag("--H", "ample starting divisor"),),
                  lambda v: [_mintwist_row(v.g, v.divisor("H"))]),
     "cyclemul": ("product of two truncated cycles",
                  _GEOM + (_flag("--x", _CYCLE), _flag("--y", _CYCLE)),
-                 lambda v: [{"cycle": geometry.cycle_mul(v.g, v.cycle("x"), v.cycle("y"))}]),
+                 lambda v: [{"cycle": _lib.geometry.cycle_mul(v.g, v.cycle("x"), v.cycle("y"))}]),
     "chern": ("Chern character of rank/c1/c2 data", _BUNDLE_FLAGS,
-              lambda v: [{"cycle": geometry.chern_character(
+              lambda v: [{"cycle": _lib.geometry.chern_character(
                   v.g, v["r"], v.divisor("c1"), v["c2"])}]),
     "todd": ("Todd class of the surface", _GEOM,
-             lambda v: [{"cycle": geometry.todd_surface(v.g)}]),
+             lambda v: [{"cycle": _lib.geometry.todd_surface(v.g)}]),
     "toddcurve": ("Todd class of a genus-q curve", (_int("--q"),),
-                  lambda v: [{"curve_cycle": geometry.todd_curve(v["q"])}]),
+                  lambda v: [{"curve_cycle": _lib.geometry.todd_curve(v["q"])}]),
     "push": ("pushforward of a cycle to the base curve", _GEOM + (_flag("--x", _CYCLE),),
-             lambda v: [{"curve_cycle": geometry.pushforward_to_curve(v.g, v.cycle("x"))}]),
+             lambda v: [{"curve_cycle": _lib.geometry.pushforward_to_curve(v.g, v.cycle("x"))}]),
 }
 
 _COH = {
     "line": ("cohomology of a line bundle (genus 0)", _GEOM + (_flag("--D"),),
-             lambda v: [_row(cohomology.h_line(v.g, v.divisor("D")), "h0", "h1", "h2")]),
+             lambda v: [_row(_lib.cohomology.h_line(v.g, v.divisor("D")), "h0", "h1", "h2")]),
     "euler": ("Riemann-Roch Euler characteristic (any genus)", _GEOM + (_flag("--D"),),
-              lambda v: [{"chi": cohomology.euler_char(v.g, v.divisor("D"))}]),
+              lambda v: [{"chi": _lib.cohomology.euler_char(v.g, v.divisor("D"))}]),
     "serre": ("Serre-dual divisor class K - D", _GEOM + (_flag("--D"),),
-              lambda v: [{"dual": cohomology.serre_dual(v.g, v.divisor("D"))}]),
+              lambda v: [{"dual": _lib.cohomology.serre_dual(v.g, v.divisor("D"))}]),
     "conormal": ("vanishing of conormal powers",
                  _GEOM + (_int("--t"), _int("--s"), _int("--n-max", default=6)),
-                 lambda v: [{"vanishes": cohomology.conormal_vanishing(
+                 lambda v: [{"vanishes": _lib.cohomology.conormal_vanishing(
                      v.g, v.conormal(), v["n_max"])}]),
     "splitend": ("cohomology of twisted End of a split bundle",
                  _GEOM + (_flag("--summands", "comma-joined divisors"),
                           _flag("--twist", default="0*h+0*f")),
-                 lambda v: [_row(cohomology.h_split_end(v.g, v.summands(), v.divisor("twist")),
+                 lambda v: [_row(_lib.cohomology.h_split_end(v.g, v.summands(), v.divisor("twist")),
                                  "h0", "h1", "h2")]),
     "moduli": ("local moduli dimension of a split bundle", _GEOM + (_flag("--summands"),),
-               lambda v: [{"dimension": cohomology.moduli_dimension_split(v.g, v.summands())}]),
+               lambda v: [{"dimension": _lib.cohomology.moduli_dimension_split(
+                   v.g, v.summands())}]),
     "stab": ("index past which twisted End h1 vanishes",
              _GEOM + (_flag("--summands"), _int("--t"), _int("--s"),
                       _int("--y-max", default=10)),
-             lambda v: [{"index": cohomology.stabilization_index(
+             lambda v: [{"index": _lib.cohomology.stabilization_index(
                  v.g, v.summands(), v.conormal(), v["y_max"])}]),
     "growth": ("global endomorphism count on the n-th neighborhood (split model)",
                _GEOM + (_flag("--summands"), _int("--t"), _int("--s"), _int("--n")),
-               lambda v: [{"sections": cohomology.endomorphism_growth(
-                   v.g, v.summands(), v.conormal(), v["n"])}]),
+               lambda v: [_growth_row(v.g, v.summands(), v.conormal(), v["n"])]),
 }
 
 _TYPE_PAIR = (_flag("--general"), _flag("--special"))
 
 _SPLIT = {
     "rigid": ("balanced type of given rank and degree", (_int("--r"), _int("--d")),
-              lambda v: [{"type": splitting.rigid_type(v["r"], v["d"])}]),
+              lambda v: [{"type": _lib.splitting.rigid_type(v["r"], v["d"])}]),
     "h1end": ("h1 of the endomorphism bundle",
               (_flag("--type", "splitting type (b1,b2,...)"),),
-              lambda v: [{"h1": splitting.h1_end(v.splitting("type"))}]),
+              lambda v: [{"h1": _lib.splitting.h1_end(v.splitting("type"))}]),
     "isrigid": ("rigidity test", (_flag("--type"),),
-                lambda v: [{"rigid": splitting.is_rigid(v.splitting("type"))}]),
+                lambda v: [{"rigid": _lib.splitting.is_rigid(v.splitting("type"))}]),
     "specializes": ("dominance-order test", _TYPE_PAIR,
-                    lambda v: [{"specializes": splitting.specializes(
+                    lambda v: [{"specializes": _lib.splitting.specializes(
                         v.splitting("general"), v.splitting("special"))}]),
     "semicont": ("dominance via section-count semicontinuity", _TYPE_PAIR,
-                 lambda v: [{"specializes": splitting.semicontinuity_oracle(
+                 lambda v: [{"specializes": _lib.splitting.semicontinuity_oracle(
                      v.splitting("general"), v.splitting("special"))}]),
     "jumptype": ("minimal degeneration of a balanced type", (_int("--r"), _int("--a")),
-                 lambda v: [{"type": splitting.jumping_type(v["r"], v["a"])}]),
+                 lambda v: [{"type": _lib.splitting.jumping_type(v["r"], v["a"])}]),
     "lift": ("formal-neighborhood lifting obstructions",
              (_flag("--type"), _int("--t", "conormal fiber degree"),
               _int("--n-max", default=10)),
-             lambda v: [_lift_row(splitting.formal_lift_obstructions(
+             lambda v: [_lift_row(_lib.splitting.formal_lift_obstructions(
                  v.splitting("type"), v["t"], v["n_max"]))]),
     "enumerate": ("all types of bounded spread",
                   (_int("--r"), _int("--d"), _int("--max-spread")),
-                  lambda v: [{"type": t} for t in splitting.enumerate_types(
+                  lambda v: [{"type": t} for t in _lib.splitting.enumerate_types(
                       v["r"], v["d"], v["max_spread"])]),
     "chain": ("degeneration chain from the rigid type", (_flag("--type"),),
               lambda v: [{"type": t}
-                         for t in splitting.specialization_chain(v.splitting("type"))]),
+                         for t in _lib.splitting.specialization_chain(v.splitting("type"))]),
 }
 
 _BUNDLE_OPS = {
     "fiberdeg": ("degree on a general fiber", _BUNDLE_FLAGS,
-                 lambda v: [{"fiber_degree": bundles.fiber_degree(v.bundle())}]),
+                 lambda v: [{"fiber_degree": _lib.bundles.fiber_degree(v.bundle())}]),
     "twist": ("tensor by a line bundle", _BUNDLE_FLAGS + (_flag("--L", "twisting divisor"),),
-              lambda v: [{"bundle": bundles.twist(v.bundle(), v.divisor("L"))}]),
+              lambda v: [{"bundle": _lib.bundles.twist(v.bundle(), v.divisor("L"))}]),
     "jump": ("jumping-fiber count z and pushforward degree m",
              _BUNDLE_FLAGS + (_int("--a", "general fiber type is (a,...,a)"),),
-             lambda v: [{"z": bundles.jumping_count(v.bundle(), v["a"]),
-                         "m": bundles.pushforward_degree(v.bundle(), v["a"])}]),
+             lambda v: [{"z": _lib.bundles.jumping_count(v.bundle(), v["a"]),
+                         "m": _lib.bundles.pushforward_degree(v.bundle(), v["a"])}]),
     "chi": ("jumping count via Euler characteristics", _BUNDLE_FLAGS + (_int("--a"),),
-            lambda v: [{"z": bundles.jumping_count_chi_oracle(v.bundle(), v["a"])}]),
+            lambda v: [{"z": _lib.bundles.jumping_count_chi_oracle(v.bundle(), v["a"])}]),
     "euler": ("Euler characteristic of the bundle", _BUNDLE_FLAGS,
-              lambda v: [{"chi": bundles.euler_char_bundle(v.bundle())}]),
+              lambda v: [{"chi": _lib.bundles.euler_char_bundle(v.bundle())}]),
     "grr": ("compare the cycle-level pushforward degree with the closed form",
             _BUNDLE_FLAGS + (_int("--a"),),
-            lambda v: [_row(bundles.grr_verify(v.bundle(), v["a"]),
+            lambda v: [_row(_lib.bundles.grr_verify(v.bundle(), v["a"]),
                             "rank_ok", "degree_ok", "lhs_degree", "rhs_degree")]),
     "extchern": ("Chern data of an extension middle term",
                  _GEOM + (_int("--r"), _int("--x", "rank of the quotient piece"), _int("--a"),
                           _int("--deg-sub"), _int("--deg-quot")),
-                 lambda v: [{"bundle": bundles.extension_chern(bundles.ExtensionData(
+                 lambda v: [{"bundle": _lib.bundles.extension_chern(_lib.bundles.ExtensionData(
                      v.g, v["r"], v["x"], v["a"], v["deg_sub"], v["deg_quot"]))}]),
     "extdata": ("recover extension degrees from Chern data",
                 _BUNDLE_FLAGS + (_int("--a"), _int("--x")),
-                lambda v: [_row(bundles.extension_data_from_chern(v.bundle(), v["a"], v["x"]),
+                lambda v: [_row(_lib.bundles.extension_data_from_chern(v.bundle(), v["a"], v["x"]),
                                 "deg_sub", "deg_quot")]),
     "slope": ("slope with respect to a polarization", _BUNDLE_FLAGS + (_flag("--R"),),
-              lambda v: [{"slope": bundles.slope(v.bundle(), v.divisor("R"))}]),
+              lambda v: [{"slope": _lib.bundles.slope(v.bundle(), v.divisor("R"))}]),
     # the sub-object is read, and so checked and echoed, before the whole
     "destab": ("slope comparison of a sub-object",
                _BUNDLE_FLAGS + (_int("--sub-r"), _flag("--sub-c1"), _int("--sub-c2"),
                                 _flag("--R")),
-               lambda v: [{"destabilizes": bundles.destabilizes(
+               lambda v: [{"destabilizes": _lib.bundles.destabilizes(
                    v.bundle("sub_"), v.bundle(), v.divisor("R"))}]),
 }
 
@@ -549,19 +578,19 @@ _COMMON = (("--format", {"choices": ("table", "json"), "default": "table",
                       "help": "also write the rendered report to PATH"}))
 
 
-def _add_common(p: _Parser):
+def _add_common(p):
     for flag, kwargs in _COMMON:
         p.add_argument(flag, **kwargs)
 
 
-def _add_op(p: _Parser, help_text: str, flags):
+def _add_op(p, help_text: str, flags):
     p.description = help_text
     _add_common(p)
     for flag, kwargs in flags() if callable(flags) else flags:
         p.add_argument(flag, **kwargs)
 
 
-def build_parser(*names: str) -> _Parser:
+def build_parser(*names: str):
     """The full argument tree, or one op's leaf alone given the words that name it.
 
     Those words are a group and one of its ops, or verify alone (its own op).
@@ -569,31 +598,32 @@ def build_parser(*names: str) -> _Parser:
     names and sets `group` and `op` itself.  Only help and the refusal of a
     missing or unknown group or op need the full tree.
     """
+    parser_class = _parser_class()
     if names:
-        leaf = _Parser(prog=" ".join(("ruledsurf", *names)))
+        leaf = parser_class(prog=" ".join(("ruledsurf", *names)))
         _add_op(leaf, *_GROUPS[names[0]][1][names[-1]][:2])
         leaf.set_defaults(group=names[0], op=names[-1])
         return leaf
-    top = _Parser(
+    top = parser_class(
         prog="ruledsurf",
         description="Exact intersection theory, cohomology, splitting types, "
                     "and jumping-fiber counts on Hirzebruch and ruled surfaces.",
     )
-    groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
+    groups = top.add_subparsers(dest="group", required=True, parser_class=parser_class)
     for name, (help_text, ops) in _GROUPS.items():
         entry = groups.add_parser(name, help=help_text)
         if name in ops:
             _add_op(entry, *ops[name][:2])
             entry.set_defaults(op=name)
             continue
-        leaves = entry.add_subparsers(dest="op", required=True, parser_class=_Parser)
+        leaves = entry.add_subparsers(dest="op", required=True, parser_class=parser_class)
         for op, (op_help, flags, _) in ops.items():
             _add_op(leaves.add_parser(op, help=op_help), op_help, flags)
     return top
 
 
 @functools.cache
-def _parser(*names: str) -> _Parser:
+def _parser(*names: str):
     # run() asks for the full tree or one of the 38 leaves, so this holds at most 39.
     return build_parser(*names)
 
@@ -608,7 +638,7 @@ def _leaf_flags(group: str, op: str):
     return flags, defaults, required
 
 
-def _plain_parse(group: str, op: str, words: list[str]) -> argparse.Namespace | None:
+def _plain_parse(group: str, op: str, words: list[str]) -> SimpleNamespace | None:
     """The namespace the leaf parser gives words that are plain `--flag value` pairs, else None."""
     flags, defaults, required = _leaf_flags(group, op)
     if len(words) % 2:
@@ -630,17 +660,17 @@ def _plain_parse(group: str, op: str, words: list[str]) -> argparse.Namespace | 
         given[dest] = value
     if not required <= given.keys():
         return None
-    return argparse.Namespace(**{**defaults, **given}, group=group, op=op)
+    return SimpleNamespace(**{**defaults, **given}, group=group, op=op)
 
 
 @functools.cache
-def _output_parser() -> _Parser:
-    p = _Parser(add_help=False)
+def _output_parser():
+    p = _parser_class()(add_help=False)
     _add_common(p)
     return p
 
 
-def _requested_output(argv: list[str], ns: argparse.Namespace) -> argparse.Namespace:
+def _requested_output(argv: list[str], ns):
     """ns given the --format and --out of argv, or a table and no file if they do not parse."""
     try:
         return _output_parser().parse_known_args(argv, ns)[0]
@@ -652,13 +682,15 @@ def _requested_output(argv: list[str], ns: argparse.Namespace) -> argparse.Names
 # ---------------------------------------------------------------------------
 # entry points
 
-def _input_error(ns: argparse.Namespace, error: str) -> str:
+def _input_error(ns, error: str) -> str:
     return render_report(ns.group, {}, [{"error": error}], "input-error", ns.format)
 
 
-def _emit(text: str, code: int, ns: argparse.Namespace) -> int:
+def _emit(text: str, code: int, ns) -> int:
     """Write --out first, so a reader that closes stdout early cannot lose it, then print."""
     if ns.out is not None:
+        from pathlib import Path  # only --out needs it
+
         try:
             Path(ns.out).write_text(text + "\n", encoding="utf-8")
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte, with no strerror
@@ -682,7 +714,7 @@ def run(argv: list[str]) -> int:
         if ns is None:
             ns = _parser(*names).parse_args(argv[len(names):])
     except ValueError as exc:
-        ns = _requested_output(argv, argparse.Namespace(group=group))
+        ns = _requested_output(argv, SimpleNamespace(group=group))
         return _emit(_input_error(ns, str(exc)), 1, ns)
     except SystemExit:  # argparse --help; _Parser.error raises instead of exiting
         return 0
@@ -702,10 +734,7 @@ def run(argv: list[str]) -> int:
     try:
         text = render_report(ns.group, args.inputs, rows, status, ns.format)
     except ValueError:  # Python will not turn an int this long into text
-        limit = sys.get_int_max_str_digits()
-        error = f"result has an integer of more than {limit} digits, which Python will not print"
-        text = _input_error(ns, error)
-        code = 1
+        text, code = _input_error(ns, _unprintable()), 1
     return _emit(text, code, ns)
 
 

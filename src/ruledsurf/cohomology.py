@@ -26,15 +26,8 @@ with a typed error.
 
 from __future__ import annotations
 
-from .geometry import (
-    ZERO,
-    DivisorClass,
-    SurfaceGeometry,
-    _require_int,
-    _Value,
-    _wrong_type,
-    canonical_class,
-)
+from ._value import _require_int, _Value, _wrong_type
+from .geometry import ZERO, DivisorClass, SurfaceGeometry, canonical_class
 
 
 class PositiveGenusError(ValueError):

@@ -8,87 +8,25 @@ and a cycle ring truncated above degree 2, which is just big enough to
 push Chern characters and Todd classes down to the base curve.
 
 All arithmetic is exact: divisor classes carry integer coefficients,
-cycle classes carry rationals.  Every value is immutable and every
-operation is a pure function, so concurrent use needs no coordination.
+cycle classes carry rationals.  Only the cycle ring imports fractions,
+where it builds a cycle, so a divisor computation loads none.  Every
+value is immutable and every operation is a pure function, so concurrent
+use needs no coordination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-class _Value:
-    """An immutable value, equal within its class and hashed by its fields.
-
-    A subclass's __init__ validates its arguments, then writes them straight
-    into its instance dict, `fields = self.__dict__; fields["x"] = x`, in
-    declared order, so __dict__ holds the fields in that order.  Writing the
-    dict bypasses __setattr__, which refuses every assignment, for the cost
-    of one dict store per field.
-    """
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _repr_pretty_(self, p, cycle):
-        # Pretty printers (hypothesis, IPython) render each field themselves:
-        # an int past Python's str() digit limit shows in hex, where repr raises.
-        name = type(self).__name__
-        if cycle:
-            return p.text(name + "(...)")
-        with p.group(1, name + "(", ")"):
-            for i, (field, value) in enumerate(self.__dict__.items()):
-                if i:
-                    p.text(",")
-                    p.breakable()
-                p.text(field + "=")
-                p.pretty(value)
+from ._value import _require_int, _Value, _wrong_type  # _wrong_type only re-exported
 
 
 def _as_fraction(value) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if type(value) is int:  # bool is a subclass of int, so no isinstance
         return Fraction(value)
     raise TypeError(f"expected an exact integer or rational, got {value!r}")
-
-
-def _wrong_type(what: str, expected: type, value) -> TypeError:
-    """The refusal of a field that must hold a value of class `expected` exactly."""
-    return TypeError(f"{what} must be a {expected.__name__}, got {type(value).__name__}")
-
-
-def _require_int(what: str, *values) -> None:
-    """Reject any value that is not an exact int: bool, float and Fraction included.
-
-    The input values' public constructors and every public function check
-    each int they take (tests/test_int_arguments.py lists them all), most
-    of them inline, calling this only to raise: SurfaceGeometry,
-    DivisorClass, BundleNumerics, ExtensionData, ConormalData and
-    CohomologyTable test `type(v) is int`, SplittingType makes one pass of
-    `map(type, parts)`; one call per divisor made the extension grid about
-    a sixth slower.  The list builders, splitting.enumerate_types and
-    specialization_chain, check their arguments once and build each listed
-    type unchecked.
-    """
-    for value in values:
-        if type(value) is not int:  # bool is a subclass of int, so no isinstance
-            raise TypeError(f"{what} must be integers, got {type(value).__name__}")
 
 
 class SurfaceGeometry(_Value):
@@ -223,16 +161,17 @@ def chern_character(g: SurfaceGeometry, rank: int, c1: DivisorClass, c2: int) ->
     _require_int("rank and c2", rank, c2)
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
-    top = Fraction(intersect(g, c1, c1) - 2 * c2, 2)
-    return CycleClass(Fraction(rank), Fraction(c1.a), Fraction(c1.b), top)
+    from fractions import Fraction
+
+    return CycleClass(rank, c1.a, c1.b, Fraction(intersect(g, c1, c1) - 2 * c2, 2))
 
 
 def todd_surface(g: SurfaceGeometry) -> CycleClass:
     """Todd class 1 - K/2 + (1-q)*[pt] of the surface's tangent bundle."""
+    from fractions import Fraction
+
     k = canonical_class(g)
-    return CycleClass(
-        Fraction(1), Fraction(-k.a, 2), Fraction(-k.b, 2), Fraction(1 - g.q)
-    )
+    return CycleClass(1, Fraction(-k.a, 2), Fraction(-k.b, 2), 1 - g.q)
 
 
 def todd_curve(q: int) -> CurveCycle:
@@ -240,7 +179,7 @@ def todd_curve(q: int) -> CurveCycle:
     _require_int("genus values", q)
     if q < 0:
         raise ValueError(f"genus must be nonnegative, got {q}")
-    return CurveCycle(Fraction(1), Fraction(1 - q))
+    return CurveCycle(1, 1 - q)
 
 
 def pushforward_to_curve(g: SurfaceGeometry, x: CycleClass) -> CurveCycle:

@@ -21,7 +21,7 @@ import sys
 from itertools import accumulate, chain
 from operator import lt
 
-from .geometry import _require_int, _Value, _wrong_type
+from ._value import _require_int, _Value, _wrong_type
 
 _INT = {int}
 

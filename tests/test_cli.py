@@ -564,15 +564,31 @@ def _modules_added_by(statement):
     return printed, set(added.split())
 
 
-def test_importing_cli_loads_no_dataclasses_inspect_or_json():
+# A plain request loads only the library layers its op reaches, and no argparse.
+COLD_REQUESTS = {
+    "split rigid": (["split", "rigid", "--r", "5", "--d", "7"], ["type", "(2,2,1,1,1)"],
+                    {"ruledsurf.bundles", "ruledsurf.cohomology", "ruledsurf.geometry",
+                     "fractions", "decimal", "argparse"}),
+    "coh line": (["coh", "line", "--e", "0", "--D", "1*h+1*f"], ["h0  h1  h2", "4   0   0"],
+                 {"ruledsurf.bundles", "ruledsurf.splitting", "fractions", "decimal",
+                  "argparse"}),
+    "bundle jump": (["bundle", "jump", "--e", "1", "--r", "2", "--a", "1", "--c1", "2*h+0*f",
+                     "--c2", "3"], ["z  m", "4  -4"],
+                    {"ruledsurf.cohomology", "ruledsurf.splitting", "argparse"}),
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(COLD_REQUESTS))
+def test_importing_cli_loads_no_dataclasses_inspect_or_json(request_name):
     # the fresh python imports the CLI, then answers a table request as the console script does
+    argv, expected, unloaded = COLD_REQUESTS[request_name]
     printed, added = _modules_added_by(
         "import ruledsurf.cli\n"
-        "sys.argv = ['ruledsurf', 'split', 'rigid', '--r', '5', '--d', '7']\n"
+        f"sys.argv = {['ruledsurf', *argv]!r}\n"
         "assert ruledsurf.cli.main() == 0")
-    assert printed == ["type", "(2,2,1,1,1)"]
+    assert printed == expected
     assert "ruledsurf.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}
+    assert not added & {"dataclasses", "inspect", "json", *unloaded}
 
 
 def test_importing_verify_loads_no_dataclasses_or_inspect():
@@ -825,6 +841,9 @@ LARGE_COEFFICIENT_OPS = {
 }
 
 
+LARGE_COEFFICIENT_BUDGET_S = 2.0
+
+
 @pytest.mark.parametrize("op", sorted(LARGE_COEFFICIENT_OPS))
 def test_large_coefficient_latency_budget(capsys, op):
     argv, values = LARGE_COEFFICIENT_OPS[op]
@@ -833,7 +852,52 @@ def test_large_coefficient_latency_budget(capsys, op):
     elapsed = time.perf_counter() - start
     assert code == 0
     assert out.splitlines()[1].split() == values.split()
-    assert elapsed < 2.0, f"{' '.join(argv[:2])} took {elapsed:.2f} s"
+    assert elapsed < LARGE_COEFFICIENT_BUDGET_S, f"{' '.join(argv[:2])} took {elapsed:.2f} s"
+
+
+def _unprintable_error():
+    return (f"result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "which Python will not print")
+
+
+def test_a_growth_sum_too_long_to_print_is_refused_within_the_budget(capsys, tmp_path):
+    # Consecutive 700-digit Fibonacci numbers for e and s give the floor sums a Euclid
+    # descent of thousands of steps on 4 000-digit numbers: summing took seconds.
+    e, s = 1, 2
+    while len(str(e)) < 700:
+        e, s = s, e + s
+    x = 10 ** 4289
+    argv = ["coh", "growth", "--e", str(e), "--summands", f"0*h+0*f,0*h+{x}*f",
+            "--t", "1", "--s", str(s), "--n", str(10 * x)]
+    start = time.perf_counter()
+    code, out = _run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, f"status: input-error\nerror\n{_unprintable_error()}\n")
+    assert elapsed < LARGE_COEFFICIENT_BUDGET_S, f"coh growth took {elapsed:.2f} s"
+    target = tmp_path / "report.json"
+    code, out = _run(capsys, argv + ["--format", "json", "--out", str(target)])
+    assert code == 1
+    assert out == render_report(
+        "coh", {}, [{"error": _unprintable_error()}], "input-error", "json") + "\n"
+    assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("n, sections", [(1, 1), (2, 4 * 10 ** 639 + 3), (3, None)],
+                         ids=["n=1", "n=2", "n=3"])
+def test_growth_is_refused_exactly_when_its_sum_would_not_print(capsys, n, sections):
+    # e = 0, one summand, s = 2*10^639: layer m is h0(O(m*h + m*s*f)) = (m + 1)(m*s + 1),
+    # so the layers are 1, 4*10^639 + 2 and 12*10^639 + 3: the sum passes 10^640, and the
+    # last layer with it, only at n = 3.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = _run(capsys, ["coh", "growth", "--e", "0", "--summands", "0*h+0*f",
+                                  "--t", "1", "--s", str(2 * 10 ** 639), "--n", str(n)])
+        expected = (0, f"sections\n{sections}\n") if sections else (
+            1, f"status: input-error\nerror\n{_unprintable_error()}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == expected
 
 
 BIG = 10 ** 30  # past sys.maxsize, the longest sequence Python can build

@@ -2,7 +2,7 @@
 
 Each case below is a valid call; every argument in it that is an int is
 replaced in turn by the equal float, Fraction and by True, and the call must
-raise the TypeError of geometry._require_int naming that type, before
+raise the TypeError of _value._require_int naming that type, before
 anything else goes wrong.  The last test checks that the cases cover every
 public callable of the four library modules that takes an int.
 """
