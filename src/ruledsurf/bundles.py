@@ -20,11 +20,12 @@ ring of geometry (chern_character, cycle_mul, pushforward_to_curve,
 curve_mul) and the class arithmetic these bodies replaced are their
 oracles in the tests.  No road calls another to check itself; the
 verification grids and the tests compare them all.
+
+Only grr_verify's degree and slope are rationals, and the first of them
+built imports fractions, so the int-only operations load none.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ._value import _require_int, _Value, _wrong_type
 from .geometry import DivisorClass, SurfaceGeometry, intersect
@@ -72,6 +73,19 @@ class ExtensionData(_Value):
         fields["a"] = a
         fields["deg_sub"] = deg_sub
         fields["deg_quot"] = deg_quot
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator), importing fractions on the first call alone.
+
+    The first call rebinds this name to Fraction itself, so a request that
+    builds no rational loads no fractions, and later calls go straight to it.
+    """
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(numerator, denominator)
 
 
 def fiber_degree(bundle: BundleNumerics) -> int:
@@ -208,7 +222,7 @@ def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     return GrrReport(
         rank_ok=rank4 == 4 * bundle.r,
         degree_ok=degree4 == 4 * rhs,
-        lhs_degree=Fraction(degree4, 4),
+        lhs_degree=_fraction(degree4, 4),
         rhs_degree=rhs,
     )
 
@@ -265,7 +279,7 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
 
 def slope(bundle: BundleNumerics, polarization: DivisorClass) -> Fraction:
     """Mumford-Takemoto slope c1.R / rank as an exact rational."""
-    return Fraction(intersect(bundle.g, bundle.c1, polarization), bundle.r)
+    return _fraction(intersect(bundle.g, bundle.c1, polarization), bundle.r)
 
 
 def destabilizes(

@@ -6,19 +6,23 @@ its help text, its flags, and a function from the parsed flags to result
 rows.  `build_parser` and `run` both read that registry.  A request that
 names a group and an op, then gives only `--flag value` pairs, each flag
 one of the op's own spelt out in full and set once, with values argparse
-would take, is parsed from the registry with no argparse pass.  Any other
-request that names an op (verify, --help, --flag=value, an abbreviation, a
-refusal) takes one pass of that op's own leaf parser; only help and
-refusals that name no op need the full tree.  Literal flags are parsed
-after that, in the order the op reads them, and the values read are
-echoed as the report's inputs.
+would take, is parsed from the registry with no argparse pass; so is
+`verify` with a suite name or `all` as its first word, then such pairs of
+grid bounds.  Any other request that names an op (--help, --flag=value,
+an abbreviation, a refusal) takes one pass of that op's own leaf parser;
+only help and refusals that name no op need the full tree.  Literal flags
+are parsed after that, in the order the op reads them, and the values
+read are echoed as the report's inputs.
 
 A request loads only what its op reaches.  The library layers are reached
 through the package, which imports each on first use: `split rigid` loads
 splitting alone, and `coh line` cohomology and geometry, with no fractions
-for either, as only the cycle literals and ring need them.  argparse
-loads only for a request that takes a parser pass, and a value is rendered
-by the name of its class, so rendering loads no layer.
+for either, as only the cycle literals and ring need them; `verify rigid`
+loads splitting alone too, as each grid imports the layers it calls.
+argparse loads only for a request that takes a parser pass, the regular
+expressions of the cycle and bundle literals compile only when such a
+literal is read, and a value is rendered by the name of its class, so
+rendering loads no layer.
 
 Output is an aligned text table by default or a single JSON object with
 --format json; --out writes the rendered report verbatim to a file first,
@@ -80,7 +84,8 @@ def _parser_class():
 
 _INT = re.compile(r"[+-]?[0-9]+")
 _SIGNED_INT = re.compile(r"[+-][0-9]+")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+# compiled on first use, through re's cache: only cycle literals read it
+_RATIONAL = r"[+-]?[0-9]+(?:/([0-9]+))?"
 
 
 def _fail(text: str, pos: int, expected: str, kind: str):
@@ -153,7 +158,7 @@ def _parse_rational_list(text: str, count: int, kind: str) -> list[Fraction]:
     pos = 1
     for chunk in chunks:
         stripped = chunk.strip()
-        m = _RATIONAL.fullmatch(stripped)
+        m = re.fullmatch(_RATIONAL, stripped)
         if not m:
             _fail(text, pos, "exact rational p or p/q", kind)
         if m.group(1) is not None and not m.group(1).strip("0"):
@@ -203,13 +208,12 @@ def format_summands(bundle: _lib.cohomology.SplitBundle) -> str:
     return ",".join(format_divisor(d) for d in bundle.summands)
 
 
-_BUNDLE = re.compile(
-    r"r=([+-]?[0-9]+); c1=([^;]+); c2=([+-]?[0-9]+); e=([+-]?[0-9]+); q=([+-]?[0-9]+)"
-)
+# compiled on first use, through re's cache: only bundle literals read it
+_BUNDLE = r"r=([+-]?[0-9]+); c1=([^;]+); c2=([+-]?[0-9]+); e=([+-]?[0-9]+); q=([+-]?[0-9]+)"
 
 
 def parse_bundle(text: str) -> _lib.bundles.BundleNumerics:
-    m = _BUNDLE.fullmatch(text)
+    m = re.fullmatch(_BUNDLE, text)
     if not m:
         _fail(text, 0, "'r=<int>; c1=<divisor>; c2=<int>; e=<int>; q=<int>'", "bundle")
     r, c1_text, c2, e, q = m.groups()
@@ -630,32 +634,50 @@ def _parser(*names: str):
 
 @functools.cache
 def _leaf_flags(group: str, op: str):
-    """One leaf's flags as {flag: (dest, add_argument kwargs)}, its defaults and required dests."""
-    flags = {flag: (flag.lstrip("-").replace("-", "_"), kwargs)
-             for flag, kwargs in _COMMON + _GROUPS[group][1][op][1]}
-    defaults = {dest: kwargs.get("default") for dest, kwargs in flags.values()}
-    required = {dest for dest, kwargs in flags.values() if kwargs.get("required")}
-    return flags, defaults, required
+    """One leaf's options as {flag: (dest, add_argument kwargs)}, its positionals as
+    (dest, kwargs) pairs, the options' defaults and their required dests."""
+    flags = _GROUPS[group][1][op][1]
+    declared = _COMMON + (flags() if callable(flags) else flags)
+    options = {flag: (kwargs.get("dest") or flag.lstrip("-").replace("-", "_"), kwargs)
+               for flag, kwargs in declared if flag[:1] == "-"}
+    positionals = tuple((name, kwargs) for name, kwargs in declared if name[:1] != "-")
+    defaults = {dest: kwargs.get("default") for dest, kwargs in options.values()}
+    required = {dest for dest, kwargs in options.values() if kwargs.get("required")}
+    return options, positionals, defaults, required
+
+
+def _plain_value(kwargs: dict, word: str):
+    """word as the leaf parser stores it for an argument declared with kwargs, or None
+    where the parser would read it as a flag or refuse it."""
+    if word[:1] == "-" and not _LEADING_NEG.match(word):
+        return None
+    if kwargs.get("type") is int:
+        if not _INT.fullmatch(word):
+            return None
+        try:
+            return int(word)
+        except ValueError:  # past the digit limit: argparse words the refusal
+            return None
+    if "choices" in kwargs and word not in kwargs["choices"]:
+        return None
+    return word
 
 
 def _plain_parse(group: str, op: str, words: list[str]) -> SimpleNamespace | None:
-    """The namespace the leaf parser gives words that are plain `--flag value` pairs, else None."""
-    flags, defaults, required = _leaf_flags(group, op)
-    if len(words) % 2:
+    """The namespace the leaf parser gives words that are its positionals, then plain
+    `--flag value` pairs, else None."""
+    options, positionals, defaults, required = _leaf_flags(group, op)
+    pairs = words[len(positionals):]
+    if len(words) < len(positionals) or len(pairs) % 2:
         return None
     given = {}
-    for flag, value in zip(words[::2], words[1::2]):
-        dest, kwargs = flags.get(flag, (None, None))
-        if dest is None or dest in given or value[:1] == "-" and not _LEADING_NEG.match(value):
+    for (dest, kwargs), word in zip(positionals, words):
+        if (value := _plain_value(kwargs, word)) is None:
             return None
-        if kwargs.get("type") is int:
-            if not _INT.fullmatch(value):
-                return None
-            try:
-                value = int(value)
-            except ValueError:  # past the digit limit: argparse words the refusal
-                return None
-        elif "choices" in kwargs and value not in kwargs["choices"]:
+        given[dest] = value
+    for flag, word in zip(pairs[::2], pairs[1::2]):
+        dest, kwargs = options.get(flag, (None, None))
+        if dest is None or dest in given or (value := _plain_value(kwargs, word)) is None:
             return None
         given[dest] = value
     if not required <= given.keys():
@@ -705,12 +727,12 @@ def run(argv: list[str]) -> int:
     group = argv[0] if argv and argv[0] in _GROUPS else ""
     ops = _GROUPS[group][1] if group else {}
     # A request names its op right after its group, or is verify, its own op.
-    # Plain `--flag value` words after a group and op need no argparse pass;
-    # other words after the names go to that op's leaf parser.  Any other argv
-    # is help or a refusal, which the full tree gives.
+    # Plain words after the names (verify's suite, then `--flag value` pairs)
+    # need no argparse pass; other words after the names go to that op's leaf
+    # parser.  Any other argv is help or a refusal, which the full tree gives.
     names = [group] if group in ops else argv[:2] if len(argv) > 1 and argv[1] in ops else []
     try:
-        ns = _plain_parse(*names, argv[2:]) if len(names) == 2 else None
+        ns = _plain_parse(names[0], names[-1], argv[len(names):]) if names else None
         if ns is None:
             ns = _parser(*names).parse_args(argv[len(names):])
     except ValueError as exc:

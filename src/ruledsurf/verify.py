@@ -19,50 +19,20 @@ GrrReport.lhs_degree, a Fraction.
 SUITES holds the grids: `_suite(name)` registers a grid generator under
 its name, next to the bounds it accepts, which are the grid's parameters,
 read from its code object; their defaults reproduce the documented grids.
+
+Importing this module loads no library layer.  Each grid imports the names
+it calls once, at the top of its generator, and hands them to its helpers,
+so a run loads only the layers its suites reach: `rigid` and `lifting`
+load splitting alone, `conormal` cohomology and geometry.  A name rebound
+in the layer that defines it, before a grid starts, is the one that grid
+calls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .bundles import (
-    BundleNumerics,
-    ExtensionData,
-    extension_chern,
-    extension_data_from_chern,
-    grr_verify,
-    jumping_count,
-    jumping_count_chi_oracle,
-    twist,
-)
-from .cohomology import (
-    ConormalData,
-    SplitBundle,
-    conormal_vanishing,
-    endomorphism_growth,
-    euler_char,
-    h_line,
-    h_split_end,
-    stabilization_index,
-)
-from .geometry import (
-    DivisorClass,
-    SurfaceGeometry,
-    _require_int,
-    _Value,
-    canonical_class,
-)
-from .splitting import (
-    SplittingType,
-    enumerate_types,
-    formal_lift_obstructions,
-    h1_end,
-    jumping_type,
-    rigid_type,
-    semicontinuity_oracle,
-    specialization_chain,
-    specializes,
-)
+from ._value import _require_int, _Value
 
 # What a suite yields: None per counted point, then a counterexample if one fails.
 Grid = Iterator["dict | None"]
@@ -96,6 +66,9 @@ def _suite(name: str):
 
 @_suite("serre")
 def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
+    from .cohomology import h_line
+    from .geometry import DivisorClass, SurfaceGeometry, canonical_class
+
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         k = canonical_class(g)
@@ -131,6 +104,9 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
 
 @_suite("euler")
 def _euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
+    from .cohomology import euler_char, h_line
+    from .geometry import DivisorClass, SurfaceGeometry
+
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for a in range(-coeff_max, coeff_max + 1):
@@ -143,6 +119,9 @@ def _euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
 
 @_suite("conormal")
 def _conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
+    from .cohomology import ConormalData, conormal_vanishing, h_line
+    from .geometry import DivisorClass, SurfaceGeometry
+
     # conormal_vanishing answers from its preconditions; h_line checks each power here
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
@@ -159,6 +138,15 @@ def _conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
 def _theorem_c(
     e_max: int = 3, r_max: int = 5, a_max: int = 2, b_max: int = 5, c2_max: int = 5
 ) -> Grid:
+    from .bundles import (
+        BundleNumerics,
+        grr_verify,
+        jumping_count,
+        jumping_count_chi_oracle,
+        twist,
+    )
+    from .geometry import DivisorClass, SurfaceGeometry
+
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for r in range(2, r_max + 1):
@@ -196,6 +184,8 @@ def _theorem_c(
 
 @_suite("dominance")
 def _dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
+    from .splitting import enumerate_types, semicontinuity_oracle, specializes
+
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, spread)
@@ -238,7 +228,8 @@ def _is_elementary_move(before: SplittingType, after: SplittingType) -> bool:
     return moved == [1, -1] or moved == [-1, 1]
 
 
-def _chain_valid(rigid: SplittingType, target: SplittingType, chain: list[SplittingType]) -> bool:
+def _chain_valid(rigid: SplittingType, target: SplittingType, chain: list[SplittingType],
+                 specializes: Callable[[SplittingType, SplittingType], bool]) -> bool:
     if chain[0] != rigid:  # the rigid type of target's rank and degree
         return False
     if chain[-1] != target:
@@ -253,6 +244,15 @@ def _chain_valid(rigid: SplittingType, target: SplittingType, chain: list[Splitt
 
 @_suite("rigid")
 def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
+    from .splitting import (
+        enumerate_types,
+        h1_end,
+        jumping_type,
+        rigid_type,
+        specialization_chain,
+        specializes,
+    )
+
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, r + 2)
@@ -265,7 +265,7 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
                 yield None
                 if not specializes(balanced, t):
                     yield {"r": r, "d": d, "unreachable": t}
-                if not _chain_valid(balanced, t, specialization_chain(t)):
+                if not _chain_valid(balanced, t, specialization_chain(t), specializes):
                     yield {"r": r, "d": d, "bad_chain_target": t}
     for r in range(2, 7):
         for a in range(-3, 4):
@@ -276,6 +276,8 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
 
 @_suite("lifting")
 def _lifting(r_max: int = 6, d_max: int = 6, t_max: int = 3, n_max: int = 10) -> Grid:
+    from .splitting import SplittingType, formal_lift_obstructions, rigid_type
+
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             balanced = rigid_type(r, d)
@@ -290,6 +292,9 @@ def _lifting(r_max: int = 6, d_max: int = 6, t_max: int = 3, n_max: int = 10) ->
 
 @_suite("extension")
 def _extension(e_max: int = 3, r_max: int = 5, a_max: int = 2, deg_max: int = 5) -> Grid:
+    from .bundles import ExtensionData, extension_chern, extension_data_from_chern
+    from .geometry import SurfaceGeometry
+
     for e in range(e_max + 1):
         g = SurfaceGeometry(0, e)
         for r in range(2, r_max + 1):
@@ -313,6 +318,9 @@ def _extension(e_max: int = 3, r_max: int = 5, a_max: int = 2, deg_max: int = 5)
 
 def growth_samples() -> list[tuple[SurfaceGeometry, SplitBundle, ConormalData]]:
     """A fixed sample of 20 split bundles with valid conormal data."""
+    from .cohomology import ConormalData, SplitBundle
+    from .geometry import DivisorClass, SurfaceGeometry
+
     samples = []
     shapes = [
         (DivisorClass(0, 0),),
@@ -331,6 +339,15 @@ def growth_samples() -> list[tuple[SurfaceGeometry, SplitBundle, ConormalData]]:
 
 @_suite("growth")
 def _growth(n_max: int = 10, y_max: int = 10) -> Grid:
+    from .cohomology import (
+        ConormalData,
+        SplitBundle,
+        endomorphism_growth,
+        h_split_end,
+        stabilization_index,
+    )
+    from .geometry import DivisorClass, SurfaceGeometry
+
     if n_max < 2:  # monotonicity compares consecutive neighborhoods
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     for g, bundle, c in growth_samples():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import ruledsurf.bundles as bundles_mod
 import ruledsurf.cli as cli_mod
+import ruledsurf.splitting as splitting_mod
 import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
     _GROUPS,
@@ -566,6 +567,12 @@ def _modules_added_by(statement):
 
 # A plain request loads only the library layers its op reaches, and no argparse.
 COLD_REQUESTS = {
+    "verify lifting": (["verify", "lifting"], ["suite    points  ok", "lifting  235     true"],
+                       {"ruledsurf.bundles", "ruledsurf.cohomology", "ruledsurf.geometry",
+                        "fractions", "decimal", "argparse"}),
+    "verify conormal": (["verify", "conormal"], ["suite     points  ok", "conormal  48      true"],
+                        {"ruledsurf.bundles", "ruledsurf.splitting", "fractions", "decimal",
+                         "argparse"}),
     "split rigid": (["split", "rigid", "--r", "5", "--d", "7"], ["type", "(2,2,1,1,1)"],
                     {"ruledsurf.bundles", "ruledsurf.cohomology", "ruledsurf.geometry",
                      "fractions", "decimal", "argparse"}),
@@ -574,7 +581,8 @@ COLD_REQUESTS = {
                   "argparse"}),
     "bundle jump": (["bundle", "jump", "--e", "1", "--r", "2", "--a", "1", "--c1", "2*h+0*f",
                      "--c2", "3"], ["z  m", "4  -4"],
-                    {"ruledsurf.cohomology", "ruledsurf.splitting", "argparse"}),
+                    {"ruledsurf.cohomology", "ruledsurf.splitting", "fractions", "decimal",
+                     "argparse"}),
 }
 
 
@@ -592,10 +600,12 @@ def test_importing_cli_loads_no_dataclasses_inspect_or_json(request_name):
 
 
 def test_importing_verify_loads_no_dataclasses_or_inspect():
+    # each grid imports the layers it calls when it starts
     printed, added = _modules_added_by("import ruledsurf.verify")
     assert printed == []
     assert "ruledsurf.verify" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"ruledsurf.bundles", "ruledsurf.cohomology", "ruledsurf.geometry",
+                        "ruledsurf.splitting", "fractions", "dataclasses", "inspect"}
 
 
 def _subparsers(parser):
@@ -656,7 +666,8 @@ def test_leaf_parser_matches_full_tree(monkeypatch, names):
 
 
 def test_a_request_that_names_an_op_runs_argparse_at_most_once(capsys, monkeypatch):
-    # a plain request takes no argparse pass; verify and a refusal take one of their own leaf
+    # a plain request, verify's too, takes no argparse pass; a request with a flag
+    # written --flag=value and a refusal take one of their own leaf
     parses, builds = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -674,7 +685,12 @@ def test_a_request_that_names_an_op_runs_argparse_at_most_once(capsys, monkeypat
     _parser.cache_clear()
     line = ["coh", "line", "--e", "0", "--D", "1*h+1*f"]
     for argv, code, progs, built in ((line, 0, [], []),
-                                     (["verify", "rigid"], 0, ["ruledsurf verify"], [("verify",)]),
+                                     (["verify", "rigid"], 0, [], []),
+                                     (["verify", "rigid", "--r=3"], 0, ["ruledsurf verify"],
+                                      [("verify",)]),
+                                     # the leaf built for the request above
+                                     (["verify", "rigid", "--bogus", "1"], 1,
+                                      ["ruledsurf verify"], []),
                                      (line + ["--bogus"], 1, ["ruledsurf coh line"],
                                       [("coh", "line")])):
         builds.clear()
@@ -728,37 +744,50 @@ def test_leaf_parse_matches_full_tree_parse(names, edits):
     assert _outcome(_parser(*names), words) == _outcome(_parser(), [*names, *words])
 
 
-# the words that name each op other than verify, whose requests the plain parse may answer
+# the words that name each op other than verify
 PLAIN_LEAVES = [names for names in LEAVES if len(names) == 2]
 EDGE_WORDS = ["7" * 5000, "", "-", "-1", "-2*h+3*f", "--fo", "--format=json"]
+# verify's first word: a suite, all, or one the leaf parser refuses
+SUITE_WORDS = [*verify_mod.SUITES, "all", "bogus", "Rigid", "rigid,", "-1", ""]
+BOUND_FLAGS = [flag for flag, _ in cli_mod._VERIFY_BOUNDS]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(names=st.sampled_from(PLAIN_LEAVES), slot=st.integers(0, 99),
-       value=st.sampled_from([None, *EDGE_WORDS]), repeat=st.booleans(), edits=EDITS)
-def test_a_plain_parse_matches_the_leaf_parse(names, slot, value, repeat, edits):
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(names=st.one_of(st.just(("verify",)), st.sampled_from(PLAIN_LEAVES)),
+       slot=st.integers(0, 99), value=st.sampled_from([None, *EDGE_WORDS]),
+       repeat=st.booleans(), edits=EDITS, suite=st.sampled_from(SUITE_WORDS),
+       bounds=st.lists(st.tuples(st.sampled_from(BOUND_FLAGS),
+                                 st.sampled_from(["0", "2", "-1", "+3", "007", "x"])),
+                       max_size=3))
+def test_a_plain_parse_matches_the_leaf_parse(names, slot, value, repeat, edits, suite,
+                                              bounds):
     flags = [a.option_strings[0] for a in _parser(*names)._actions if a.option_strings]
-    extra = STRAY_WORDS + EDGE_WORDS + flags + [f[:3] for f in flags] + [f + "=1" for f in flags]
-    words = _valid_words(names)
+    extra = (STRAY_WORDS + EDGE_WORDS + SUITE_WORDS + flags + [f[:3] for f in flags]
+             + [f + "=1" for f in flags])
+    # verify's suite comes first, then its bound flags; every other op's required flags
+    head, words = ([suite], [w for pair in bounds for w in pair]) if len(names) == 1 else (
+        [], _valid_words(names))
     if value is not None and words:  # an edge word in place of one flag's value
         words[2 * (slot % (len(words) // 2)) + 1] = value
     if repeat and words:  # a flag given twice
         words += words[:2]
-    words = _edited(words, edits, extra)
-    plain = cli_mod._plain_parse(*names, words)
+    words = _edited(head + words, edits, extra)
+    plain = cli_mod._plain_parse(names[0], names[-1], words)
     if plain is not None:
         assert _outcome(_parser(*names), words) == ("namespace", vars(plain))
 
 
 def test_every_golden_report_of_a_library_op_takes_the_plain_parse():
+    # and of verify, whose golden reports give a suite and then flag pairs
     ops = set()
     for entry in json.loads(FIXTURE.read_text(encoding="utf-8")):
-        names, words = tuple(entry["argv"][:2]), entry["argv"][2:]
-        if names in PLAIN_LEAVES and entry["code"] == 0 and not entry["stdout"].startswith("usage:"):
-            words = [word.replace(OUT, "report.out") for word in words]
-            assert cli_mod._plain_parse(*names, words) is not None, entry["argv"]
+        argv = entry["argv"]
+        names = tuple(argv[:1] if argv[:1] == ["verify"] else argv[:2])
+        if names in LEAVES and entry["code"] == 0 and not entry["stdout"].startswith("usage:"):
+            words = [word.replace(OUT, "report.out") for word in argv[len(names):]]
+            assert cli_mod._plain_parse(names[0], names[-1], words) is not None, argv
             ops.add(names)
-    assert ops == set(PLAIN_LEAVES)
+    assert ops == set(LEAVES)
 
 
 @pytest.mark.parametrize("argv", [["coh", "line", "--e", "0", "--D", "1*h+1*f"],
@@ -1205,9 +1234,9 @@ def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
 
 def test_verify_rigid_renders_a_list_of_types(capsys, monkeypatch):
     # the grid yields the SplittingType values; the CLI renders them as literals
-    real = verify_mod.h1_end
+    real = splitting_mod.h1_end
     flat = SplittingType((2, 0, -1))
-    monkeypatch.setattr(verify_mod, "h1_end", lambda t: 0 if t == flat else real(t))
+    monkeypatch.setattr(splitting_mod, "h1_end", lambda t: 0 if t == flat else real(t))
     code, out = _run(capsys, ["verify", "rigid", "--format", "json"])
     assert code == 2
     assert json.loads(out)["results"] == [{

@@ -28,15 +28,19 @@ from ruledsurf.geometry import DivisorClass
 from ruledsurf.splitting import SplittingType, jumping_type, rigid_type
 
 
-def _lie_at(monkeypatch, name, when, wrong):
-    """Make verify.<name> answer wrong(value) where when(*args) holds, and truly elsewhere."""
-    real = getattr(verify, name)
+def _lie_at(monkeypatch, module, name, when, wrong):
+    """Make module.<name> answer wrong(value) where when(*args) holds, and truly elsewhere.
+
+    A grid imports the names it calls from their layer when it starts, so it
+    calls the patched one.
+    """
+    real = getattr(module, name)
 
     def patched(*args):
         value = real(*args)
         return wrong(value) if when(*args) else value
 
-    monkeypatch.setattr(verify, name, patched)
+    monkeypatch.setattr(module, name, patched)
 
 
 def _mutated(monkeypatch, module, name, old, new):
@@ -68,7 +72,8 @@ def _spread_step(general, special):
 INJECTED = {
     # the grid sums every dual K - D itself, so the lie shows at D = h + 3f alone
     "serre": (
-        lambda mp: _lie_at(mp, "h_line", lambda g, d: g.e == 2 and d == DivisorClass(1, 3),
+        lambda mp: _lie_at(mp, cohomology, "h_line",
+                           lambda g, d: g.e == 2 and d == DivisorClass(1, 3),
                            lambda t: CohomologyTable(t.h0 + 1, t.h1, t.h2)),
         743, {"e": 2, "D": "1*h+3*f"}),
     # a wrong h0 series, first seen where the dual K - D = 6h + 4f is summed
@@ -88,26 +93,28 @@ INJECTED = {
         lambda mp: _lie_in_series(mp, lambda e, a, b: a >= 0 and b < -8),
         16, {"e": 0, "D": "-8*h+7*f"}),
     "euler": (
-        lambda mp: _lie_at(mp, "euler_char", lambda g, d: g.e == 3 and d == DivisorClass(2, -1),
+        lambda mp: _lie_at(mp, cohomology, "euler_char",
+                           lambda g, d: g.e == 3 and d == DivisorClass(2, -1),
                            lambda chi: chi + 1),
         1045, {"e": 3, "D": "2*h-1*f"}),
     "conormal": (
-        lambda mp: _lie_at(mp, "conormal_vanishing",
+        lambda mp: _lie_at(mp, cohomology, "conormal_vanishing",
                            lambda g, c, n: g.e == 2 and (c.t, c.s) == (2, 6),
                            lambda ok: False),
         30, {"e": 2, "t": 2, "s": 6}),
     "conormal-powers": (
-        lambda mp: _lie_at(mp, "h_line", lambda g, d: g.e == 2 and d == DivisorClass(4, 12),
+        lambda mp: _lie_at(mp, cohomology, "h_line",
+                           lambda g, d: g.e == 2 and d == DivisorClass(4, 12),
                            lambda t: CohomologyTable(t.h0, t.h1 + 1, t.h2)),
         25, {"e": 2, "t": 1, "s": 3}),
     "theoremC": (
-        lambda mp: _lie_at(mp, "jumping_count_chi_oracle",
+        lambda mp: _lie_at(mp, bundles, "jumping_count_chi_oracle",
                            lambda b, a: (b.g.e, b.r, a, b.c2) == (0, 3, 1, 2),
                            lambda z: z + 1),
         976, {"e": 0, "r": 3, "a": 1, "c1": "3*h-5*f", "c2": 2, "z": 12, "z_twist": 12,
               "z_chi": 13, "m": -17, "grr_degree": "-17"}),
     "dominance-oracle": (
-        lambda mp: _lie_at(mp, "semicontinuity_oracle",
+        lambda mp: _lie_at(mp, splitting, "semicontinuity_oracle",
                            lambda s, t: (s, t) == (SplittingType((1, 0, -1)),
                                                    SplittingType((2, -1, -1))),
                            lambda ok: not ok),
@@ -116,71 +123,69 @@ INJECTED = {
     # smallest kink answers the same, as both counts agree there whenever the
     # larger kinks pass
     "dominance-sweep": (
-        lambda mp: (_mutated(mp, splitting, "semicontinuity_oracle",
-                             "enumerate(sp)", "enumerate(sp[:1])"),
-                    mp.setattr(verify, "semicontinuity_oracle",
-                               splitting.semicontinuity_oracle)),
+        lambda mp: _mutated(mp, splitting, "semicontinuity_oracle",
+                            "enumerate(sp)", "enumerate(sp[:1])"),
         82, {"r": 3, "d": -4, "general": "(0,-1,-3)", "special": "(0,-2,-2)"}),
     "dominance-reflexive": (
-        lambda mp: (mp.setattr(verify, "specializes", lambda s, t: False),
-                    mp.setattr(verify, "semicontinuity_oracle", lambda s, t: False)),
+        lambda mp: (mp.setattr(splitting, "specializes", lambda s, t: False),
+                    mp.setattr(splitting, "semicontinuity_oracle", lambda s, t: False)),
         1, {"axiom": "reflexive", "type": "(-4)"}),
     "dominance-antisymmetric": (
-        lambda mp: (mp.setattr(verify, "specializes", lambda s, t: True),
-                    mp.setattr(verify, "semicontinuity_oracle", lambda s, t: True)),
+        lambda mp: (mp.setattr(splitting, "specializes", lambda s, t: True),
+                    mp.setattr(splitting, "semicontinuity_oracle", lambda s, t: True)),
         18, {"axiom": "antisymmetric", "first": "(-2,-2)", "second": "(-1,-3)"}),
     "dominance-transitive": (
-        lambda mp: (mp.setattr(verify, "specializes", _spread_step),
-                    mp.setattr(verify, "semicontinuity_oracle", _spread_step)),
+        lambda mp: (mp.setattr(splitting, "specializes", _spread_step),
+                    mp.setattr(splitting, "semicontinuity_oracle", _spread_step)),
         18, {"axiom": "transitive", "first": "(-2,-2)", "second": "(-1,-3)",
              "third": "(0,-4)"}),
     "rigid-flat": (
-        lambda mp: _lie_at(mp, "h1_end", lambda t: t == SplittingType((2, 0, -1)),
+        lambda mp: _lie_at(mp, splitting, "h1_end", lambda t: t == SplittingType((2, 0, -1)),
                            lambda h: 0),
         91, {"r": 3, "d": 1, "h1_end_zero": ["(1,0,0)", "(2,0,-1)"]}),
     "rigid-unreachable": (
-        lambda mp: _lie_at(mp, "specializes",
+        lambda mp: _lie_at(mp, splitting, "specializes",
                            lambda s, t: (s, t) == (rigid_type(3, 2), SplittingType((2, 1, -1))),
                            lambda ok: False),
         102, {"r": 3, "d": 2, "unreachable": "(2,1,-1)"}),
     "rigid-chain": (
-        lambda mp: _lie_at(mp, "specialization_chain",
+        lambda mp: _lie_at(mp, splitting, "specialization_chain",
                            lambda t: t == SplittingType((3, -1)),
                            lambda chain: chain[1:]),
         43, {"r": 2, "d": 2, "bad_chain_target": "(3,-1)"}),
     "rigid-jumping": (
-        lambda mp: _lie_at(mp, "h1_end", lambda t: t == jumping_type(4, 1),
+        lambda mp: _lie_at(mp, splitting, "h1_end", lambda t: t == jumping_type(4, 1),
                            lambda h: h + 1),
         340, {"jumping_r": 4, "jumping_a": 1}),
     "lifting-grid": (
-        lambda mp: _lie_at(mp, "formal_lift_obstructions",
+        lambda mp: _lie_at(mp, splitting, "formal_lift_obstructions",
                            lambda t, c, n: (t, c) == (rigid_type(4, 3), 2),
                            lambda obs: [1] + obs[1:]),
         146, {"type": "(1,1,1,0)", "t": 2}),
     "lifting-jump": (
-        lambda mp: _lie_at(mp, "formal_lift_obstructions",
+        lambda mp: _lie_at(mp, splitting, "formal_lift_obstructions",
                            lambda t, c, n: t == SplittingType((1, -1)),
                            lambda obs: [0] * len(obs)),
         235, {"type": "(1,-1)", "t": 1, "expected": [1]}),
     "extension": (
-        lambda mp: _lie_at(mp, "extension_data_from_chern",
+        lambda mp: _lie_at(mp, bundles, "extension_data_from_chern",
                            lambda b, a, x: (b.g.e, b.r, x, a) == (1, 3, 2, -1),
                            lambda ext: ExtensionData(ext.g, ext.r, ext.x, ext.a,
                                                      ext.deg_sub + 1, ext.deg_quot)),
         7382, {"e": 1, "r": 3, "x": 2, "a": -1, "deg_sub": -5, "deg_quot": -5}),
     "growth-monotone": (
-        lambda mp: _lie_at(mp, "endomorphism_growth",
+        lambda mp: _lie_at(mp, cohomology, "endomorphism_growth",
                            lambda g, b, c, n: g.e == 2 and b.rank() == 3 and n == 7,
                            lambda v: 0),
         15, {"e": 2, "rank": 3,
              "values": [9, 59, 188, 434, 833, 1421, 0, 3308, 4679, 6383]}),
     "growth-layer": (
-        lambda mp: _lie_at(mp, "endomorphism_growth",
+        lambda mp: _lie_at(mp, cohomology, "endomorphism_growth",
                            lambda g, b, c, n: g.e == 2 and b.rank() == 3 and n == 10,
                            lambda v: v + 1),
         15, {"e": 2, "rank": 3, "n": 10, "layer": 1705, "h0": 1704}),
     "growth-stabilization": (
-        lambda mp: _lie_at(mp, "stabilization_index", lambda *args: True,
+        lambda mp: _lie_at(mp, cohomology, "stabilization_index", lambda *args: True,
                            lambda index: index + 1),
         21, {"stabilization_index": 5, "expected": 4}),
 }
@@ -241,7 +246,7 @@ def test_an_empty_grid_fails(suite, bounds):
 
 
 def _count_calls(monkeypatch, calls, module, *names):
-    """Count the calls to module.<name>, also where bundles or verify import it by name."""
+    """Count the calls to module.<name>, also where bundles imports it by name."""
     for name in names:
         real = getattr(module, name)
 
@@ -250,8 +255,7 @@ def _count_calls(monkeypatch, calls, module, *names):
             return _real(*args)
 
         monkeypatch.setattr(module, name, wrapper)
-        for importer in (bundles, verify):
-            monkeypatch.setattr(importer, name, wrapper, raising=False)
+        monkeypatch.setattr(bundles, name, wrapper, raising=False)
 
 
 def test_theorem_c_call_structure(monkeypatch):
