@@ -12,14 +12,15 @@ of the once-more twisted bundle, and grr_verify, which pushes the Chern
 character times the Todd class to the base (Grothendieck-Riemann-Roch).
 Every road runs in ints: each pairing is written out from the
 coefficients instead of building classes for intersect, and the GRR road
-holds the truncated cycle ring in integers scaled by 2, since every
-denominator there divides 2.  The twist formula lives in _twisted alone:
-twist wraps its ints in a new bundle, and the chi and GRR roads read them
-as they are, building no shifted class or bundle.  The public Fraction
-ring of geometry (chern_character, cycle_mul, pushforward_to_curve,
-curve_mul) and the class arithmetic these bodies replaced are their
-oracles in the tests.  No road calls another to check itself; the
-verification grids and the tests compare them all.
+writes ch * td out for the regime the jumping counts live in (genus zero,
+a normalized twist of fiber degree 0), where its halves drop out.  The
+twist formula lives in _twisted alone: twist wraps its ints in a new
+bundle, and the chi and GRR roads read them as they are, building no
+shifted class or bundle.  The public Fraction ring of geometry
+(chern_character, cycle_mul, pushforward_to_curve, curve_mul) and the
+class arithmetic these bodies replaced are their oracles in the tests.
+No road calls another to check itself; the verification grids and the
+tests compare them all.
 
 Only grr_verify's degree and slope are rationals, and the first of them
 built imports fractions, so the int-only operations load none.
@@ -190,39 +191,29 @@ class GrrReport(_Value):
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     """Push ch(twisted bundle) * td(surface) to the base and compare degrees.
 
-    The left side is ch * td of the normalized twist, read from _twisted's
-    ints, pushed along the ruling and corrected by the inverse curve Todd
-    class; in the balanced regime the higher direct image vanishes, so its
-    degree-1 part is the pushforward degree and its degree-0 part the rank.
-    The only denominators of this truncated ring are the halves in K/2 and
-    (c1^2 - 2c2)/2, so ch and td are held as integers scaled by 2, their
-    product as integers scaled by 4, and only lhs_degree becomes a Fraction.
-    geometry's public cycle ring computes the same product in Fractions and
-    is the oracle for this one in the tests.  The right side is the closed
-    form of pushforward_degree, on the regime checked here.
+    The left side is ch * td of the normalized twist N = E(-a*h), whose
+    (c1.a, c1.b, c2) = (n_a, n_b, n_c2) are _twisted's ints, pushed along the
+    ruling and corrected by the inverse curve Todd class; in the balanced
+    regime the higher direct image vanishes, so its degree-0 part is the
+    rank and its degree-1 part the pushforward degree.  The h part of
+    ch * td maps onto the base and gives the rank r + n_a, which is r, as
+    the regime check makes n_a = 0.  It also makes q = 0, so c1(N) = n_b*f
+    squares to 0, ch(N) = r + n_b*f - n_c2[pt] and
+    td(S) = 1 + h + (e + 2)/2 f + [pt]; the point part r + n_b - n_c2 of
+    their product maps to a point, and todd_curve(0)^-1 = 1 - [pt] turns it
+    into the degree n_b - n_c2.  geometry's public cycle ring computes the
+    whole product in Fractions, in any genus and at any fiber degree, and is
+    the oracle for this one in the tests.  The right side is the closed form
+    of pushforward_degree, on the regime checked here.
     """
     _require_balanced_regime(bundle, a)
-    g = bundle.g
     n_a, n_b, n_c2 = _twisted(bundle, -a, 0)
-    # 2*ch = (2r, 2*c1, c1^2 - 2c2) with c1^2 = c1.a*(2*c1.b - e*c1.a);
-    # 2*td = (2, -K, 2(1 - q)) with -K = 2h + (e + 2 - 2q)f
-    ch_r, ch_h, ch_f = 2 * bundle.r, 2 * n_a, 2 * n_b
-    ch_pt = n_a * (2 * n_b - g.e * n_a) - 2 * n_c2
-    td_r, td_h, td_f, td_pt = 2, 2, g.e + 2 - 2 * g.q, 2 * (1 - g.q)
-    # 4 * pi_*(ch * td): the h part maps onto the base, the point part to a
-    # point, and the degree-0 and f parts die
-    rank4 = ch_r * td_h + td_r * ch_h
-    pushed_pt4 = (
-        ch_r * td_pt + td_r * ch_pt
-        - g.e * ch_h * td_h + ch_h * td_f + td_h * ch_f
-    )
-    # times todd_curve(q)^-1 = 1 + (q - 1)[pt]
-    degree4 = pushed_pt4 + (g.q - 1) * rank4
+    degree = n_b - n_c2
     rhs = _pushforward_degree(bundle, a)
     return GrrReport(
-        rank_ok=rank4 == 4 * bundle.r,
-        degree_ok=degree4 == 4 * rhs,
-        lhs_degree=_fraction(degree4, 4),
+        rank_ok=n_a == 0,
+        degree_ok=degree == rhs,
+        lhs_degree=_fraction(degree, 1),
         rhs_degree=rhs,
     )
 

@@ -81,6 +81,11 @@ def test_jumping_count():
 
 
 def test_jumping_count_preconditions():
+    # r*a = 6 where r//a = 1
+    with pytest.raises(ValueError) as error:
+        jumping_count(BundleNumerics(G1, 3, DivisorClass(5, 0), 3), 2)
+    assert str(error.value) == (
+        "fiber degree 5 != r*a = 6: the general splitting type is not (a,...,a)")
     with pytest.raises(ValueError):
         jumping_count(BundleNumerics(G1, 2, DivisorClass(1, 0), 3), 1)
     with pytest.raises(ValueError):
@@ -164,8 +169,11 @@ def test_extension_data_errors():
         ExtensionData(G0, 2, 2, 0, 0, 0)
     with pytest.raises(ValueError):
         extension_data_from_chern(BundleNumerics(G0, 2, DivisorClass(0, 0), 1), 1, 1)
-    with pytest.raises(ValueError):
-        extension_data_from_chern(BundleNumerics(G0, 2, DivisorClass(1, 0), 1), 1, 0)
+    # c1.a = 1 fits neither x = 0 nor x = r, so only a check of x ahead of c1's gives this text
+    for x in (0, 2):
+        with pytest.raises(ValueError) as error:
+            extension_data_from_chern(BundleNumerics(G0, 2, DivisorClass(1, 0), 1), 1, x)
+        assert str(error.value) == f"need 0 < x < r, got x={x}, r=2"
 
 
 def test_slope():

@@ -4,10 +4,12 @@ The oracle works in Q[h, f] with h^2 = -e*pt, h*f = pt and f^2 = 0, and
 shares no code with ruledsurf.geometry: it twists by exp(-a*h), builds
 the Todd class from the Chern classes of the tangent bundle, and pushes
 ch * td along the ruling to the base, where it divides by td of the curve.
-Both the integer road of `grr_verify` and the public Fraction ring
-(chern_character -> cycle_mul -> pushforward_to_curve -> curve_mul) must
-give its rank and degree, on the whole default theoremC grid and at
-coefficients of up to 5000 digits.
+The public Fraction ring (chern_character -> cycle_mul ->
+pushforward_to_curve -> curve_mul) must give its rank and degree in any
+genus and at any fiber degree.  `grr_verify` writes the same road out in
+ints for genus zero and a normalized twist of fiber degree 0, the regime
+it accepts, so it is checked there alone: on the whole default theoremC
+grid and at coefficients of up to 5000 digits.
 """
 
 import inspect

@@ -113,6 +113,12 @@ INJECTED = {
                            lambda z: z + 1),
         976, {"e": 0, "r": 3, "a": 1, "c1": "3*h-5*f", "c2": 2, "z": 12, "z_twist": 12,
               "z_chi": 13, "m": -17, "grr_degree": "-17"}),
+    # the road that forgets todd_curve(0)^-1 reads r too many, at the first point
+    "theoremC-grr": (
+        lambda mp: _mutated(mp, bundles, "grr_verify",
+                            "degree = n_b - n_c2", "degree = bundle.r + n_b - n_c2"),
+        1, {"e": 0, "r": 2, "a": -2, "c1": "-4*h-5*f", "c2": -5, "z": -15, "z_twist": -15,
+            "z_chi": -15, "m": 10, "grr_degree": "12"}),
     "dominance-oracle": (
         lambda mp: _lie_at(mp, splitting, "semicontinuity_oracle",
                            lambda s, t: (s, t) == (SplittingType((1, 0, -1)),
@@ -148,11 +154,30 @@ INJECTED = {
                            lambda s, t: (s, t) == (rigid_type(3, 2), SplittingType((2, 1, -1))),
                            lambda ok: False),
         102, {"r": 3, "d": 2, "unreachable": "(2,1,-1)"}),
+    # the chain skips the rigid type it must start at
     "rigid-chain": (
         lambda mp: _lie_at(mp, splitting, "specialization_chain",
                            lambda t: t == SplittingType((3, -1)),
                            lambda chain: chain[1:]),
         43, {"r": 2, "d": 2, "bad_chain_target": "(3,-1)"}),
+    # it starts at the rigid type but stops one step short of its target
+    "rigid-chain-end": (
+        lambda mp: _lie_at(mp, splitting, "specialization_chain",
+                           lambda t: t == SplittingType((2, 0, -2)),
+                           lambda chain: chain[:-1]),
+        88, {"r": 3, "d": 0, "bad_chain_target": "(2,0,-2)"}),
+    # from the rigid type straight to its target: one step that moves 2
+    "rigid-chain-move": (
+        lambda mp: _lie_at(mp, splitting, "specialization_chain",
+                           lambda t: t == SplittingType((3, -1, -1)),
+                           lambda chain: [chain[0], chain[-1]]),
+        97, {"r": 3, "d": 1, "bad_chain_target": "(3,-1,-1)"}),
+    # elementary steps to its target, by way of one back up to the rigid type
+    "rigid-chain-order": (
+        lambda mp: _lie_at(mp, splitting, "specialization_chain",
+                           lambda t: t == SplittingType((3, 1, -2)),
+                           lambda chain: chain[:2] + chain),
+        105, {"r": 3, "d": 2, "bad_chain_target": "(3,1,-2)"}),
     "rigid-jumping": (
         lambda mp: _lie_at(mp, splitting, "h1_end", lambda t: t == jumping_type(4, 1),
                            lambda h: h + 1),
@@ -226,6 +251,15 @@ def test_a_bound_no_suite_takes_is_refused_before_any_grid_runs(monkeypatch, nam
     with pytest.raises(ValueError) as err:
         verify.run_suite(name, **bounds)
     assert str(err.value) == error
+
+
+def test_an_unknown_suite_is_refused():
+    # the CLI's choices refuse the name before run_suite sees it
+    with pytest.raises(ValueError) as err:
+        verify.run_suite("bogus")
+    assert str(err.value) == (
+        "unknown suite 'bogus'; choose from ['conormal', 'dominance', 'euler', 'extension', "
+        "'growth', 'lifting', 'rigid', 'serre', 'theoremC'] or 'all'")
 
 
 def test_each_suite_accepts_the_parameters_of_its_grid():
