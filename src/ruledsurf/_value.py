@@ -13,6 +13,18 @@ class _Value:
     declared order, so __dict__ holds the fields in that order.  Writing the
     dict bypasses __setattr__, which refuses every assignment, for the cost
     of one dict store per field.
+
+    A value may also be built unchecked, by `object.__new__` and the same
+    stores, where every field is a field of a value whose class was checked
+    exactly (`type(v) is C`), an int checked in the same call, or int
+    arithmetic on those, and where the result is known to pass the
+    constructor's range checks.  One private builder per class does it, and
+    nothing else does: splitting's _listed (SplittingType), for the types
+    enumerate_types and specialization_chain list, and bundles' _divisor
+    (DivisorClass), _bundle (BundleNumerics) and _extension (ExtensionData),
+    for the values extension_chern and extension_data_from_chern return.
+    tests/test_values.py checks that their values equal, hash, print and
+    refuse assignment as the checked ones do.
     """
 
     def __eq__(self, other):
@@ -63,9 +75,10 @@ def _require_int(what: str, *values) -> None:
     CohomologyTable test `type(v) is int`, SplittingType makes one pass of
     `map(type, parts)`; one call per divisor made the extension grid about
     a sixth slower.  The list builders, splitting.enumerate_types and
-    specialization_chain, check their arguments once and build each listed
-    type unchecked.  It lives here rather than in geometry, which re-exports
-    it, so that a split request loads no geometry.
+    specialization_chain, and the extension round trip of bundles check
+    their arguments once and build their results unchecked, as _Value
+    describes.  It lives here rather than in geometry, which re-exports it,
+    so that a split request loads no geometry.
     """
     for value in values:
         if type(value) is not int:  # bool is a subclass of int, so no isinstance

@@ -22,6 +22,15 @@ class arithmetic these bodies replaced are their oracles in the tests.
 No road calls another to check itself; the verification grids and the
 tests compare them all.
 
+Every public function refuses a bundle, extension or line of another
+class, with the TypeError of _value._wrong_type, before it reads a field;
+a stand-in with the same attributes would otherwise answer in floats.
+Behind those checks each value on the extension round trip is checked
+once: extension_chern and extension_data_from_chern build their results
+through _bundle, _divisor and _extension, unchecked, from the ints of the
+checked value they were given (the rules are in _value).  twist keeps
+its checked constructors, where the unchecked build measured no faster.
+
 Only grr_verify's degree and slope are rationals, and the first of them
 built imports fractions, so the int-only operations load none.
 """
@@ -76,7 +85,40 @@ class ExtensionData(_Value):
         fields["deg_quot"] = deg_quot
 
 
-def _fraction(numerator: int, denominator: int) -> Fraction:
+# The unchecked builders of the extension round trip, one per class, as
+# splitting._listed: each field in declared order, from a checked value's ints.
+def _divisor(a: int, b: int) -> DivisorClass:
+    d = object.__new__(DivisorClass)
+    fields = d.__dict__
+    fields["a"] = a
+    fields["b"] = b
+    return d
+
+
+def _bundle(g: SurfaceGeometry, r: int, c1: DivisorClass, c2: int) -> BundleNumerics:
+    bundle = object.__new__(BundleNumerics)
+    fields = bundle.__dict__
+    fields["g"] = g
+    fields["r"] = r
+    fields["c1"] = c1
+    fields["c2"] = c2
+    return bundle
+
+
+def _extension(g: SurfaceGeometry, r: int, x: int, a: int, deg_sub: int,
+               deg_quot: int) -> ExtensionData:
+    ext = object.__new__(ExtensionData)
+    fields = ext.__dict__
+    fields["g"] = g
+    fields["r"] = r
+    fields["x"] = x
+    fields["a"] = a
+    fields["deg_sub"] = deg_sub
+    fields["deg_quot"] = deg_quot
+    return ext
+
+
+def _fraction(numerator: int, denominator: int | None = None) -> Fraction:
     """Fraction(numerator, denominator), importing fractions on the first call alone.
 
     The first call rebinds this name to Fraction itself, so a request that
@@ -91,6 +133,8 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
 
 def fiber_degree(bundle: BundleNumerics) -> int:
     """Degree of the restriction to a general fiber: c1.f, the h-coefficient."""
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
     return bundle.c1.a
 
 
@@ -111,6 +155,8 @@ def _twisted(bundle: BundleNumerics, la: int, lb: int) -> tuple[int, int, int]:
 
 def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     """Tensor by the line bundle O(line): _twisted's ints as a new bundle."""
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
     if type(line) is not DivisorClass:  # its coefficients are read as ints
         raise _wrong_type("line", DivisorClass, line)
     a, b, c2 = _twisted(bundle, line.a, line.b)
@@ -118,13 +164,15 @@ def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
 
 
 def _require_balanced_regime(bundle: BundleNumerics, a: int):
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
     if type(a) is not int:
         _require_int("fiber twists", a)
     if bundle.g.q != 0:
         raise ValueError("jumping-fiber invariants are defined for genus zero only")
-    if fiber_degree(bundle) != bundle.r * a:
+    if bundle.c1.a != bundle.r * a:  # the fiber degree
         raise ValueError(
-            f"fiber degree {fiber_degree(bundle)} != r*a = {bundle.r * a}: "
+            f"fiber degree {bundle.c1.a} != r*a = {bundle.r * a}: "
             "the general splitting type is not (a,...,a)"
         )
 
@@ -160,6 +208,8 @@ def _euler_char(q: int, e: int, r: int, a: int, b: int, c2: int) -> int:
 
 def euler_char_bundle(bundle: BundleNumerics) -> int:
     """Riemann-Roch on the surface: r(1-q) + c1.(c1 - K)/2 - c2, any genus."""
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
     return _euler_char(bundle.g.q, bundle.g.e, bundle.r, bundle.c1.a, bundle.c1.b, bundle.c2)
 
 
@@ -210,30 +260,26 @@ def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     n_a, n_b, n_c2 = _twisted(bundle, -a, 0)
     degree = n_b - n_c2
     rhs = _pushforward_degree(bundle, a)
-    return GrrReport(
-        rank_ok=n_a == 0,
-        degree_ok=degree == rhs,
-        lhs_degree=_fraction(degree, 1),
-        rhs_degree=rhs,
-    )
-
-
-def _pullback_twist_chern(e, rank, twist_by, base_deg):
-    # (c1.a, c1.b, c2) of a pullback of rank `rank` and degree base_deg, twisted by twist_by*h
-    c2 = -e * twist_by * twist_by * (rank * (rank - 1) // 2) + (
-        rank - 1
-    ) * twist_by * base_deg
-    return rank * twist_by, base_deg, c2
+    return GrrReport(n_a == 0, degree == rhs, _fraction(degree), rhs)
 
 
 def extension_chern(ext: ExtensionData) -> BundleNumerics:
-    """Chern data of the extension middle term, by Whitney's formula."""
-    e = ext.g.e
-    sub_a, sub_b, c2_sub = _pullback_twist_chern(e, ext.r - ext.x, ext.a, ext.deg_sub)
-    quot_a, quot_b, c2_quot = _pullback_twist_chern(e, ext.x, ext.a - 1, ext.deg_quot)
+    """Chern data of the extension middle term, by Whitney's formula.
+
+    A pullback of rank k and base degree d twisted by t*h has c1 = k*t*h + d*f
+    and c2 = (k - 1)*t*d - e*t^2*k(k - 1)/2: the sub-piece has (k, t, d) =
+    (r - x, a, deg_sub), the quotient (x, a - 1, deg_quot).
+    """
+    if type(ext) is not ExtensionData:
+        raise _wrong_type("ext", ExtensionData, ext)
+    g, r, x, a, sub_b, quot_b = ext.g, ext.r, ext.x, ext.a, ext.deg_sub, ext.deg_quot
+    e, rho, a1 = g.e, r - x, a - 1
+    sub_a, quot_a = rho * a, x * a1
     # c2 = c2(sub) + c2(quot) + c1(sub).c1(quot), the pairing written out as in intersect
-    c2 = c2_sub + c2_quot - e * sub_a * quot_a + sub_a * quot_b + quot_a * sub_b
-    return BundleNumerics(ext.g, ext.r, DivisorClass(sub_a + quot_a, sub_b + quot_b), c2)
+    c2 = ((rho - 1) * a * sub_b - e * a * a * (rho * (rho - 1) // 2)
+          + (x - 1) * a1 * quot_b - e * a1 * a1 * (x * (x - 1) // 2)
+          - e * sub_a * quot_a + sub_a * quot_b + quot_a * sub_b)
+    return _bundle(g, r, _divisor(sub_a + quot_a, sub_b + quot_b), c2)
 
 
 def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> ExtensionData:
@@ -243,6 +289,8 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
     is always integral and unique.  It inverts extension_chern; the
     extension grid and the tests check the round trip.
     """
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
     if type(a) is not int or type(x) is not int:
         _require_int("twist and quotient rank", a, x)
     r = bundle.r
@@ -250,13 +298,14 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
         raise ValueError(f"need 0 < x < r, got x={x}, r={r}")
     rho = r - x
     expected_fiber = r * a - x
-    if bundle.c1.a != expected_fiber:
+    c1 = bundle.c1
+    if c1.a != expected_fiber:
         raise ValueError(
-            f"c1 fiber part {bundle.c1.a} incompatible with (a={a}, x={x}): "
+            f"c1 fiber part {c1.a} incompatible with (a={a}, x={x}): "
             f"an extension of this shape forces {expected_fiber}"
         )
     g = bundle.g
-    b = bundle.c1.b
+    b = c1.b
     alpha = (rho - 1) * a + x * (a - 1)
     const = -g.e * (
         a * a * (rho * (rho - 1) // 2)
@@ -265,11 +314,15 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
     )
     deg_quot = (bundle.c2 - const) - alpha * b
     deg_sub = b - deg_quot
-    return ExtensionData(g, r, x, a, deg_sub, deg_quot)
+    return _extension(g, r, x, a, deg_sub, deg_quot)
 
 
 def slope(bundle: BundleNumerics, polarization: DivisorClass) -> Fraction:
     """Mumford-Takemoto slope c1.R / rank as an exact rational."""
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
+    if type(polarization) is not DivisorClass:
+        raise _wrong_type("polarization", DivisorClass, polarization)
     return _fraction(intersect(bundle.g, bundle.c1, polarization), bundle.r)
 
 
@@ -277,6 +330,10 @@ def destabilizes(
     sub: BundleNumerics, whole: BundleNumerics, polarization: DivisorClass
 ) -> bool:
     """Whether the slope of `sub` rules out stability of `whole` for this polarization."""
+    if type(sub) is not BundleNumerics:
+        raise _wrong_type("sub", BundleNumerics, sub)
+    if type(whole) is not BundleNumerics:
+        raise _wrong_type("whole", BundleNumerics, whole)
     if sub.g != whole.g:
         raise ValueError("sub and whole must live on the same surface")
     if sub.r >= whole.r:

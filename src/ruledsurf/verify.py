@@ -228,18 +228,19 @@ def _is_elementary_move(before: SplittingType, after: SplittingType) -> bool:
     return moved == [1, -1] or moved == [-1, 1]
 
 
-def _chain_valid(rigid: SplittingType, target: SplittingType, chain: list[SplittingType],
-                 specializes: Callable[[SplittingType, SplittingType], bool]) -> bool:
+def _chain_fault(rigid: SplittingType, target: SplittingType, chain: list[SplittingType],
+                 specializes: Callable[[SplittingType, SplittingType], bool]) -> str | None:
+    """The first check the chain fails, start, end, move or order, or None if it passes."""
     if chain[0] != rigid:  # the rigid type of target's rank and degree
-        return False
+        return "start"
     if chain[-1] != target:
-        return False
+        return "end"
     for prev, step in zip(chain, chain[1:]):
         if not _is_elementary_move(prev, step):
-            return False
+            return "move"
         if not specializes(prev, step):
-            return False
-    return True
+            return "order"
+    return None
 
 
 @_suite("rigid")
@@ -265,8 +266,9 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
                 yield None
                 if not specializes(balanced, t):
                     yield {"r": r, "d": d, "unreachable": t}
-                if not _chain_valid(balanced, t, specialization_chain(t), specializes):
-                    yield {"r": r, "d": d, "bad_chain_target": t}
+                fault = _chain_fault(balanced, t, specialization_chain(t), specializes)
+                if fault is not None:
+                    yield {"r": r, "d": d, "bad_chain_target": t, "failed_check": fault}
     for r in range(2, 7):
         for a in range(-3, 4):
             yield None

@@ -4,6 +4,8 @@ Each value is equal to another of its own class with the same fields,
 hashes as the tuple of its fields, prints as ClassName(field=value, ...),
 refuses assignment and deletion, and survives copy, deepcopy and pickle.
 The pinned reprs are the ones these classes printed as frozen dataclasses.
+A value that an unchecked builder makes (bundles' three, splitting's one)
+is indistinguishable from the same value built checked, at up to 5000 digits.
 """
 
 import copy
@@ -11,8 +13,11 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from hypothesis.vendor.pretty import pretty
 
+from ruledsurf import bundles, splitting
 from ruledsurf.bundles import BundleNumerics, ExtensionData, GrrReport
 from ruledsurf.cohomology import CohomologyTable, ConormalData, SplitBundle
 from ruledsurf.geometry import CurveCycle, CycleClass, DivisorClass, SurfaceGeometry, _Value
@@ -157,3 +162,56 @@ def test_pretty_printer_renders_a_coefficient_past_the_str_limit():
 def test_pretty_printer_agrees_with_repr_on_small_values(cls, fields, other, text):
     # the printer breaks a line past 79 characters after a field's comma
     assert " ".join(pretty(cls(**fields)).split()) == text
+
+
+# small, or of 5000 digits either sign
+INTS = st.one_of(st.integers(-3, 3), st.integers(10 ** 4999, 10 ** 5000 - 1),
+                 st.integers(-10 ** 5000 + 1, -10 ** 4999))
+POSITIVE = st.one_of(st.integers(1, 5), st.integers(10 ** 4999, 10 ** 5000 - 1))
+
+
+@st.composite
+def built_both_ways(draw):
+    """One value built by its class's checked constructor and by its unchecked builder."""
+    kind = draw(st.sampled_from(["_divisor", "_bundle", "_extension", "_listed"]))
+    if kind == "_listed":
+        parts = tuple(sorted(draw(st.lists(INTS, min_size=1, max_size=4)), reverse=True))
+        return SplittingType(parts), splitting._listed(parts)
+    q = draw(POSITIVE) - 1
+    g = SurfaceGeometry(q, draw(st.one_of(st.just(-q), INTS.map(lambda n: abs(n) - q))))
+    if kind == "_divisor":
+        args = (draw(INTS), draw(INTS))
+        return DivisorClass(*args), bundles._divisor(*args)
+    r = draw(POSITIVE) + (kind == "_extension")
+    if kind == "_bundle":
+        args = (g, r, DivisorClass(draw(INTS), draw(INTS)), draw(INTS))
+        return BundleNumerics(*args), bundles._bundle(*args)
+    args = (g, r, draw(st.integers(1, r - 1)), draw(INTS), draw(INTS), draw(INTS))
+    return ExtensionData(*args), bundles._extension(*args)
+
+
+def shown(value):
+    """repr, or the error it raises on an int past Python's 4300-digit str limit."""
+    try:
+        return repr(value)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(built_both_ways())
+def test_a_value_built_unchecked_is_the_value_built_checked(pair):
+    checked, unchecked = pair
+    assert type(unchecked) is type(checked)
+    assert unchecked == checked and checked == unchecked and not unchecked != checked
+    assert hash(unchecked) == hash(checked)
+    assert list(vars(unchecked).items()) == list(vars(checked).items())  # order included
+    assert shown(unchecked) == shown(checked)
+    assert pretty(unchecked) == pretty(checked)
+    for name in (*vars(checked), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(unchecked, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(unchecked, name)
+    assert unchecked == checked

@@ -159,25 +159,29 @@ INJECTED = {
         lambda mp: _lie_at(mp, splitting, "specialization_chain",
                            lambda t: t == SplittingType((3, -1)),
                            lambda chain: chain[1:]),
-        43, {"r": 2, "d": 2, "bad_chain_target": "(3,-1)"}),
+        43, {"r": 2, "d": 2, "bad_chain_target": "(3,-1)",
+             "failed_check": "start"}),
     # it starts at the rigid type but stops one step short of its target
     "rigid-chain-end": (
         lambda mp: _lie_at(mp, splitting, "specialization_chain",
                            lambda t: t == SplittingType((2, 0, -2)),
                            lambda chain: chain[:-1]),
-        88, {"r": 3, "d": 0, "bad_chain_target": "(2,0,-2)"}),
+        88, {"r": 3, "d": 0, "bad_chain_target": "(2,0,-2)",
+             "failed_check": "end"}),
     # from the rigid type straight to its target: one step that moves 2
     "rigid-chain-move": (
         lambda mp: _lie_at(mp, splitting, "specialization_chain",
                            lambda t: t == SplittingType((3, -1, -1)),
                            lambda chain: [chain[0], chain[-1]]),
-        97, {"r": 3, "d": 1, "bad_chain_target": "(3,-1,-1)"}),
+        97, {"r": 3, "d": 1, "bad_chain_target": "(3,-1,-1)",
+             "failed_check": "move"}),
     # elementary steps to its target, by way of one back up to the rigid type
     "rigid-chain-order": (
         lambda mp: _lie_at(mp, splitting, "specialization_chain",
                            lambda t: t == SplittingType((3, 1, -2)),
                            lambda chain: chain[:2] + chain),
-        105, {"r": 3, "d": 2, "bad_chain_target": "(3,1,-2)"}),
+        105, {"r": 3, "d": 2, "bad_chain_target": "(3,1,-2)",
+             "failed_check": "order"}),
     "rigid-jumping": (
         lambda mp: _lie_at(mp, splitting, "h1_end", lambda t: t == jumping_type(4, 1),
                            lambda h: h + 1),
@@ -320,11 +324,25 @@ def test_extension_call_structure(monkeypatch):
     assert calls["extension_data_from_chern"] == result.points
 
 
-def _count_builds(monkeypatch, builds, *classes):
-    """Count the values of each class built, by wrapping its __init__.
+# bundles' unchecked builders, each to the class it builds without its __init__
+BUILDERS = {"_divisor": DivisorClass, "_bundle": bundles.BundleNumerics,
+            "_extension": ExtensionData}
 
-    The class itself stays bound under its name, since the constructors
-    test `type(x) is DivisorClass` and the like against that name.
+
+def test_every_unchecked_build_in_bundles_is_a_counted_builder():
+    # so the counts below see every value bundles builds, checked or not
+    assert inspect.getsource(bundles).count("object.__new__(") == len(BUILDERS)
+    for name, cls in BUILDERS.items():
+        assert f"object.__new__({cls.__name__})" in inspect.getsource(getattr(bundles, name))
+
+
+def _count_builds(monkeypatch, builds, *classes):
+    """Count the values of each class built, by wrapping its __init__ and its builder.
+
+    A value built checked counts under its class's name, one that a bundles
+    builder made unchecked under "unchecked " and the name.  The class itself
+    stays bound under its name, since the constructors test
+    `type(x) is DivisorClass` and the like against that name.
     """
     for cls in classes:
         real = cls.__init__
@@ -334,15 +352,32 @@ def _count_builds(monkeypatch, builds, *classes):
             _real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    for builder, cls in BUILDERS.items():
+        if cls in classes:
+            real = getattr(bundles, builder)
+
+            def built(*args, _name="unchecked " + cls.__name__, _real=real):
+                builds[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bundles, builder, built)
+
+
+def _totals(builds):
+    """The values built per class, checked and unchecked together."""
+    totals = Counter()
+    for name, count in builds.items():
+        totals[name.removeprefix("unchecked ")] += count
+    return totals
 
 
 def test_theorem_c_builds_per_point(monkeypatch):
     """Per theoremC point: no intersect, two bundles and about one divisor class.
 
-    The grid's bundle and the one twist's bundle with its c1.  The grid's
-    c1 is built once per b and its shift -a*h once per a, which at r_max=2
-    makes 220 and 20 classes besides the 2420 twisted c1s; the chi oracle
-    and grr_verify build none.
+    The grid's bundle and the one twist's bundle with its c1, all checked.
+    The grid's c1 is built once per b and its shift -a*h once per a, which
+    at r_max=2 makes 220 and 20 classes besides the 2420 twisted c1s; the
+    chi oracle and grr_verify build none.
     """
     builds = Counter()
     _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics)
@@ -352,13 +387,20 @@ def test_theorem_c_builds_per_point(monkeypatch):
     assert builds["intersect"] == 0
     assert builds["DivisorClass"] <= 2660
     assert builds["BundleNumerics"] == 2 * result.points
+    assert not any(name.startswith("unchecked ") for name in builds)
 
 
 def test_extension_builds_per_point(monkeypatch):
-    """Per extension point: the grid's ExtensionData, the middle term with its c1, the inverse."""
+    """Per extension point: the grid's ExtensionData, the middle term with its c1, the inverse.
+
+    The grid builds its value checked; extension_chern and its inverse build
+    theirs unchecked, from the ints of the checked value they were given.
+    """
     builds = Counter()
     _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics, ExtensionData)
     (result,) = verify.run_suite("extension", r_max=2)
-    assert (result.points, result.ok) == (2420, True)
-    assert builds == {"DivisorClass": result.points, "BundleNumerics": result.points,
-                      "ExtensionData": 2 * result.points}
+    n = result.points
+    assert (n, result.ok) == (2420, True)
+    assert builds == {"ExtensionData": n, "unchecked ExtensionData": n,
+                      "unchecked BundleNumerics": n, "unchecked DivisorClass": n}
+    assert _totals(builds) == {"DivisorClass": n, "BundleNumerics": n, "ExtensionData": 2 * n}
