@@ -7,8 +7,11 @@ BASE_SRC and HEAD_SRC are the src directories of two checkouts, say the
 parent commit's and a change's.  Each tree is loaded in this one process
 under a package name of its own, so the two never share a module.  The
 cases are the primitives `intersect`, `cycle_mul`, `h_line` and
-`specializes`, and one `theoremC` and one `extension` point, each built and
-checked exactly as `verify` builds and checks it.  A repeat times `--number`
+`specializes`, one `theoremC` and one `extension` point, each built and
+checked exactly as `verify` builds and checks it, and what the value layout
+itself costs, for a DivisorClass and a BundleNumerics: a checked build, a
+build by the unchecked builder, four field reads, `!=` between two equal
+values that are distinct objects, and `hash`.  A repeat times `--number`
 calls of every case under every tree; with two trees, the tree that goes
 first alternates from one repeat to the next, so the machine's drift falls
 on both alike.  The script prints one JSON object: each case's best time
@@ -27,7 +30,9 @@ import timeit
 from pathlib import Path
 
 CASES = ("intersect", "cycle_mul", "h_line", "specializes", "theoremC_point",
-         "extension_point")
+         "extension_point", "divisor_build", "divisor_unchecked", "divisor_reads",
+         "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked", "bundle_reads",
+         "bundle_ne", "bundle_hash")
 
 
 def load_tree(src: Path, name: str):
@@ -81,6 +86,19 @@ def cases(pkg) -> dict:
         bundle = extension_chern(ext)
         return not extension_data_from_chern(bundle, a, 2) != ext
 
+    # the value layout: the unchecked builder is _value._unchecked, which bundles
+    # imports, or in a tree with one builder per class, bundles' _divisor and _bundle
+    unchecked = getattr(bundles, "_unchecked", None)
+    if unchecked is None:
+        divisor_unchecked = lambda: bundles._divisor(3, -1)
+        bundle_unchecked = lambda: bundles._bundle(g, r, c1, 4)
+    else:
+        divisor_unchecked = lambda: unchecked(DivisorClass, (3, -1))
+        bundle_unchecked = lambda: unchecked(BundleNumerics, (g, r, c1, 4))
+    bundle = BundleNumerics(g, r, c1, 4)
+    bundle_twin = BundleNumerics(g, r, DivisorClass(r * a, 2), 4)
+    d1_twin = DivisorClass(3, -1)
+
     found = {
         "intersect": lambda: geometry.intersect(g, d1, d2),
         "cycle_mul": lambda: geometry.cycle_mul(g, x, y),
@@ -88,7 +106,19 @@ def cases(pkg) -> dict:
         "specializes": lambda: splitting.specializes(general, special),
         "theoremC_point": theorem_c_point,
         "extension_point": extension_point,
+        "divisor_build": lambda: DivisorClass(3, -1),
+        "divisor_unchecked": divisor_unchecked,
+        "divisor_reads": lambda: (d1.a, d1.b, d2.a, d2.b),
+        "divisor_ne": lambda: d1 != d1_twin,
+        "divisor_hash": lambda: hash(d1),
+        "bundle_build": lambda: BundleNumerics(g, r, c1, 4),
+        "bundle_unchecked": bundle_unchecked,
+        "bundle_reads": lambda: (bundle.g, bundle.r, bundle.c1, bundle.c2),
+        "bundle_ne": lambda: bundle != bundle_twin,
+        "bundle_hash": lambda: hash(bundle),
     }
+    if not (divisor_unchecked() == d1 and bundle_unchecked() == bundle):
+        raise SystemExit(f"the unchecked builder under {pkg.__name__} builds another value")
     for name in ("specializes", "theoremC_point", "extension_point"):
         if found[name]() is not True:
             raise SystemExit(f"{name} under {pkg.__name__} does not pass")

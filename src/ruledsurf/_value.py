@@ -4,39 +4,83 @@ They live apart from geometry so that a layer that needs only them, such as
 splitting, loads no geometry; geometry re-exports all three.
 """
 
+from collections import namedtuple
 
-class _Value:
+# namedtuple's C-level field getters, by position: getter i reads item i of any tuple
+# (ExtensionData, the widest value, has six fields)
+_Fields = namedtuple("_Fields", "f0 f1 f2 f3 f4 f5")
+_GETTERS = [*map(vars(_Fields).get, _Fields._fields)]
+_eq, _ne = tuple.__eq__, tuple.__ne__
+
+
+class _Value(tuple):
     """An immutable value, equal within its class and hashed by its fields.
 
-    A subclass's __init__ validates its arguments, then writes them straight
-    into its instance dict, `fields = self.__dict__; fields["x"] = x`, in
-    declared order, so __dict__ holds the fields in that order.  Writing the
-    dict bypasses __setattr__, which refuses every assignment, for the cost
-    of one dict store per field.
+    A value is a tuple of its fields, the layout collections.namedtuple
+    uses, with no instance dict.  A subclass names its fields once, as
+    `class DivisorClass(_Value, fields=("a", "b"))` with `__slots__ = ()`,
+    and __init_subclass__ installs namedtuple's C-level getters for them.
+    Its __new__ validates its arguments and returns
+    `tuple.__new__(cls, (a, b))`, the fields in declared order.
 
-    A value may also be built unchecked, by `object.__new__` and the same
-    stores, where every field is a field of a value whose class was checked
-    exactly (`type(v) is C`), an int checked in the same call, or int
-    arithmetic on those, and where the result is known to pass the
-    constructor's range checks.  One private builder per class does it, and
-    nothing else does: splitting's _listed (SplittingType), for the types
-    enumerate_types and specialization_chain list, and bundles' _divisor
-    (DivisorClass), _bundle (BundleNumerics) and _extension (ExtensionData),
-    for the values extension_chern and extension_data_from_chern return.
-    tests/test_values.py checks that their values equal, hash, print and
-    refuse assignment as the checked ones do.
+    A value may also be built unchecked, by _unchecked(cls, fields), which
+    is tuple.__new__ itself, where every field is a field of a value whose
+    class was checked exactly (`type(v) is C`), an int checked in the same
+    call, or int arithmetic on those, and where the result is known to pass
+    the constructor's range checks.  _unchecked is the only unchecked build:
+    splitting's list builders use it for the types enumerate_types and
+    specialization_chain list, cohomology for the table h_line returns, and
+    bundles for the values twist, extension_chern and
+    extension_data_from_chern return.  tests/test_values.py checks that
+    its values equal, hash, print and refuse assignment as the checked ones
+    do.
+
+    == and != test the class first: a value equals only a value of its own
+    class, never a plain tuple or a value of another class with the same
+    fields, which tuple's own == would call equal.  Past that test they,
+    like hash, are tuple's C code, so a value hashes as the tuple of its
+    fields.  Copies and pickles rebuild a value through its checked
+    constructor.  The tuple behaviours that would treat a value as a
+    sequence of numbers are refused with TypeError: <, <=, > and >=, and
+    + and * (DivisorClass defines its own arithmetic).  Iteration, len and
+    indexing still work, as tuple's, but they are not part of a value's
+    interface: no code outside this class may rely on iterating a value or
+    on its len; read its fields by name.
     """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, fields=None):
+        if fields is not None:
+            cls._fields = fields
+            for i, name in enumerate(fields):
+                setattr(cls, name, _GETTERS[i])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
+            return _eq(self, other)
+        # tuple's reflected == would compare another tuple's items with ours
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return _ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+    def _refuse(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered, "
+                        "nor tuples to add or repeat")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -52,7 +96,7 @@ class _Value:
         if cycle:
             return p.text(name + "(...)")
         with p.group(1, name + "(", ")"):
-            for i, (field, value) in enumerate(self.__dict__.items()):
+            for i, (field, value) in enumerate(zip(self._fields, self)):
                 if i:
                     p.text(",")
                     p.breakable()
@@ -60,9 +104,15 @@ class _Value:
                 p.pretty(value)
 
 
+# The one unchecked build, under the rule in _Value: _unchecked(cls, fields).
+_unchecked = tuple.__new__
+
+
 def _wrong_type(what: str, expected: type, value) -> TypeError:
     """The refusal of a field that must hold a value of class `expected` exactly."""
-    return TypeError(f"{what} must be a {expected.__name__}, got {type(value).__name__}")
+    name = expected.__name__
+    article = "an" if name[0] in "AEIOU" else "a"
+    return TypeError(f"{what} must be {article} {name}, got {type(value).__name__}")
 
 
 def _require_int(what: str, *values) -> None:

@@ -25,11 +25,11 @@ tests compare them all.
 Every public function refuses a bundle, extension or line of another
 class, with the TypeError of _value._wrong_type, before it reads a field;
 a stand-in with the same attributes would otherwise answer in floats.
-Behind those checks each value on the extension round trip is checked
-once: extension_chern and extension_data_from_chern build their results
-through _bundle, _divisor and _extension, unchecked, from the ints of the
-checked value they were given (the rules are in _value).  twist keeps
-its checked constructors, where the unchecked build measured no faster.
+Behind those checks each value is checked once: twist, extension_chern
+and extension_data_from_chern build their results unchecked, through
+_value._unchecked, from the ints of the checked values they were given
+(_value._Value has the rule).  In twist the unchecked build makes a
+theoremC point about an eighth faster in scripts/microbench.py.
 
 Only grr_verify's degree and slope are rationals, and the first of them
 built imports fractions, so the int-only operations load none.
@@ -37,14 +37,15 @@ built imports fractions, so the int-only operations load none.
 
 from __future__ import annotations
 
-from ._value import _require_int, _Value, _wrong_type
+from ._value import _require_int, _unchecked, _Value, _wrong_type
 from .geometry import DivisorClass, SurfaceGeometry, intersect
 
 
-class BundleNumerics(_Value):
+class BundleNumerics(_Value, fields=("g", "r", "c1", "c2")):
     """Numerical data (geometry, rank, c1, c2) of a vector bundle on the surface."""
+    __slots__ = ()
 
-    def __init__(self, g: SurfaceGeometry, r: int, c1: DivisorClass, c2: int):
+    def __new__(cls, g: SurfaceGeometry, r: int, c1: DivisorClass, c2: int):
         if type(g) is not SurfaceGeometry:
             raise _wrong_type("g", SurfaceGeometry, g)
         if type(r) is not int or type(c2) is not int:
@@ -53,69 +54,27 @@ class BundleNumerics(_Value):
             raise _wrong_type("c1", DivisorClass, c1)
         if r < 1:
             raise ValueError(f"rank must be at least 1, got {r}")
-        fields = self.__dict__
-        fields["g"] = g
-        fields["r"] = r
-        fields["c1"] = c1
-        fields["c2"] = c2
+        return tuple.__new__(cls, (g, r, c1, c2))
 
 
-class ExtensionData(_Value):
+class ExtensionData(_Value, fields=("g", "r", "x", "a", "deg_sub", "deg_quot")):
     """Bookkeeping for an extension of pulled-back bundles.
 
     The middle term has rank r; the sub-piece is a pullback of rank r - x
     twisted by a*h with base degree deg_sub, the quotient a pullback of
     rank x twisted by (a-1)*h with base degree deg_quot.
     """
+    __slots__ = ()
 
-    def __init__(self, g: SurfaceGeometry, r: int, x: int, a: int, deg_sub: int,
-                 deg_quot: int):
+    def __new__(cls, g: SurfaceGeometry, r: int, x: int, a: int, deg_sub: int,
+                deg_quot: int):
         if type(g) is not SurfaceGeometry:
             raise _wrong_type("g", SurfaceGeometry, g)
         if not (type(r) is type(x) is type(a) is type(deg_sub) is type(deg_quot) is int):
             _require_int("extension ranks, twist and degrees", r, x, a, deg_sub, deg_quot)
         if not 0 < x < r:
             raise ValueError(f"need 0 < x < r, got x={x}, r={r}")
-        fields = self.__dict__
-        fields["g"] = g
-        fields["r"] = r
-        fields["x"] = x
-        fields["a"] = a
-        fields["deg_sub"] = deg_sub
-        fields["deg_quot"] = deg_quot
-
-
-# The unchecked builders of the extension round trip, one per class, as
-# splitting._listed: each field in declared order, from a checked value's ints.
-def _divisor(a: int, b: int) -> DivisorClass:
-    d = object.__new__(DivisorClass)
-    fields = d.__dict__
-    fields["a"] = a
-    fields["b"] = b
-    return d
-
-
-def _bundle(g: SurfaceGeometry, r: int, c1: DivisorClass, c2: int) -> BundleNumerics:
-    bundle = object.__new__(BundleNumerics)
-    fields = bundle.__dict__
-    fields["g"] = g
-    fields["r"] = r
-    fields["c1"] = c1
-    fields["c2"] = c2
-    return bundle
-
-
-def _extension(g: SurfaceGeometry, r: int, x: int, a: int, deg_sub: int,
-               deg_quot: int) -> ExtensionData:
-    ext = object.__new__(ExtensionData)
-    fields = ext.__dict__
-    fields["g"] = g
-    fields["r"] = r
-    fields["x"] = x
-    fields["a"] = a
-    fields["deg_sub"] = deg_sub
-    fields["deg_quot"] = deg_quot
-    return ext
+        return tuple.__new__(cls, (g, r, x, a, deg_sub, deg_quot))
 
 
 def _fraction(numerator: int, denominator: int | None = None) -> Fraction:
@@ -160,7 +119,8 @@ def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     if type(line) is not DivisorClass:  # its coefficients are read as ints
         raise _wrong_type("line", DivisorClass, line)
     a, b, c2 = _twisted(bundle, line.a, line.b)
-    return BundleNumerics(bundle.g, bundle.r, DivisorClass(a, b), c2)
+    c1 = _unchecked(DivisorClass, (a, b))
+    return _unchecked(BundleNumerics, (bundle.g, bundle.r, c1, c2))
 
 
 def _require_balanced_regime(bundle: BundleNumerics, a: int):
@@ -226,16 +186,12 @@ def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
     return -_euler_char(g.q, g.e, bundle.r, *_twisted(bundle, -(a + 1), 0))
 
 
-class GrrReport(_Value):
+class GrrReport(_Value, fields=("rank_ok", "degree_ok", "lhs_degree", "rhs_degree")):
     """Comparison of the cycle-level pushforward degree against the closed form."""
+    __slots__ = ()
 
-    def __init__(self, rank_ok: bool, degree_ok: bool, lhs_degree: Fraction,
-                 rhs_degree: int):
-        fields = self.__dict__
-        fields["rank_ok"] = rank_ok
-        fields["degree_ok"] = degree_ok
-        fields["lhs_degree"] = lhs_degree
-        fields["rhs_degree"] = rhs_degree
+    def __new__(cls, rank_ok: bool, degree_ok: bool, lhs_degree: Fraction, rhs_degree: int):
+        return tuple.__new__(cls, (rank_ok, degree_ok, lhs_degree, rhs_degree))
 
 
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
@@ -279,7 +235,8 @@ def extension_chern(ext: ExtensionData) -> BundleNumerics:
     c2 = ((rho - 1) * a * sub_b - e * a * a * (rho * (rho - 1) // 2)
           + (x - 1) * a1 * quot_b - e * a1 * a1 * (x * (x - 1) // 2)
           - e * sub_a * quot_a + sub_a * quot_b + quot_a * sub_b)
-    return _bundle(g, r, _divisor(sub_a + quot_a, sub_b + quot_b), c2)
+    c1 = _unchecked(DivisorClass, (sub_a + quot_a, sub_b + quot_b))
+    return _unchecked(BundleNumerics, (g, r, c1, c2))
 
 
 def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> ExtensionData:
@@ -314,7 +271,7 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
     )
     deg_quot = (bundle.c2 - const) - alpha * b
     deg_sub = b - deg_quot
-    return _extension(g, r, x, a, deg_sub, deg_quot)
+    return _unchecked(ExtensionData, (g, r, x, a, deg_sub, deg_quot))
 
 
 def slope(bundle: BundleNumerics, polarization: DivisorClass) -> Fraction:

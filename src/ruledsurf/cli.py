@@ -248,7 +248,7 @@ def _encode(value):
         return format_summands(value)
     if kind == "BundleNumerics":
         return format_bundle(value)
-    if isinstance(value, (list, tuple)):
+    if type(value) is list or type(value) is tuple:  # a value class is a tuple too
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}

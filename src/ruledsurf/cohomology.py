@@ -26,7 +26,7 @@ with a typed error.
 
 from __future__ import annotations
 
-from ._value import _require_int, _Value, _wrong_type
+from ._value import _require_int, _unchecked, _Value, _wrong_type
 from .geometry import ZERO, DivisorClass, SurfaceGeometry, canonical_class
 
 
@@ -45,53 +45,51 @@ def _require_genus_zero(g: SurfaceGeometry):
         )
 
 
-class CohomologyTable(_Value):
+class CohomologyTable(_Value, fields=("h0", "h1", "h2")):
     """The three cohomology dimensions (h0, h1, h2) of a sheaf on a surface."""
+    __slots__ = ()
 
-    def __init__(self, h0: int, h1: int, h2: int):
+    def __new__(cls, h0: int, h1: int, h2: int):
         if not (type(h0) is type(h1) is type(h2) is int):
             _require_int("cohomology dimensions", h0, h1, h2)
-        fields = self.__dict__
-        fields["h0"] = h0
-        fields["h1"] = h1
-        fields["h2"] = h2
+        return tuple.__new__(cls, (h0, h1, h2))
 
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
 
 
-class SplitBundle(_Value):
+class SplitBundle(_Value, fields=("summands",)):
     """Direct sum of line bundles, recorded by its summand divisor classes."""
+    __slots__ = ()
 
-    def __init__(self, summands: tuple[DivisorClass, ...]):
+    def __new__(cls, summands: tuple[DivisorClass, ...]):
         summands = tuple(summands)
         if not summands:
             raise ValueError("a split bundle needs at least one summand")
         for summand in summands:
             if type(summand) is not DivisorClass:
                 raise _wrong_type("each summand", DivisorClass, summand)
-        self.__dict__["summands"] = summands
+        return tuple.__new__(cls, (summands,))
 
     def rank(self) -> int:
         return len(self.summands)
 
 
-class ConormalData(_Value):
+class ConormalData(_Value, fields=("t", "s")):
     """Numerical conormal class t*h + s*f of the surface inside its ambient threefold.
 
     For genus zero the standing assumption is ampleness (t > 0, s > e*t);
     for positive genus the degree condition is s > 2q - 2 + |e|.  t > 0 is
     enforced at construction, the genus-dependent part by check_conormal.
     """
+    __slots__ = ()
 
-    def __init__(self, t: int, s: int):
+    def __new__(cls, t: int, s: int):
         if type(t) is not int or type(s) is not int:
             _require_int("conormal degrees", t, s)
         if t <= 0:
             raise ValueError(f"conormal h-degree must be positive, got t={t}")
-        fields = self.__dict__
-        fields["t"] = t
-        fields["s"] = s
+        return tuple.__new__(cls, (t, s))
 
 
 def check_conormal(g: SurfaceGeometry, c: ConormalData):
@@ -137,18 +135,31 @@ def _h_line_ints(e: int, a: int, b: int) -> tuple[int, int, int]:
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:
     """Exact cohomology of the line bundle O(a*h + b*f) on a Hirzebruch surface."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(d) is not DivisorClass:
+        raise _wrong_type("d", DivisorClass, d)
     _require_genus_zero(g)
-    return CohomologyTable(*_h_line_ints(g.e, d.a, d.b))
+    # the kernel's ints, from the fields of the two values checked above
+    return _unchecked(CohomologyTable, _h_line_ints(g.e, d.a, d.b))
 
 
 def euler_char(g: SurfaceGeometry, d: DivisorClass) -> int:
     """Riemann-Roch Euler characteristic (1 - q) + D.(D - K)/2, any genus."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(d) is not DivisorClass:
+        raise _wrong_type("d", DivisorClass, d)
     # D.(D - K)/2 = ab - qa + a + b - e*a(a + 1)/2 and a(a + 1) is even: exact ints
     return (d.a + 1) * (d.b + 1 - g.q) - g.e * (d.a * (d.a + 1) // 2)
 
 
 def serre_dual(g: SurfaceGeometry, d: DivisorClass) -> DivisorClass:
     """The class K - D whose cohomology mirrors that of D."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(d) is not DivisorClass:
+        raise _wrong_type("d", DivisorClass, d)
     return canonical_class(g) - d
 
 

@@ -16,7 +16,7 @@ use needs no coordination.
 
 from __future__ import annotations
 
-from ._value import _require_int, _Value, _wrong_type  # _wrong_type only re-exported
+from ._value import _require_int, _Value, _wrong_type
 
 
 def _as_fraction(value) -> Fraction:
@@ -29,10 +29,11 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact integer or rational, got {value!r}")
 
 
-class SurfaceGeometry(_Value):
+class SurfaceGeometry(_Value, fields=("q", "e")):
     """Base-curve genus q and ruled-surface invariant e (minimal section has h^2 = -e)."""
+    __slots__ = ()
 
-    def __init__(self, q: int, e: int):
+    def __new__(cls, q: int, e: int):
         if type(q) is not int or type(e) is not int:
             _require_int("genus and invariant", q, e)
         if q < 0:
@@ -41,20 +42,17 @@ class SurfaceGeometry(_Value):
             raise ValueError(
                 f"invariant e={e} violates the Nagata-Segre bound e >= -q = {-q}"
             )
-        fields = self.__dict__
-        fields["q"] = q
-        fields["e"] = e
+        return tuple.__new__(cls, (q, e))
 
 
-class DivisorClass(_Value):
+class DivisorClass(_Value, fields=("a", "b")):
     """Numerical divisor class a*h + b*f with integer coefficients."""
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int):
+    def __new__(cls, a: int, b: int):
         if type(a) is not int or type(b) is not int:
             _require_int("divisor coefficients", a, b)
-        fields = self.__dict__
-        fields["a"] = a
-        fields["b"] = b
+        return tuple.__new__(cls, (a, b))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -78,16 +76,28 @@ FIBER = DivisorClass(0, 1)
 
 def intersect(g: SurfaceGeometry, d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number of two divisor classes: -e*a1*a2 + a1*b2 + a2*b1."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(d1) is not DivisorClass:
+        raise _wrong_type("d1", DivisorClass, d1)
+    if type(d2) is not DivisorClass:
+        raise _wrong_type("d2", DivisorClass, d2)
     return -g.e * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
 
 
 def canonical_class(g: SurfaceGeometry) -> DivisorClass:
     """Canonical divisor class -2h + (2q - 2 - e)f."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
     return DivisorClass(-2, 2 * g.q - 2 - g.e)
 
 
 def is_ample(g: SurfaceGeometry, d: DivisorClass) -> bool:
     """Ampleness of a*h + b*f: a > 0 and b > a*e (e >= 0), or a > 0 and 2b > a*e (e < 0)."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(d) is not DivisorClass:
+        raise _wrong_type("d", DivisorClass, d)
     if d.a <= 0:
         return False
     if g.e >= 0:
@@ -97,7 +107,7 @@ def is_ample(g: SurfaceGeometry, d: DivisorClass) -> bool:
 
 def is_good_polarization(g: SurfaceGeometry, d: DivisorClass) -> bool:
     """Ample class R with R.K + R.f < 0, equivalently a(e + 2q - 1) < 2b."""
-    if not is_ample(g, d):
+    if not is_ample(g, d):  # which refuses a surface or divisor of another class
         return False
     k = canonical_class(g)
     return intersect(g, d, k) + intersect(g, d, FIBER) < 0
@@ -110,35 +120,29 @@ def min_good_twist(g: SurfaceGeometry, d: DivisorClass) -> int:
     when a(e + 2q - 1) < 2(b + t), and the least such t is read off in
     closed form.  Non-ample input is rejected.
     """
-    if not is_ample(g, d):
+    if not is_ample(g, d):  # which refuses a surface or divisor of another class
         raise ValueError(f"{d!r} is not ample on (q={g.q}, e={g.e})")
     return max(0, (d.a * (g.e + 2 * g.q - 1) - 2 * d.b) // 2 + 1)
 
 
-class CycleClass(_Value):
+class CycleClass(_Value, fields=("r0", "dh", "df", "p2")):
     """Graded cycle r0 + (dh*h + df*f) + p2*[pt], truncated above degree 2.
 
     Coefficients are exact rationals; integer inputs are converted, anything
     else (floats in particular) is rejected.
     """
+    __slots__ = ()
 
-    def __init__(self, r0: Fraction, dh: Fraction, df: Fraction, p2: Fraction):
-        r0, dh, df, p2 = map(_as_fraction, (r0, dh, df, p2))
-        fields = self.__dict__
-        fields["r0"] = r0
-        fields["dh"] = dh
-        fields["df"] = df
-        fields["p2"] = p2
+    def __new__(cls, r0: Fraction, dh: Fraction, df: Fraction, p2: Fraction):
+        return tuple.__new__(cls, tuple(map(_as_fraction, (r0, dh, df, p2))))
 
 
-class CurveCycle(_Value):
+class CurveCycle(_Value, fields=("r0", "p1")):
     """Cycle r0 + p1*[pt] on the base curve (degrees 0 and 1 only)."""
+    __slots__ = ()
 
-    def __init__(self, r0: Fraction, p1: Fraction):
-        r0, p1 = _as_fraction(r0), _as_fraction(p1)
-        fields = self.__dict__
-        fields["r0"] = r0
-        fields["p1"] = p1
+    def __new__(cls, r0: Fraction, p1: Fraction):
+        return tuple.__new__(cls, (_as_fraction(r0), _as_fraction(p1)))
 
 
 def cycle_mul(g: SurfaceGeometry, x: CycleClass, y: CycleClass) -> CycleClass:

@@ -21,19 +21,20 @@ import sys
 from itertools import accumulate, chain
 from operator import lt
 
-from ._value import _require_int, _Value, _wrong_type
+from ._value import _require_int, _unchecked, _Value, _wrong_type
 
 _INT = {int}
 
 
-class SplittingType(_Value):
+class SplittingType(_Value, fields=("parts",)):
     """Nonincreasing integer sequence (b1 >= ... >= br), r >= 1.
 
     The constructor checks every part; enumerate_types and
-    specialization_chain build their types through _listed instead.
+    specialization_chain build their types through _value._unchecked instead.
     """
+    __slots__ = ()
 
-    def __init__(self, parts: tuple[int, ...]):
+    def __new__(cls, parts: tuple[int, ...]):
         parts = tuple(parts)
         # one test passes every valid type; the order is compared only once
         # every part is an int (bool, float and Fraction included)
@@ -42,7 +43,7 @@ class SplittingType(_Value):
                 raise ValueError("a splitting type needs at least one part")
             _require_int("splitting-type parts", *parts)
             raise ValueError(f"parts must be nonincreasing, got {parts}")
-        self.__dict__["parts"] = parts
+        return tuple.__new__(cls, (parts,))
 
     def rank(self) -> int:
         return len(self.parts)
@@ -52,13 +53,6 @@ class SplittingType(_Value):
 
     def spread(self) -> int:
         return self.parts[0] - self.parts[-1]
-
-
-def _listed(parts: tuple[int, ...]) -> SplittingType:
-    """The type of parts a list builder made from ints it checked, built unchecked."""
-    t = object.__new__(SplittingType)
-    t.__dict__["parts"] = parts
-    return t
 
 
 def _require_buildable(what: str, length: int) -> None:
@@ -223,7 +217,7 @@ def enumerate_types(r: int, d: int, max_spread: int) -> list[SplittingType]:
                 m = last - i
                 q, extra = divmod(tail, m or 1)
                 parts[i + 1:] = [q + 1] * extra + [q] * (m - extra)
-            found.append(_listed(tuple(parts)))
+            found.append(_unchecked(SplittingType, (tuple(parts),)))
             # next: raise the last part below its predecessor whose followers
             # can drop: they sum to more than `bound`, what they would sum to all at `low`
             tail, bound = parts[last], low
@@ -259,7 +253,7 @@ def specialization_chain(target: SplittingType) -> list[SplittingType]:
     cur = list(start)
     gap = [t - p for t, p in zip(accumulate(parts), accumulate(cur))]  # all >= 0
     left = sum(gap)
-    chain = [_listed(start)]
+    chain = [_unchecked(SplittingType, (start,))]
     i = 0
     while left:
         while not gap[i]:
@@ -272,5 +266,5 @@ def specialization_chain(target: SplittingType) -> list[SplittingType]:
         left -= j - i
         cur[i] += 1
         cur[j] -= 1
-        chain.append(_listed(tuple(cur)))
+        chain.append(_unchecked(SplittingType, (tuple(cur),)))
     return chain

@@ -38,15 +38,12 @@ from ._value import _require_int, _Value
 Grid = Iterator["dict | None"]
 
 
-class SuiteResult(_Value):
+class SuiteResult(_Value, fields=("suite", "points", "ok", "counterexample")):
     """One suite's outcome: the points it counted and, if it failed, a counterexample."""
+    __slots__ = ()
 
-    def __init__(self, suite: str, points: int, ok: bool, counterexample: dict | None = None):
-        fields = self.__dict__
-        fields["suite"] = suite
-        fields["points"] = points
-        fields["ok"] = ok
-        fields["counterexample"] = counterexample
+    def __new__(cls, suite: str, points: int, ok: bool, counterexample: dict | None = None):
+        return tuple.__new__(cls, (suite, points, ok, counterexample))
 
 
 # suite name -> (its grid, the bounds it accepts), in registration order

@@ -1,14 +1,18 @@
 """Every bundles callable refuses a surface, divisor class, bundle or extension of another class.
 
-Each case below is a valid call.  Every argument in it that is a library
-value is replaced in turn by a stand-in with the same attributes, by None,
-and by a value whose every attribute read fails the test, and the call must
-raise the TypeError of _value._wrong_type naming that argument, before it
-reads a field.  Without the checks a stand-in bundle with a float c2 gets
-float answers: jumping_count and jumping_count_chi_oracle gave 3.5,
-pushforward_degree -2.5 and euler_char_bundle 0.5.  The last test checks
-that the cases cover every such argument of every public callable of
-bundles.
+So does every geometry and cohomology function that takes only surfaces and
+divisor classes.  Each case below is a valid call.  Every argument in it
+that is a library value is replaced in turn by a stand-in with the same
+attributes, by None, by a value whose every attribute read fails the test,
+and by the plain tuple of the value's fields (a value is a tuple too), and
+the call must raise the TypeError of _value._wrong_type naming that
+argument, before it reads a field.  Without the checks a stand-in bundle
+with a float c2 gets float answers: jumping_count and
+jumping_count_chi_oracle gave 3.5, pushforward_degree -2.5 and
+euler_char_bundle 0.5; below bundles, intersect gave -1.5 for a stand-in
+divisor with a = 1.5.  The last two tests check that the cases cover every
+such argument of every public callable of bundles, and every function of
+geometry and cohomology that takes only surfaces and divisor classes.
 """
 
 import inspect
@@ -16,12 +20,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from ruledsurf import bundles
+from ruledsurf import bundles, cohomology, geometry
 from ruledsurf.bundles import BundleNumerics, ExtensionData
 from ruledsurf.geometry import DivisorClass, SurfaceGeometry
 
 G = SurfaceGeometry(0, 1)
 D = DivisorClass(2, 1)
+AMPLE = DivisorClass(1, 2)
 B = BundleNumerics(G, 2, D, 3)  # balanced at a = 1
 B3 = BundleNumerics(G, 3, DivisorClass(2, 0), 3)  # an extension with a = 1, x = 1
 E = ExtensionData(G, 3, 1, 1, 0, 0)
@@ -42,6 +47,14 @@ STAND_INS = {
     ExtensionData: SimpleNamespace(g=G, r=3, x=1, a=1, deg_sub=0.5, deg_quot=0),
 }
 
+# the plain tuple of a value of each class: a value of another class
+PLAIN = {
+    SurfaceGeometry: (0, 1),
+    DivisorClass: (2, 1),
+    BundleNumerics: (G, 2, D, 3),
+    ExtensionData: (G, 3, 1, 1, 0, 0),
+}
+
 # a valid call of each callable: its value arguments are the ones replaced
 CALLS = [
     (bundles.BundleNumerics, (G, 2, D, 3)),
@@ -57,6 +70,15 @@ CALLS = [
     (bundles.extension_data_from_chern, (B3, 1, 1)),
     (bundles.slope, (B, D)),
     (bundles.destabilizes, (BundleNumerics(G, 1, D, 0), B, D)),
+    (geometry.intersect, (G, D, AMPLE)),
+    (geometry.canonical_class, (G,)),
+    (geometry.is_ample, (G, D)),
+    (geometry.is_good_polarization, (G, AMPLE)),
+    (geometry.min_good_twist, (G, AMPLE)),
+    (geometry.todd_surface, (G,)),
+    (cohomology.h_line, (G, D)),
+    (cohomology.euler_char, (G, D)),
+    (cohomology.serre_dual, (G, D)),
 ]
 
 
@@ -68,11 +90,12 @@ def value_arguments(f, args):
 
 
 CASES = [
-    pytest.param(f, args[:i] + (wrong,) + args[i + 1:], f"{name} must be a {cls.__name__}, "
+    pytest.param(f, args[:i] + (wrong,) + args[i + 1:],
+                 f"{name} must be {'an' if cls.__name__[0] in 'AEIOU' else 'a'} {cls.__name__}, "
                  f"got {type(wrong).__name__}", id=f"{f.__name__}-{name}-{type(wrong).__name__}")
     for f, args in CALLS
     for i, name, cls in value_arguments(f, args)
-    for wrong in (STAND_INS[cls], None, Unreadable())
+    for wrong in (STAND_INS[cls], None, Unreadable(), PLAIN[cls])
 ]
 
 
@@ -88,12 +111,40 @@ def test_a_value_of_another_class_is_refused(f, args, text):
     assert str(error.value) == text
 
 
+def test_a_plain_tuple_of_the_fields_is_the_value_it_stands_for():
+    # so a refusal of PLAIN[cls] is a refusal of its class, not of its fields
+    for cls, fields in PLAIN.items():
+        assert tuple(cls(*fields)) == fields
+
+
+def public_callables(module):
+    """The public functions, and the classes with a constructor, that module defines."""
+    return [obj for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+            and (inspect.isfunction(obj) or inspect.isclass(obj) and "__new__" in vars(obj))]
+
+
+def covered(modules):
+    """(callable, parameter) of each value argument of the cases for these modules."""
+    return {(f, name) for f, args in CALLS if inspect.getmodule(f) in modules
+            for _, name, _ in value_arguments(f, args)}
+
+
 def test_every_value_argument_of_a_public_callable_is_covered():
     wanted = {cls.__name__ for cls in STAND_INS}
-    takes = {(obj, p.name) for name, obj in vars(bundles).items()
-             if not name.startswith("_") and getattr(obj, "__module__", None) == bundles.__name__
-             and (inspect.isfunction(obj) or inspect.isclass(obj) and "__init__" in vars(obj))
+    takes = {(obj, p.name) for obj in public_callables(bundles)
              for p in inspect.signature(obj).parameters.values() if p.annotation in wanted}
-    covered = {(f, name) for f, args in CALLS for _, name, _ in value_arguments(f, args)}
-    assert takes == covered
-    assert len(CASES) == 3 * len(covered) == 54
+    assert takes == covered({bundles})
+    assert len(takes) == 18
+
+
+def test_every_surface_and_divisor_function_below_bundles_is_covered():
+    # the geometry and cohomology functions whose every argument is a surface or a class
+    wanted = {"SurfaceGeometry", "DivisorClass"}
+    takes = {(obj, p.name) for module in (geometry, cohomology)
+             for obj in public_callables(module) if inspect.isfunction(obj)
+             for params in [inspect.signature(obj).parameters.values()]
+             if params and all(p.annotation in wanted for p in params) for p in params}
+    assert takes == covered({geometry, cohomology})
+    assert len(takes) == 17
+    assert len(CASES) == 4 * (18 + 17) == 140

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ruledsurf import cohomology, geometry
+from ruledsurf import cohomology
 from ruledsurf.cohomology import (
     CohomologyTable,
     ConormalData,
@@ -207,25 +207,29 @@ def test_growth_strictly_increasing():
 
 
 def test_h_line_and_euler_char_build_no_intermediate_values(monkeypatch):
-    """h_line builds its one table and no class, on both sides of a = -2;
-    euler_char builds nothing."""
+    """h_line builds its one table, unchecked, and no class, on both sides of
+    a = -2; euler_char builds nothing."""
     built = Counter()
 
-    def counted(cls):
-        def build(*args):
-            built[cls.__name__] += 1
-            return cls(*args)
-        return build
+    for cls in (CohomologyTable, DivisorClass):
+        def counted(cls_, *args, _checked=cls.__new__):
+            built[cls_.__name__] += 1
+            return _checked(cls_, *args)
 
-    monkeypatch.setattr(cohomology, "CohomologyTable", counted(CohomologyTable))
-    monkeypatch.setattr(geometry, "DivisorClass", counted(DivisorClass))
+        monkeypatch.setattr(cls, "__new__", counted)
+
+    def unchecked(cls, fields):
+        built["unchecked " + cls.__name__] += 1
+        return tuple.__new__(cls, fields)
+
+    monkeypatch.setattr(cohomology, "_unchecked", unchecked)
     for q, e, a, b in [(0, 0, 3, 1), (0, 2, -1, 4), (0, 1, -2, 0), (0, 3, -7, -9),
                        (2, -1, -5, 3), (1, 4, 6, -2)]:
         g, d = SurfaceGeometry(q, e), DivisorClass(a, b)
         built.clear()
         if q == 0:
             assert type(h_line(g, d)) is CohomologyTable
-            assert built == {"CohomologyTable": 1}
+            assert built == {"unchecked CohomologyTable": 1}
             built.clear()
         assert type(euler_char(g, d)) is int
         assert built == {}

@@ -78,7 +78,7 @@ def test_a_value_that_is_not_an_int_is_refused(f, args, name):
 def takes_an_int(module, name, obj):
     if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
         return False
-    if not (inspect.isfunction(obj) or inspect.isclass(obj) and "__init__" in vars(obj)):
+    if not (inspect.isfunction(obj) or inspect.isclass(obj) and "__new__" in vars(obj)):
         return False
     return any(p.annotation == "int" for p in inspect.signature(obj).parameters.values())
 

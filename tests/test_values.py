@@ -1,14 +1,18 @@
 """Value semantics of the twelve immutable classes.
 
-Each value is equal to another of its own class with the same fields,
-hashes as the tuple of its fields, prints as ClassName(field=value, ...),
-refuses assignment and deletion, and survives copy, deepcopy and pickle.
-The pinned reprs are the ones these classes printed as frozen dataclasses.
-A value that an unchecked builder makes (bundles' three, splitting's one)
-is indistinguishable from the same value built checked, at up to 5000 digits.
+Each value is a tuple of its fields with no instance dict.  It is equal to
+another of its own class with the same fields and to nothing else, the
+plain tuple of its fields included, hashes as that tuple, prints as
+ClassName(field=value, ...), refuses assignment and deletion, ordering,
++ and * (DivisorClass's own arithmetic apart), and survives copy, deepcopy
+and pickle through its checked constructor.  The pinned reprs are the ones
+these classes printed as frozen dataclasses.  A value that the one
+unchecked builder, _value._unchecked, makes is indistinguishable from the
+same value built checked, at up to 5000 digits.
 """
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -17,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.vendor.pretty import pretty
 
-from ruledsurf import bundles, splitting
+from ruledsurf import cli
+from ruledsurf._value import _unchecked
 from ruledsurf.bundles import BundleNumerics, ExtensionData, GrrReport
 from ruledsurf.cohomology import CohomologyTable, ConormalData, SplitBundle
 from ruledsurf.geometry import CurveCycle, CycleClass, DivisorClass, SurfaceGeometry, _Value
@@ -84,7 +89,11 @@ def test_equal_by_fields_within_a_class(cls, fields, other, text):
     assert not value != cls(**fields)
     assert value != cls(**{**fields, name: changed})
     assert value != tuple(fields.values())
-    assert value.__eq__(tuple(fields.values())) is NotImplemented
+    assert tuple(fields.values()) != value
+    assert not value == tuple(fields.values())
+    assert not tuple(fields.values()) == value
+    # tuple's reflected == would answer True, so __eq__ answers for it
+    assert value.__eq__(tuple(fields.values())) is False
 
 
 def test_values_of_different_classes_differ():
@@ -98,6 +107,64 @@ def test_values_of_different_classes_differ():
     assert Divisor(1, 2) != DivisorClass(1, 2)
     assert DivisorClass(1, 2) != Divisor(1, 2)
     assert Divisor(1, 2) == Divisor(1, 2)
+
+
+@pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
+def test_a_value_of_another_class_with_the_same_fields_differs(cls, fields, other, text):
+    value = cls(**fields)
+    stranger = _unchecked(CASES[IDS.index(cls.__name__) - 1][0], tuple(value))
+    sub = type("Sub", (cls,), {"__slots__": ()})(**fields)
+    for twin in (stranger, sub):
+        assert tuple(twin) == tuple(value)
+        assert value != twin and twin != value
+        assert not value == twin and not twin == value
+
+
+@pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
+def test_a_value_is_a_tuple_with_no_instance_dict(cls, fields, other, text):
+    value = cls(**fields)
+    assert isinstance(value, tuple)
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
+def test_ordering_is_refused(cls, fields, other, text):
+    value = cls(**fields)
+    for twin in (cls(**fields), tuple(fields.values())):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match=" values are not ordered"):
+                compare(value, twin)
+            with pytest.raises(TypeError, match=" values are not ordered"):
+                compare(twin, value)
+
+
+@pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
+def test_tuple_concatenation_and_repetition_are_refused(cls, fields, other, text):
+    value = cls(**fields)
+    plain = tuple(fields.values())
+    cases = [lambda: plain + value, lambda: value * plain]
+    if cls is not DivisorClass:  # it adds divisors and multiplies them by an int
+        cases += [lambda: value + value, lambda: value + plain, lambda: value * 2,
+                  lambda: 2 * value]
+    for op in cases:
+        with pytest.raises(TypeError):
+            op()
+    if cls is DivisorClass:
+        assert (value + value, value * 2, 2 * value) == (cls(2, -4),) * 3
+
+
+# the value classes cli renders as literals; it refuses any other
+ENCODED = {DivisorClass, SplittingType, CycleClass, CurveCycle, SplitBundle, BundleNumerics}
+
+
+@pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
+def test_the_cli_encodes_only_the_value_classes_it_names(cls, fields, other, text):
+    value = cls(**fields)
+    if cls in ENCODED:
+        assert isinstance(cli._encode(value), str)
+    else:  # never as the JSON list of its fields
+        with pytest.raises(TypeError, match="^cannot encode "):
+            cli._encode(value)
 
 
 @pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
@@ -136,9 +203,18 @@ def test_assignment_and_deletion_raise(cls, fields, other, text):
                                    lambda v: pickle.loads(pickle.dumps(v))],
                          ids=["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)
-def test_copies_round_trip(cls, fields, other, text, clone):
+def test_copies_round_trip(cls, fields, other, text, clone, monkeypatch):
     value = cls(**fields)
+    built = []
+    checked = cls.__new__
+
+    def counted(cls_, *args):
+        built.append(args)
+        return checked(cls_, *args)
+
+    monkeypatch.setattr(cls, "__new__", counted)
     twin = clone(value)
+    assert built == [tuple(fields.values())]  # once, through the checked constructor
     assert type(twin) is cls
     assert twin == value
     assert hash(twin) == hash(value)
@@ -172,22 +248,26 @@ POSITIVE = st.one_of(st.integers(1, 5), st.integers(10 ** 4999, 10 ** 5000 - 1))
 
 @st.composite
 def built_both_ways(draw):
-    """One value built by its class's checked constructor and by its unchecked builder."""
-    kind = draw(st.sampled_from(["_divisor", "_bundle", "_extension", "_listed"]))
-    if kind == "_listed":
+    """One value built by its class's checked constructor and by _unchecked."""
+    kind = draw(st.sampled_from([DivisorClass, BundleNumerics, ExtensionData, SplittingType,
+                                 CohomologyTable]))
+    if kind is SplittingType:
         parts = tuple(sorted(draw(st.lists(INTS, min_size=1, max_size=4)), reverse=True))
-        return SplittingType(parts), splitting._listed(parts)
+        return SplittingType(parts), _unchecked(SplittingType, (parts,))
+    if kind is CohomologyTable:
+        args = (draw(INTS), draw(INTS), draw(INTS))
+        return CohomologyTable(*args), _unchecked(CohomologyTable, args)
     q = draw(POSITIVE) - 1
     g = SurfaceGeometry(q, draw(st.one_of(st.just(-q), INTS.map(lambda n: abs(n) - q))))
-    if kind == "_divisor":
+    if kind is DivisorClass:
         args = (draw(INTS), draw(INTS))
-        return DivisorClass(*args), bundles._divisor(*args)
-    r = draw(POSITIVE) + (kind == "_extension")
-    if kind == "_bundle":
-        args = (g, r, DivisorClass(draw(INTS), draw(INTS)), draw(INTS))
-        return BundleNumerics(*args), bundles._bundle(*args)
-    args = (g, r, draw(st.integers(1, r - 1)), draw(INTS), draw(INTS), draw(INTS))
-    return ExtensionData(*args), bundles._extension(*args)
+    else:
+        r = draw(POSITIVE) + (kind is ExtensionData)
+        if kind is BundleNumerics:
+            args = (g, r, DivisorClass(draw(INTS), draw(INTS)), draw(INTS))
+        else:
+            args = (g, r, draw(st.integers(1, r - 1)), draw(INTS), draw(INTS), draw(INTS))
+    return kind(*args), _unchecked(kind, args)
 
 
 def shown(value):
@@ -206,10 +286,11 @@ def test_a_value_built_unchecked_is_the_value_built_checked(pair):
     assert type(unchecked) is type(checked)
     assert unchecked == checked and checked == unchecked and not unchecked != checked
     assert hash(unchecked) == hash(checked)
-    assert list(vars(unchecked).items()) == list(vars(checked).items())  # order included
+    assert [getattr(unchecked, name) for name in checked._fields] == list(checked)
+    assert tuple.__eq__(unchecked, checked)  # the same fields, in the same order
     assert shown(unchecked) == shown(checked)
     assert pretty(unchecked) == pretty(checked)
-    for name in (*vars(checked), "extra"):
+    for name in (*checked._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(unchecked, name, 0)
         with pytest.raises(AttributeError):

@@ -324,43 +324,41 @@ def test_extension_call_structure(monkeypatch):
     assert calls["extension_data_from_chern"] == result.points
 
 
-# bundles' unchecked builders, each to the class it builds without its __init__
-BUILDERS = {"_divisor": DivisorClass, "_bundle": bundles.BundleNumerics,
-            "_extension": ExtensionData}
-
-
 def test_every_unchecked_build_in_bundles_is_a_counted_builder():
-    # so the counts below see every value bundles builds, checked or not
-    assert inspect.getsource(bundles).count("object.__new__(") == len(BUILDERS)
-    for name, cls in BUILDERS.items():
-        assert f"object.__new__({cls.__name__})" in inspect.getsource(getattr(bundles, name))
+    # so the counts below see every value bundles builds, checked or not: each
+    # class's __new__ builds its own value, and the rest goes through _unchecked
+    source = inspect.getsource(bundles)
+    classes = [bundles.BundleNumerics, ExtensionData, bundles.GrrReport]
+    assert source.count("tuple.__new__(") == len(classes)
+    for cls in classes:
+        assert "tuple.__new__(cls, " in inspect.getsource(cls.__new__)
+    assert "object.__new__(" not in source
+    assert bundles._unchecked is tuple.__new__
 
 
 def _count_builds(monkeypatch, builds, *classes):
-    """Count the values of each class built, by wrapping its __init__ and its builder.
+    """Count the values of each class built, by wrapping its __new__ and the builder.
 
-    A value built checked counts under its class's name, one that a bundles
-    builder made unchecked under "unchecked " and the name.  The class itself
-    stays bound under its name, since the constructors test
+    A value built checked counts under its class's name, one that
+    bundles._unchecked made under "unchecked " and the name.  The class
+    itself stays bound under its name, since the constructors test
     `type(x) is DivisorClass` and the like against that name.
     """
     for cls in classes:
-        real = cls.__init__
+        real = cls.__new__
 
-        def counted(self, *args, _name=cls.__name__, _real=real, **kwargs):
+        def counted(cls_, *args, _name=cls.__name__, _real=real, **kwargs):
             builds[_name] += 1
-            _real(self, *args, **kwargs)
+            return _real(cls_, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
-    for builder, cls in BUILDERS.items():
+        monkeypatch.setattr(cls, "__new__", counted)
+
+    def built(cls, fields, _real=bundles._unchecked):
         if cls in classes:
-            real = getattr(bundles, builder)
+            builds["unchecked " + cls.__name__] += 1
+        return _real(cls, fields)
 
-            def built(*args, _name="unchecked " + cls.__name__, _real=real):
-                builds[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(bundles, builder, built)
+    monkeypatch.setattr(bundles, "_unchecked", built)
 
 
 def _totals(builds):
@@ -374,7 +372,8 @@ def _totals(builds):
 def test_theorem_c_builds_per_point(monkeypatch):
     """Per theoremC point: no intersect, two bundles and about one divisor class.
 
-    The grid's bundle and the one twist's bundle with its c1, all checked.
+    The grid's bundle is built checked, and the one twist's bundle with its
+    c1 unchecked, from the ints of the checked bundle and line it was given.
     The grid's c1 is built once per b and its shift -a*h once per a, which
     at r_max=2 makes 220 and 20 classes besides the 2420 twisted c1s; the
     chi oracle and grr_verify build none.
@@ -383,11 +382,11 @@ def test_theorem_c_builds_per_point(monkeypatch):
     _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics)
     _count_calls(monkeypatch, builds, geometry, "intersect")
     (result,) = verify.run_suite("theoremC", r_max=2)
-    assert (result.points, result.ok) == (2420, True)
-    assert builds["intersect"] == 0
-    assert builds["DivisorClass"] <= 2660
-    assert builds["BundleNumerics"] == 2 * result.points
-    assert not any(name.startswith("unchecked ") for name in builds)
+    n = result.points
+    assert (n, result.ok) == (2420, True)
+    assert builds == {"DivisorClass": 240, "BundleNumerics": n,
+                      "unchecked DivisorClass": n, "unchecked BundleNumerics": n}
+    assert _totals(builds) == {"DivisorClass": 240 + n, "BundleNumerics": 2 * n}
 
 
 def test_extension_builds_per_point(monkeypatch):
