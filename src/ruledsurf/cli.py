@@ -3,16 +3,16 @@
 Five subcommand groups (surface, coh, split, bundle, verify) expose every
 library operation.  Each op is declared once, in the registry `_GROUPS`:
 its help text, its flags, and a function from the parsed flags to result
-rows.  `build_parser` and `run` both read that registry.  A request that
-names a group and an op, then gives only `--flag value` pairs, each flag
-one of the op's own spelt out in full and set once, with values argparse
-would take, is parsed from the registry with no argparse pass; so is
-`verify` with a suite name or `all` as its first word, then such pairs of
-grid bounds.  Any other request that names an op (--help, --flag=value,
-an abbreviation, a refusal) takes one pass of that op's own leaf parser;
-only help and refusals that name no op need the full tree.  Literal flags
-are parsed after that, in the order the op reads them, and the values
-read are echoed as the report's inputs.
+rows.  A request is parsed in one of two ways, both read from that
+registry.  A request that names a group and an op, then gives only
+`--flag value` pairs, each flag one of the op's own spelt out in full and
+set once, with values argparse would take, is parsed from the registry
+with no argparse pass; so is `verify` with a suite name or `all` as its
+first word, then such pairs of grid bounds.  Any other request (--help,
+--flag=value, an abbreviation, a repeated flag, a refusal) takes one pass
+of the full argparse tree, which `build_parser` builds once per process.
+Literal flags are parsed after that, in the order the op reads them, and
+the values read are echoed as the report's inputs.
 
 A request loads only what its op reaches.  The library layers are reached
 through the package, which imports each on first use: `split rigid` loads
@@ -561,7 +561,7 @@ def _verify_rows(v):
 
 
 # group -> (help text, its ops).  A group holding an op of its own name
-# (verify) is that op's leaf itself, with no subcommand; its flags are
+# (verify) is that op's leaf in the tree, with no subcommand; its flags are
 # built on demand because the suite names live in the verify module.
 _GROUPS = {
     "surface": ("intersection ring and polarizations", _SURFACE),
@@ -594,20 +594,10 @@ def _add_op(p, help_text: str, flags):
         p.add_argument(flag, **kwargs)
 
 
-def build_parser(*names: str):
-    """The full argument tree, or one op's leaf alone given the words that name it.
-
-    Those words are a group and one of its ops, or verify alone (its own op).
-    The leaf has the prog the full tree gives it, parses the words after the
-    names and sets `group` and `op` itself.  Only help and the refusal of a
-    missing or unknown group or op need the full tree.
-    """
+@functools.cache
+def build_parser():
+    """The full argument tree, built on the first request that needs an argparse pass."""
     parser_class = _parser_class()
-    if names:
-        leaf = parser_class(prog=" ".join(("ruledsurf", *names)))
-        _add_op(leaf, *_GROUPS[names[0]][1][names[-1]][:2])
-        leaf.set_defaults(group=names[0], op=names[-1])
-        return leaf
     top = parser_class(
         prog="ruledsurf",
         description="Exact intersection theory, cohomology, splitting types, "
@@ -627,12 +617,6 @@ def build_parser(*names: str):
 
 
 @functools.cache
-def _parser(*names: str):
-    # run() asks for the full tree or one of the 38 leaves, so this holds at most 39.
-    return build_parser(*names)
-
-
-@functools.cache
 def _leaf_flags(group: str, op: str):
     """One leaf's options as {flag: (dest, add_argument kwargs)}, its positionals as
     (dest, kwargs) pairs, the options' defaults and their required dests."""
@@ -647,8 +631,8 @@ def _leaf_flags(group: str, op: str):
 
 
 def _plain_value(kwargs: dict, word: str):
-    """word as the leaf parser stores it for an argument declared with kwargs, or None
-    where the parser would read it as a flag or refuse it."""
+    """word as the tree stores it for an argument declared with kwargs, or None where
+    argparse would read it as a flag or refuse it."""
     if word[:1] == "-" and not _LEADING_NEG.match(word):
         return None
     if kwargs.get("type") is int:
@@ -664,8 +648,8 @@ def _plain_value(kwargs: dict, word: str):
 
 
 def _plain_parse(group: str, op: str, words: list[str]) -> SimpleNamespace | None:
-    """The namespace the leaf parser gives words that are its positionals, then plain
-    `--flag value` pairs, else None."""
+    """The namespace the tree gives the op's names, then words that are its positionals
+    and plain `--flag value` pairs, else None."""
     options, positionals, defaults, required = _leaf_flags(group, op)
     pairs = words[len(positionals):]
     if len(words) < len(positionals) or len(pairs) % 2:
@@ -728,13 +712,12 @@ def run(argv: list[str]) -> int:
     ops = _GROUPS[group][1] if group else {}
     # A request names its op right after its group, or is verify, its own op.
     # Plain words after the names (verify's suite, then `--flag value` pairs)
-    # need no argparse pass; other words after the names go to that op's leaf
-    # parser.  Any other argv is help or a refusal, which the full tree gives.
+    # need no argparse pass; any other argv takes one pass of the full tree.
     names = [group] if group in ops else argv[:2] if len(argv) > 1 and argv[1] in ops else []
     try:
         ns = _plain_parse(names[0], names[-1], argv[len(names):]) if names else None
         if ns is None:
-            ns = _parser(*names).parse_args(argv[len(names):])
+            ns = build_parser().parse_args(argv)
     except ValueError as exc:
         ns = _requested_output(argv, SimpleNamespace(group=group))
         return _emit(_input_error(ns, str(exc)), 1, ns)

@@ -39,6 +39,8 @@ class StabilizationError(ValueError):
 
 
 def _require_genus_zero(g: SurfaceGeometry):
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
     if g.q != 0:
         raise PositiveGenusError(
             f"exact cohomology needs genus zero, got q={g.q}; use euler_char instead"
@@ -94,6 +96,10 @@ class ConormalData(_Value, fields=("t", "s")):
 
 def check_conormal(g: SurfaceGeometry, c: ConormalData):
     """Reject conormal data violating the standing positivity assumptions."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(c) is not ConormalData:
+        raise _wrong_type("c", ConormalData, c)
     if g.q == 0:
         if c.s <= g.e * c.t:
             raise ValueError(
@@ -135,11 +141,9 @@ def _h_line_ints(e: int, a: int, b: int) -> tuple[int, int, int]:
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:
     """Exact cohomology of the line bundle O(a*h + b*f) on a Hirzebruch surface."""
-    if type(g) is not SurfaceGeometry:
-        raise _wrong_type("g", SurfaceGeometry, g)
+    _require_genus_zero(g)
     if type(d) is not DivisorClass:
         raise _wrong_type("d", DivisorClass, d)
-    _require_genus_zero(g)
     # the kernel's ints, from the fields of the two values checked above
     return _unchecked(CohomologyTable, _h_line_ints(g.e, d.a, d.b))
 
@@ -187,6 +191,8 @@ def _differences(bundle: SplitBundle) -> dict[tuple[int, int], int]:
     End(bundle) is the sum of the lines O(D_j - D_i), so every count on it
     sums over this multiset; the diagonal adds r to the entry (0, 0).
     """
+    if type(bundle) is not SplitBundle:
+        raise _wrong_type("bundle", SplitBundle, bundle)
     diffs: dict[tuple[int, int], int] = {}
     for d_i in bundle.summands:
         for d_j in bundle.summands:
@@ -206,6 +212,8 @@ def h_split_end(
     ints, one call of h_line's kernel _h_line_ints per difference.
     """
     _require_genus_zero(g)
+    if type(twist) is not DivisorClass:
+        raise _wrong_type("twist", DivisorClass, twist)
     e, ta, tb = g.e, twist.a, twist.b
     h0 = h1 = h2 = 0
     for (da, db), weight in _differences(bundle).items():

@@ -54,16 +54,24 @@ class DivisorClass(_Value, fields=("a", "b")):
             _require_int("divisor coefficients", a, b)
         return tuple.__new__(cls, (a, b))
 
+    # Another operand's class is refused with NotImplemented, so Python raises TypeError:
+    # a plain tuple or a stand-in is not a class, nor is a bool or a float a multiple.
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if type(other) is not DivisorClass:
+            return NotImplemented
         return DivisorClass(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
+        if type(other) is not DivisorClass:
+            return NotImplemented
         return DivisorClass(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(-self.a, -self.b)
 
     def __mul__(self, n: int) -> "DivisorClass":
+        if type(n) is not int:
+            return NotImplemented
         return DivisorClass(self.a * n, self.b * n)
 
     __rmul__ = __mul__

@@ -1,7 +1,8 @@
-"""Every bundles callable refuses a surface, divisor class, bundle or extension of another class.
+"""Every bundles callable and every cohomology function refuses a value of another class.
 
-So does every geometry and cohomology function that takes only surfaces and
-divisor classes.  Each case below is a valid call.  Every argument in it
+So does every geometry function that takes only surfaces and divisor
+classes.  The values are surfaces, divisor classes, bundles, extensions,
+split bundles and conormal data.  Each case below is a valid call.  Every argument in it
 that is a library value is replaced in turn by a stand-in with the same
 attributes, by None, by a value whose every attribute read fails the test,
 and by the plain tuple of the value's fields (a value is a tuple too), and
@@ -10,9 +11,11 @@ argument, before it reads a field.  Without the checks a stand-in bundle
 with a float c2 gets float answers: jumping_count and
 jumping_count_chi_oracle gave 3.5, pushforward_degree -2.5 and
 euler_char_bundle 0.5; below bundles, intersect gave -1.5 for a stand-in
-divisor with a = 1.5.  The last two tests check that the cases cover every
-such argument of every public callable of bundles, and every function of
-geometry and cohomology that takes only surfaces and divisor classes.
+divisor with a = 1.5, and endomorphism_growth 60.0 for a stand-in surface
+with e = 1.5.  The last two tests check that the cases cover every such
+argument of every public callable of bundles and every function of
+cohomology, and every function of geometry that takes only surfaces and
+divisor classes.
 """
 
 import inspect
@@ -22,6 +25,7 @@ import pytest
 
 from ruledsurf import bundles, cohomology, geometry
 from ruledsurf.bundles import BundleNumerics, ExtensionData
+from ruledsurf.cohomology import ConormalData, SplitBundle
 from ruledsurf.geometry import DivisorClass, SurfaceGeometry
 
 G = SurfaceGeometry(0, 1)
@@ -30,6 +34,8 @@ AMPLE = DivisorClass(1, 2)
 B = BundleNumerics(G, 2, D, 3)  # balanced at a = 1
 B3 = BundleNumerics(G, 3, DivisorClass(2, 0), 3)  # an extension with a = 1, x = 1
 E = ExtensionData(G, 3, 1, 1, 0, 0)
+S = SplitBundle((DivisorClass(0, 0), DivisorClass(1, 0)))
+C = ConormalData(1, 2)  # ample on G: s > e*t
 
 
 class Unreadable:
@@ -45,6 +51,8 @@ STAND_INS = {
     DivisorClass: SimpleNamespace(a=2, b=0.5),
     BundleNumerics: SimpleNamespace(g=G, r=2, c1=DivisorClass(2, 1), c2=3.5),
     ExtensionData: SimpleNamespace(g=G, r=3, x=1, a=1, deg_sub=0.5, deg_quot=0),
+    SplitBundle: SimpleNamespace(summands=(DivisorClass(0, 0), SimpleNamespace(a=1, b=0.5))),
+    ConormalData: SimpleNamespace(t=1, s=2.5),
 }
 
 # the plain tuple of a value of each class: a value of another class
@@ -53,6 +61,8 @@ PLAIN = {
     DivisorClass: (2, 1),
     BundleNumerics: (G, 2, D, 3),
     ExtensionData: (G, 3, 1, 1, 0, 0),
+    SplitBundle: ((DivisorClass(0, 0), DivisorClass(1, 0)),),
+    ConormalData: (1, 2),
 }
 
 # a valid call of each callable: its value arguments are the ones replaced
@@ -79,6 +89,12 @@ CALLS = [
     (cohomology.h_line, (G, D)),
     (cohomology.euler_char, (G, D)),
     (cohomology.serre_dual, (G, D)),
+    (cohomology.check_conormal, (G, C)),
+    (cohomology.conormal_vanishing, (G, C, 3)),
+    (cohomology.h_split_end, (G, S, D)),
+    (cohomology.moduli_dimension_split, (G, S)),
+    (cohomology.stabilization_index, (G, S, C, 10)),
+    (cohomology.endomorphism_growth, (G, S, C, 3)),
 ]
 
 
@@ -138,13 +154,18 @@ def test_every_value_argument_of_a_public_callable_is_covered():
     assert len(takes) == 18
 
 
-def test_every_surface_and_divisor_function_below_bundles_is_covered():
-    # the geometry and cohomology functions whose every argument is a surface or a class
-    wanted = {"SurfaceGeometry", "DivisorClass"}
-    takes = {(obj, p.name) for module in (geometry, cohomology)
-             for obj in public_callables(module) if inspect.isfunction(obj)
-             for params in [inspect.signature(obj).parameters.values()]
-             if params and all(p.annotation in wanted for p in params) for p in params}
+def test_every_cohomology_function_and_surface_and_divisor_function_is_covered():
+    # every value argument of a cohomology function, and the geometry functions
+    # whose every argument is a surface or a divisor class
+    wanted = {cls.__name__ for cls in STAND_INS}
+    takes = {(obj, p.name) for obj in public_callables(cohomology) if inspect.isfunction(obj)
+             for p in inspect.signature(obj).parameters.values() if p.annotation in wanted}
+    assert len(takes) == 21
+    surface_and_divisor = {"SurfaceGeometry", "DivisorClass"}
+    takes |= {(obj, p.name) for obj in public_callables(geometry) if inspect.isfunction(obj)
+              for params in [inspect.signature(obj).parameters.values()]
+              if params and all(p.annotation in surface_and_divisor for p in params)
+              for p in params}
     assert takes == covered({geometry, cohomology})
-    assert len(takes) == 17
-    assert len(CASES) == 4 * (18 + 17) == 140
+    assert len(takes) == 32
+    assert len(CASES) == 4 * (18 + 32) == 200

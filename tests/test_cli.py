@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -23,7 +24,6 @@ import ruledsurf.verify as verify_mod
 from ruledsurf.cli import (
     _GROUPS,
     _VERIFY_BOUNDS,
-    _parser,
     build_parser,
     format_bundle,
     format_curve_cycle,
@@ -413,11 +413,11 @@ def test_input_literal_past_digit_limit_is_input_error(capsys):
 
 
 def test_an_int_flag_past_the_digit_limit_is_refused_in_argparse_words(capsys):
-    # int() refuses the digits with text of its own; the report must give the leaf's refusal
+    # int() refuses the digits with text of its own; the report must give the tree's refusal
     digits = "7" * 5000
     argv = ["surface", "chern", "--e", "0", "--r", "1", "--c1", "0*h+0*f", "--c2", digits]
     error = f"argument --c2: invalid int value: '{digits}'"
-    assert _outcome(_parser(*argv[:2]), argv[2:]) == ("error", error)
+    assert _outcome(build_parser(), argv) == ("error", error)
     assert _run(capsys, argv) == (1, f"status: input-error\nerror\n{error}\n")
     report = {"subcommand": "surface", "inputs": {}, "results": [{"error": error}],
               "status": "input-error"}
@@ -425,7 +425,7 @@ def test_an_int_flag_past_the_digit_limit_is_refused_in_argparse_words(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the parser is built per group, on first use, and reused
+# the tree is built on first use, and reused
 
 RIGID_JSON = """{
   "subcommand": "split",
@@ -618,10 +618,12 @@ LEAVES = [(group,) if group in ops else (group, op)
           for group, (_, ops) in _GROUPS.items() for op in ops]
 
 
-def _full_leaf(full, names):
+def _leaf(names):
+    """The tree's parser for the op these words name."""
+    parser = build_parser()
     for name in names:
-        full = _subparsers(full)[name]
-    return full
+        parser = _subparsers(parser)[name]
+    return parser
 
 
 def _outcome(parser, argv):
@@ -639,7 +641,7 @@ def _outcome(parser, argv):
 def _valid_words(names):
     """A value for every required flag (and verify's suite) that argparse accepts."""
     words = []
-    for action in build_parser(*names)._actions:
+    for action in _leaf(names)._actions:
         if not action.option_strings:
             words.append("rigid")
         elif action.required:
@@ -647,52 +649,30 @@ def _valid_words(names):
     return words
 
 
-@pytest.mark.parametrize("names", LEAVES, ids="-".join)
-def test_leaf_parser_matches_full_tree(monkeypatch, names):
-    monkeypatch.setenv("COLUMNS", "80")
-    leaf, full = build_parser(*names), build_parser()
-    assert leaf.format_help() == _full_leaf(full, names).format_help()
-    valid = _valid_words(names)
-    int_flag = next((a.option_strings[0] for a in leaf._actions if a.type is int), None)
-    shapes = {"missing": [], "bogus": valid + ["--bogus"], "help abbreviation": valid + ["--he"],
-              "help with a value": valid + ["--he=1"]}
-    if int_flag is not None:
-        shapes["not an integer"] = valid + [int_flag, "x"]
-    for shape, words in shapes.items():
-        outcome = _outcome(leaf, words)
-        assert outcome == _outcome(full, [*names, *words]), shape
-        assert outcome[0] == ("exit" if shape == "help abbreviation" else "error"), shape
-    assert _outcome(leaf, valid) == _outcome(full, [*names, *valid])
-
-
 def test_a_request_that_names_an_op_runs_argparse_at_most_once(capsys, monkeypatch):
-    # a plain request, verify's too, takes no argparse pass; a request with a flag
-    # written --flag=value and a refusal take one of their own leaf
+    # a plain request, verify's too, takes no argparse pass and builds nothing; any
+    # other request takes one pass of the tree, which the first of them builds
     parses, builds = [], []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+    parse_args, tree = argparse.ArgumentParser.parse_args, build_parser.__wrapped__
 
     def counted_parse(self, *args, **kwargs):
-        if self is not cli_mod._output_parser():  # reads --format and --out of a refusal
-            parses.append(self.prog)
-        return parse_known_args(self, *args, **kwargs)
+        parses.append(self.prog)
+        return parse_args(self, *args, **kwargs)
 
-    def counted_build(*names):
-        builds.append(names)
-        return build_parser(*names)
+    def counted_build():
+        builds.append(1)
+        return tree()
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
-    monkeypatch.setattr(cli_mod, "build_parser", counted_build)
-    _parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted_parse)
+    monkeypatch.setattr(cli_mod, "build_parser", functools.cache(counted_build))
     line = ["coh", "line", "--e", "0", "--D", "1*h+1*f"]
     for argv, code, progs, built in ((line, 0, [], []),
                                      (["verify", "rigid"], 0, [], []),
-                                     (["verify", "rigid", "--r=3"], 0, ["ruledsurf verify"],
-                                      [("verify",)]),
-                                     # the leaf built for the request above
-                                     (["verify", "rigid", "--bogus", "1"], 1,
-                                      ["ruledsurf verify"], []),
-                                     (line + ["--bogus"], 1, ["ruledsurf coh line"],
-                                      [("coh", "line")])):
+                                     (["verify", "rigid", "--r=3"], 0, ["ruledsurf"], [1]),
+                                     # the tree built for the request above
+                                     (["verify", "rigid", "--bogus", "1"], 1, ["ruledsurf"], []),
+                                     (line + ["--bogus"], 1, ["ruledsurf"], []),
+                                     (line, 0, [], [])):
         builds.clear()
         for _ in range(2):
             parses.clear()
@@ -706,7 +686,7 @@ def test_no_option_string_starts_with_a_dash_and_a_digit():
     # _Parser._parse_optional reads every such word as a value before argparse sees it,
     # so a flag like -1 could never be given: it would be taken for a literal.
     full = build_parser()
-    parsers = [full, *_subparsers(full).values(), *(build_parser(*names) for names in LEAVES)]
+    parsers = [full, *_subparsers(full).values(), *map(_leaf, LEAVES)]
     strings = set().union(*(parser._option_string_actions for parser in parsers))
     assert {"-h", "--help", "--format", "--out", "--coeff-max", "--sub-c1"} <= strings
     assert [s for s in strings if cli_mod._LEADING_NEG.match(s)] == []
@@ -735,19 +715,10 @@ STRAY_WORDS = ["-h", "--he", "--help", "--", "-", "--bogus", "--format", "json",
                "--out", "--o", "--fo=json", "1", "-1", "x", "-2*h+3*f", "(1,0)", "coh", "line"]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(names=st.sampled_from(LEAVES), edits=EDITS)
-def test_leaf_parse_matches_full_tree_parse(names, edits):
-    flags = [a.option_strings[0] for a in _parser(*names)._actions if a.option_strings]
-    extra = STRAY_WORDS + flags + [f[:3] for f in flags] + [f + "=1" for f in flags]
-    words = _edited(_valid_words(names), edits, extra)
-    assert _outcome(_parser(*names), words) == _outcome(_parser(), [*names, *words])
-
-
 # the words that name each op other than verify
 PLAIN_LEAVES = [names for names in LEAVES if len(names) == 2]
 EDGE_WORDS = ["7" * 5000, "", "-", "-1", "-2*h+3*f", "--fo", "--format=json"]
-# verify's first word: a suite, all, or one the leaf parser refuses
+# verify's first word: a suite, all, or one the tree refuses
 SUITE_WORDS = [*verify_mod.SUITES, "all", "bogus", "Rigid", "rigid,", "-1", ""]
 BOUND_FLAGS = [flag for flag, _ in cli_mod._VERIFY_BOUNDS]
 
@@ -759,9 +730,9 @@ BOUND_FLAGS = [flag for flag, _ in cli_mod._VERIFY_BOUNDS]
        bounds=st.lists(st.tuples(st.sampled_from(BOUND_FLAGS),
                                  st.sampled_from(["0", "2", "-1", "+3", "007", "x"])),
                        max_size=3))
-def test_a_plain_parse_matches_the_leaf_parse(names, slot, value, repeat, edits, suite,
+def test_a_plain_parse_matches_the_tree_parse(names, slot, value, repeat, edits, suite,
                                               bounds):
-    flags = [a.option_strings[0] for a in _parser(*names)._actions if a.option_strings]
+    flags = [a.option_strings[0] for a in _leaf(names)._actions if a.option_strings]
     extra = (STRAY_WORDS + EDGE_WORDS + SUITE_WORDS + flags + [f[:3] for f in flags]
              + [f + "=1" for f in flags])
     # verify's suite comes first, then its bound flags; every other op's required flags
@@ -774,7 +745,7 @@ def test_a_plain_parse_matches_the_leaf_parse(names, slot, value, repeat, edits,
     words = _edited(head + words, edits, extra)
     plain = cli_mod._plain_parse(names[0], names[-1], words)
     if plain is not None:
-        assert _outcome(_parser(*names), words) == ("namespace", vars(plain))
+        assert _outcome(build_parser(), [*names, *words]) == ("namespace", vars(plain))
 
 
 def test_every_golden_report_of_a_library_op_takes_the_plain_parse():

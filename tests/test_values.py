@@ -15,6 +15,7 @@ import copy
 import operator
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -151,6 +152,31 @@ def test_tuple_concatenation_and_repetition_are_refused(cls, fields, other, text
             op()
     if cls is DivisorClass:
         assert (value + value, value * 2, 2 * value) == (cls(2, -4),) * 3
+
+
+# an operand of another class is refused with TypeError: a tuple, a stand-in with int
+# fields a and b, and a scalar that is not an exact int, bool included
+@pytest.mark.parametrize("op", [
+    lambda d: d + (1, 2), lambda d: d - (1, 2), lambda d: d + SimpleNamespace(a=1, b=2),
+    lambda d: d - SimpleNamespace(a=1, b=2), lambda d: d + SurfaceGeometry(1, 2),
+    lambda d: d - ConormalData(1, 2), lambda d: d + 1, lambda d: d - None,
+    lambda d: d * True, lambda d: False * d, lambda d: d * 1.0, lambda d: 2.0 * d,
+    lambda d: d * Fraction(2), lambda d: Fraction(2) * d, lambda d: d * d,
+    lambda d: d * (1, 2), lambda d: d * SimpleNamespace(a=1, b=2),
+], ids=["add tuple", "sub tuple", "add stand-in", "sub stand-in", "add surface",
+        "sub conormal", "add int", "sub None", "mul bool", "rmul bool", "mul float",
+        "rmul float", "mul Fraction", "rmul Fraction", "mul divisor", "mul tuple",
+        "mul stand-in"])
+def test_divisor_arithmetic_refuses_an_operand_of_another_class(op):
+    with pytest.raises(TypeError):
+        op(DivisorClass(1, 2))
+
+
+def test_divisor_arithmetic_on_classes_and_ints():
+    d, e = DivisorClass(1, 2), DivisorClass(-3, 5)
+    assert (d + e, d - e, -d, 3 * d, d * -2) == (
+        DivisorClass(-2, 7), DivisorClass(4, -3), DivisorClass(-1, -2), DivisorClass(3, 6),
+        DivisorClass(-2, -4))
 
 
 # the value classes cli renders as literals; it refuses any other
