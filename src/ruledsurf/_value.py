@@ -119,16 +119,16 @@ def _require_int(what: str, *values) -> None:
     """Reject any value that is not an exact int: bool, float and Fraction included.
 
     The input values' public constructors and every public function check
-    each int they take (tests/test_int_arguments.py lists them all), most
-    of them inline, calling this only to raise: SurfaceGeometry,
-    DivisorClass, BundleNumerics, ExtensionData, ConormalData and
-    CohomologyTable test `type(v) is int`, SplittingType makes one pass of
-    `map(type, parts)`; one call per divisor made the extension grid about
-    a sixth slower.  The list builders, splitting.enumerate_types and
-    specialization_chain, and the extension round trip of bundles check
-    their arguments once and build their results unchecked, as _Value
-    describes.  It lives here rather than in geometry, which re-exports it,
-    so that a split request loads no geometry.
+    each int they take, most of them inline as `type(v) is int`, calling
+    this only to raise; one call per divisor made the extension grid about
+    a sixth slower.  tests/test_contract.py checks every int parameter, and
+    every parameter of a value class (refused by _wrong_type), read from the
+    signatures of the package's exports.  The list builders,
+    splitting.enumerate_types and specialization_chain, and the extension
+    round trip of bundles check their arguments once and build their
+    results unchecked, as _Value describes.  It lives here rather than in
+    geometry, which re-exports it, so that a split request loads no
+    geometry.
     """
     for value in values:
         if type(value) is not int:  # bool is a subclass of int, so no isinstance

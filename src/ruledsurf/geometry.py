@@ -155,6 +155,12 @@ class CurveCycle(_Value, fields=("r0", "p1")):
 
 def cycle_mul(g: SurfaceGeometry, x: CycleClass, y: CycleClass) -> CycleClass:
     """Product in the truncated cycle ring; the degree-1 square lands on -e, 1, 1, 0."""
+    if type(g) is not SurfaceGeometry:
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(x) is not CycleClass:
+        raise _wrong_type("x", CycleClass, x)
+    if type(y) is not CycleClass:
+        raise _wrong_type("y", CycleClass, y)
     pairing = -g.e * x.dh * y.dh + x.dh * y.df + y.dh * x.df
     return CycleClass(
         x.r0 * y.r0,
@@ -165,11 +171,17 @@ def cycle_mul(g: SurfaceGeometry, x: CycleClass, y: CycleClass) -> CycleClass:
 
 
 def curve_mul(x: CurveCycle, y: CurveCycle) -> CurveCycle:
+    if type(x) is not CurveCycle:
+        raise _wrong_type("x", CurveCycle, x)
+    if type(y) is not CurveCycle:
+        raise _wrong_type("y", CurveCycle, y)
     return CurveCycle(x.r0 * y.r0, x.r0 * y.p1 + x.p1 * y.r0)
 
 
 def chern_character(g: SurfaceGeometry, rank: int, c1: DivisorClass, c2: int) -> CycleClass:
     """Chern character rank + c1 + (c1^2 - 2*c2)/2 of a rank/c1/c2 triple."""
+    if type(c1) is not DivisorClass:  # g is refused by intersect, before any field is read
+        raise _wrong_type("c1", DivisorClass, c1)
     _require_int("rank and c2", rank, c2)
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
@@ -200,4 +212,8 @@ def pushforward_to_curve(g: SurfaceGeometry, x: CycleClass) -> CurveCycle:
     The section class maps isomorphically to the base, fibers contract,
     the degree-0 part dies for dimension reasons, and points go to points.
     """
+    if type(g) is not SurfaceGeometry:  # g is never read, but refused all the same
+        raise _wrong_type("g", SurfaceGeometry, g)
+    if type(x) is not CycleClass:
+        raise _wrong_type("x", CycleClass, x)
     return CurveCycle(x.dh, x.p2)

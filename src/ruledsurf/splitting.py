@@ -13,6 +13,8 @@ A SplittingType built by its public constructor checks every part, and
 rigid_type and jumping_type build theirs that way.  The list builders,
 enumerate_types and specialization_chain, check their arguments once and
 then build each listed type unchecked from ints they made themselves.
+Every public function refuses a type of another class, with the
+TypeError of _value._wrong_type, before it reads a field.
 """
 
 from __future__ import annotations
@@ -80,12 +82,16 @@ def rigid_type(r: int, d: int) -> SplittingType:
 
 def h1_end(t: SplittingType) -> int:
     """h1 of End: sum over ordered pairs of max(0, b_j - b_i - 1)."""
+    if type(t) is not SplittingType:
+        raise _wrong_type("t", SplittingType, t)
     parts = t.parts
     return sum([bj - bi - 1 for bi in parts for bj in parts if bj > bi + 1])
 
 
 def is_rigid(t: SplittingType) -> bool:
     """Rigid means no infinitesimal deformations, equivalently spread <= 1."""
+    if type(t) is not SplittingType:
+        raise _wrong_type("t", SplittingType, t)
     return t.spread() <= 1
 
 
@@ -106,6 +112,10 @@ def specializes(general: SplittingType, special: SplittingType) -> bool:
     type is at least the corresponding prefix sum of the general one (the
     special Harder-Narasimhan polygon lies above).
     """
+    if type(general) is not SplittingType:
+        raise _wrong_type("general", SplittingType, general)
+    if type(special) is not SplittingType:
+        raise _wrong_type("special", SplittingType, special)
     gp, sp = general.parts, special.parts
     if len(gp) != len(sp) or sum(gp) != sum(sp):
         return False
@@ -134,6 +144,10 @@ def semicontinuity_oracle(general: SplittingType, special: SplittingType) -> boo
     to date; the first kink where the special count is smaller answers
     False.  Rank or degree mismatch is an error.
     """
+    if type(general) is not SplittingType:
+        raise _wrong_type("general", SplittingType, general)
+    if type(special) is not SplittingType:
+        raise _wrong_type("special", SplittingType, special)
     gp, sp = general.parts, special.parts
     r = len(gp)
     if r != len(sp):
@@ -169,6 +183,8 @@ def formal_lift_obstructions(t: SplittingType, conormal_t: int, n_max: int) -> l
     its kink ⌈c/conormal_t⌉, so layer(k) is one range between kinks and 0
     past the last: O(r² log r) Python steps build the list.
     """
+    if type(t) is not SplittingType:
+        raise _wrong_type("t", SplittingType, t)
     if type(conormal_t) is not int or type(n_max) is not int:
         _require_int("conormal fiber degree and n_max", conormal_t, n_max)
     if conormal_t <= 0:
