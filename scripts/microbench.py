@@ -11,7 +11,8 @@ cases are the primitives `intersect`, `cycle_mul`, `h_line` and
 checked exactly as `verify` builds and checks it, and what the value layout
 itself costs, for a DivisorClass and a BundleNumerics: a checked build, a
 build by the unchecked builder, four field reads, `!=` between two equal
-values that are distinct objects, and `hash`.  A repeat times `--number`
+values that are distinct objects, and `hash`; and `json_report`, the CLI's
+`render_report` of a one-row `bundle grr` report as JSON.  A repeat times `--number`
 calls of every case under every tree; with two trees, the tree that goes
 first alternates from one repeat to the next, so the machine's drift falls
 on both alike.  The script prints one JSON object: each case's best time
@@ -32,7 +33,7 @@ from pathlib import Path
 CASES = ("intersect", "cycle_mul", "h_line", "specializes", "theoremC_point",
          "extension_point", "divisor_build", "divisor_unchecked", "divisor_reads",
          "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked", "bundle_reads",
-         "bundle_ne", "bundle_hash")
+         "bundle_ne", "bundle_hash", "json_report")
 
 
 def load_tree(src: Path, name: str):
@@ -45,6 +46,16 @@ def load_tree(src: Path, name: str):
     spec.loader.exec_module(package)
     for layer in ("geometry", "cohomology", "splitting", "bundles"):
         importlib.import_module(f"{name}.{layer}")
+    # cli imports the package by its own name, so that name is this tree's while it loads
+    saved = sys.modules.get("ruledsurf")
+    sys.modules["ruledsurf"] = package
+    try:
+        importlib.import_module(f"{name}.cli")
+    finally:
+        if saved is None:
+            del sys.modules["ruledsurf"]
+        else:
+            sys.modules["ruledsurf"] = saved
     return package
 
 
@@ -97,6 +108,13 @@ def cases(pkg) -> dict:
         bundle_unchecked = lambda: unchecked(BundleNumerics, (g, r, c1, 4))
     bundle = BundleNumerics(g, r, c1, 4)
     bundle_twin = BundleNumerics(g, r, DivisorClass(r * a, 2), 4)
+
+    # what `bundle grr --e 2 --r 3 --c1 3*h+2*f --c2 4 --a 1 --format json` renders
+    render_report = pkg.cli.render_report
+    grr = grr_verify(bundle, a)
+    grr_row = {field: getattr(grr, field)
+               for field in ("rank_ok", "degree_ok", "lhs_degree", "rhs_degree")}
+    grr_inputs = {"op": "grr", "q": 0, "e": 2, "r": r, "c1": c1, "c2": 4, "a": a}
     d1_twin = DivisorClass(3, -1)
 
     found = {
@@ -116,12 +134,15 @@ def cases(pkg) -> dict:
         "bundle_reads": lambda: (bundle.g, bundle.r, bundle.c1, bundle.c2),
         "bundle_ne": lambda: bundle != bundle_twin,
         "bundle_hash": lambda: hash(bundle),
+        "json_report": lambda: render_report("bundle", grr_inputs, [grr_row], "ok", "json"),
     }
     if not (divisor_unchecked() == d1 and bundle_unchecked() == bundle):
         raise SystemExit(f"the unchecked builder under {pkg.__name__} builds another value")
     for name in ("specializes", "theoremC_point", "extension_point"):
         if found[name]() is not True:
             raise SystemExit(f"{name} under {pkg.__name__} does not pass")
+    if json.loads(found["json_report"]())["inputs"]["c1"] != "3*h+2*f":
+        raise SystemExit(f"json_report under {pkg.__name__} renders another report")
     return found
 
 

@@ -21,7 +21,8 @@ class _Value(tuple):
     `class DivisorClass(_Value, fields=("a", "b"))` with `__slots__ = ()`,
     and __init_subclass__ installs namedtuple's C-level getters for them.
     Its __new__ validates its arguments and returns
-    `tuple.__new__(cls, (a, b))`, the fields in declared order.
+    `tuple.__new__(cls, (a, b))`, the fields in declared order, or has
+    _checked do both from a list of the fields' classes.
 
     A value may also be built unchecked, by _unchecked(cls, fields), which
     is tuple.__new__ itself, where every field is a field of a value whose
@@ -30,7 +31,7 @@ class _Value(tuple):
     the constructor's range checks.  _unchecked is the only unchecked build:
     splitting's list builders use it for the types enumerate_types and
     specialization_chain list, cohomology for the table h_line returns, and
-    bundles for the values twist, extension_chern and
+    bundles for the values twist, grr_verify, extension_chern and
     extension_data_from_chern return.  tests/test_values.py checks that
     its values equal, hash, print and refuse assignment as the checked ones
     do.
@@ -133,3 +134,20 @@ def _require_int(what: str, *values) -> None:
     for value in values:
         if type(value) is not int:  # bool is a subclass of int, so no isinstance
             raise TypeError(f"{what} must be integers, got {type(value).__name__}")
+
+
+def _checked(cls, classes: str, *fields):
+    """The value of cls with fields, each refused unless it is exactly of its class in
+    classes, a space-separated list of bool, int and Fraction: an int as _require_int
+    words the refusal, any other as _wrong_type does.  It serves a class whose checked
+    build no grid makes, so it imports fractions on every call."""
+    from fractions import Fraction
+
+    known = {"bool": bool, "int": int, "Fraction": Fraction}
+    for what, value, name in zip(cls._fields, fields, classes.split()):
+        kind = known[name]
+        if type(value) is not kind:
+            if kind is int:
+                _require_int(what, value)
+            raise _wrong_type(what, kind, value)
+    return tuple.__new__(cls, fields)

@@ -25,10 +25,10 @@ tests compare them all.
 Every public function refuses a bundle, extension or line of another
 class, with the TypeError of _value._wrong_type, before it reads a field;
 a stand-in with the same attributes would otherwise answer in floats.
-Behind those checks each value is checked once: twist, extension_chern
-and extension_data_from_chern build their results unchecked, through
-_value._unchecked, from the ints of the checked values they were given
-(_value._Value has the rule).  In twist the unchecked build makes a
+Behind those checks each value is checked once: twist, grr_verify,
+extension_chern and extension_data_from_chern build their results
+unchecked, through _value._unchecked, from the ints of the checked values
+they were given (_value._Value has the rule).  In twist the unchecked build makes a
 theoremC point about an eighth faster in scripts/microbench.py.
 
 Only grr_verify's degree and slope are rationals, and the first of them
@@ -37,7 +37,7 @@ built imports fractions, so the int-only operations load none.
 
 from __future__ import annotations
 
-from ._value import _require_int, _unchecked, _Value, _wrong_type
+from ._value import _checked, _require_int, _unchecked, _Value, _wrong_type
 from .geometry import DivisorClass, SurfaceGeometry, intersect
 
 
@@ -187,11 +187,15 @@ def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
 
 
 class GrrReport(_Value, fields=("rank_ok", "degree_ok", "lhs_degree", "rhs_degree")):
-    """Comparison of the cycle-level pushforward degree against the closed form."""
+    """Comparison of the cycle-level pushforward degree against the closed form.
+
+    Built by hand, it refuses a field that is not of its annotated class;
+    grr_verify builds its report unchecked.
+    """
     __slots__ = ()
 
     def __new__(cls, rank_ok: bool, degree_ok: bool, lhs_degree: Fraction, rhs_degree: int):
-        return tuple.__new__(cls, (rank_ok, degree_ok, lhs_degree, rhs_degree))
+        return _checked(cls, "bool bool Fraction int", rank_ok, degree_ok, lhs_degree, rhs_degree)
 
 
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
@@ -216,7 +220,7 @@ def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     n_a, n_b, n_c2 = _twisted(bundle, -a, 0)
     degree = n_b - n_c2
     rhs = _pushforward_degree(bundle, a)
-    return GrrReport(n_a == 0, degree == rhs, _fraction(degree), rhs)
+    return _unchecked(GrrReport, (n_a == 0, degree == rhs, _fraction(degree), rhs))
 
 
 def extension_chern(ext: ExtensionData) -> BundleNumerics:

@@ -25,7 +25,9 @@ literal is read, and a value is rendered by the name of its class, so
 rendering loads no layer.
 
 Output is an aligned text table by default or a single JSON object with
---format json; --out writes the rendered report verbatim to a file first,
+--format json, the bytes of json.dumps(report, indent=2), written in one
+pass by _json_report with json's C string escaper; a table loads json only
+for a list or dict cell.  --out writes the rendered report verbatim to a file first,
 then it is printed.  Exit codes: 0 ok, 1 input error, 2 property violation.
 An error argparse raises is an input error too, rendered in the requested
 --format and written to --out whenever those two flags parse, else as a
@@ -121,17 +123,19 @@ def format_divisor(d: _lib.geometry.DivisorClass) -> str:
     return f"{d.a}*h{d.b:+d}*f"
 
 
-def parse_type(text: str) -> _lib.splitting.SplittingType:
+def _inside_parentheses(text: str, kind: str) -> str:
     if not text.startswith("("):
-        _fail(text, 0, "'('", "splitting type")
+        _fail(text, 0, "'('", kind)
     if not text.endswith(")"):
-        _fail(text, len(text), "')'", "splitting type")
-    body = text[1:-1]
+        _fail(text, len(text), "')'", kind)
+    return text[1:-1]
+
+
+def parse_type(text: str) -> _lib.splitting.SplittingType:
     parts = []
     pos = 1
-    for chunk in body.split(","):
-        m = _INT.fullmatch(chunk)
-        if not m:
+    for chunk in _inside_parentheses(text, "splitting type").split(","):
+        if not _INT.fullmatch(chunk):
             _fail(text, pos, "integer part", "splitting type")
         value = int(chunk)
         if parts and value > parts[-1]:
@@ -142,16 +146,12 @@ def parse_type(text: str) -> _lib.splitting.SplittingType:
 
 
 def format_type(t: _lib.splitting.SplittingType) -> str:
-    return "(" + ",".join(str(b) for b in t.parts) + ")"
+    return "(" + ",".join(map(str, t.parts)) + ")"
 
 
 def _parse_rational_list(text: str, count: int, kind: str) -> list[Fraction]:
     from fractions import Fraction  # only the cycle literals load it
-    if not text.startswith("("):
-        _fail(text, 0, "'('", kind)
-    if not text.endswith(")"):
-        _fail(text, len(text), "')'", kind)
-    chunks = text[1:-1].split(",")
+    chunks = _inside_parentheses(text, kind).split(",")
     if len(chunks) != count:
         _fail(text, len(text), f"{count} comma-separated rationals", kind)
     values = []
@@ -170,8 +170,7 @@ def _parse_rational_list(text: str, count: int, kind: str) -> list[Fraction]:
 
 
 def parse_cycle(text: str) -> _lib.geometry.CycleClass:
-    r0, dh, df, p2 = _parse_rational_list(text, 4, "cycle")
-    return _lib.geometry.CycleClass(r0, dh, df, p2)
+    return _lib.geometry.CycleClass(*_parse_rational_list(text, 4, "cycle"))
 
 
 def format_rational(x: Fraction) -> str:
@@ -179,20 +178,15 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_cycle(c: _lib.geometry.CycleClass) -> str:
-    return (
-        "("
-        + ",".join(format_rational(v) for v in (c.r0, c.dh, c.df, c.p2))
-        + ")"
-    )
+    return "(" + ",".join(map(format_rational, (c.r0, c.dh, c.df, c.p2))) + ")"
 
 
 def parse_curve_cycle(text: str) -> _lib.geometry.CurveCycle:
-    r0, p1 = _parse_rational_list(text, 2, "curve cycle")
-    return _lib.geometry.CurveCycle(r0, p1)
+    return _lib.geometry.CurveCycle(*_parse_rational_list(text, 2, "curve cycle"))
 
 
 def format_curve_cycle(c: _lib.geometry.CurveCycle) -> str:
-    return "(" + ",".join(format_rational(v) for v in (c.r0, c.p1)) + ")"
+    return "(" + ",".join(map(format_rational, (c.r0, c.p1))) + ")"
 
 
 def parse_summands(text: str) -> _lib.cohomology.SplitBundle:
@@ -205,7 +199,7 @@ def parse_summands(text: str) -> _lib.cohomology.SplitBundle:
 
 
 def format_summands(bundle: _lib.cohomology.SplitBundle) -> str:
-    return ",".join(format_divisor(d) for d in bundle.summands)
+    return ",".join(map(format_divisor, bundle.summands))
 
 
 # compiled on first use, through re's cache: only bundle literals read it
@@ -270,32 +264,22 @@ def _cell(value) -> str:
 def render_table(rows: list[dict]) -> str:
     if not rows:
         return "(no rows)"
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = [*dict.fromkeys(key for row in rows for key in row)]  # in first-seen order
     grid = [columns] + [[_cell(row.get(c)) for c in columns] for row in rows]
-    widths = [max(len(line[i]) for line in grid) for i in range(len(columns))]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-        for line in grid
-    ]
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in grid)
 
 
 def render_report(subcommand: str, inputs: dict, rows: list[dict], status: str, fmt: str) -> str:
-    """The report as one JSON object, or as a table of its rows that never reads the inputs."""
-    rows = [_encode(row) for row in rows]
+    """The report as one JSON object, the bytes of json.dumps(report, indent=2), or as
+    a table of its rows that never reads the inputs."""
     if fmt == "json":
-        import json
+        from ._json_report import write  # a table request loads neither it nor json
 
-        return json.dumps({"subcommand": subcommand, "inputs": _encode(inputs),
-                           "results": rows, "status": status}, indent=2)
-    body = render_table(rows)
-    if status == "ok":
-        return body
-    return f"status: {status}\n{body}"
+        return write({"subcommand": subcommand, "inputs": inputs, "results": rows,
+                      "status": status}, "\n", _encode)
+    body = render_table([_encode(row) for row in rows])
+    return body if status == "ok" else f"status: {status}\n{body}"
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +535,8 @@ def _verify_rows(v):
             own = [flag for flag, dest in _VERIFY_BOUNDS if dest in accepted]
             raise ValueError(f"suite {suite} takes no {', '.join(refused)}; "
                              f"its bounds are {', '.join(own)}")
-    rows = []
-    for res in run_suite(suite, **bounds):
-        row = {"suite": res.suite, "points": res.points, "ok": res.ok}
-        if not res.ok:
-            row["counterexample"] = res.counterexample
-        rows.append(row)
-    return rows
+    return [_row(res, "suite", "points", "ok", *(() if res.ok else ("counterexample",)))
+            for res in run_suite(suite, **bounds)]
 
 
 # group -> (help text, its ops).  A group holding an op of its own name
@@ -582,15 +561,14 @@ _COMMON = (("--format", {"choices": ("table", "json"), "default": "table",
                       "help": "also write the rendered report to PATH"}))
 
 
-def _add_common(p):
-    for flag, kwargs in _COMMON:
-        p.add_argument(flag, **kwargs)
+def _declared(flags) -> tuple:
+    """The flags every op takes, then flags, which verify builds on demand."""
+    return _COMMON + (flags() if callable(flags) else flags)
 
 
-def _add_op(p, help_text: str, flags):
+def _add_op(p, help_text: str | None, flags):
     p.description = help_text
-    _add_common(p)
-    for flag, kwargs in flags() if callable(flags) else flags:
+    for flag, kwargs in _declared(flags):
         p.add_argument(flag, **kwargs)
 
 
@@ -620,8 +598,7 @@ def build_parser():
 def _leaf_flags(group: str, op: str):
     """One leaf's options as {flag: (dest, add_argument kwargs)}, its positionals as
     (dest, kwargs) pairs, the options' defaults and their required dests."""
-    flags = _GROUPS[group][1][op][1]
-    declared = _COMMON + (flags() if callable(flags) else flags)
+    declared = _declared(_GROUPS[group][1][op][1])
     options = {flag: (kwargs.get("dest") or flag.lstrip("-").replace("-", "_"), kwargs)
                for flag, kwargs in declared if flag[:1] == "-"}
     positionals = tuple((name, kwargs) for name, kwargs in declared if name[:1] != "-")
@@ -672,7 +649,7 @@ def _plain_parse(group: str, op: str, words: list[str]) -> SimpleNamespace | Non
 @functools.cache
 def _output_parser():
     p = _parser_class()(add_help=False)
-    _add_common(p)
+    _add_op(p, None, ())
     return p
 
 
@@ -731,11 +708,8 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         return _emit(_input_error(ns, str(exc)), 1, ns)
 
-    status = "ok"
-    code = 0
-    if ns.group == "verify" and any(row.get("ok") is False for row in rows):
-        status = "property-violation"
-        code = 2
+    violated = ns.group == "verify" and any(row.get("ok") is False for row in rows)
+    status, code = ("property-violation", 2) if violated else ("ok", 0)
     try:
         text = render_report(ns.group, args.inputs, rows, status, ns.format)
     except ValueError:  # Python will not turn an int this long into text

@@ -19,14 +19,15 @@ from __future__ import annotations
 from ._value import _require_int, _Value, _wrong_type
 
 
-def _as_fraction(value) -> Fraction:
+def _as_fraction(what: str, value) -> Fraction:
+    """value as a Fraction, if it is an int or a Fraction; the refusal names the field."""
     from fractions import Fraction
 
     if isinstance(value, Fraction):
         return value
     if type(value) is int:  # bool is a subclass of int, so no isinstance
         return Fraction(value)
-    raise TypeError(f"expected an exact integer or rational, got {value!r}")
+    raise TypeError(f"{what} must be an exact integer or rational, got {type(value).__name__}")
 
 
 class SurfaceGeometry(_Value, fields=("q", "e")):
@@ -142,7 +143,8 @@ class CycleClass(_Value, fields=("r0", "dh", "df", "p2")):
     __slots__ = ()
 
     def __new__(cls, r0: Fraction, dh: Fraction, df: Fraction, p2: Fraction):
-        return tuple.__new__(cls, tuple(map(_as_fraction, (r0, dh, df, p2))))
+        return tuple.__new__(cls, (_as_fraction("r0", r0), _as_fraction("dh", dh),
+                                   _as_fraction("df", df), _as_fraction("p2", p2)))
 
 
 class CurveCycle(_Value, fields=("r0", "p1")):
@@ -150,7 +152,7 @@ class CurveCycle(_Value, fields=("r0", "p1")):
     __slots__ = ()
 
     def __new__(cls, r0: Fraction, p1: Fraction):
-        return tuple.__new__(cls, (_as_fraction(r0), _as_fraction(p1)))
+        return tuple.__new__(cls, (_as_fraction("r0", r0), _as_fraction("p1", p1)))
 
 
 def cycle_mul(g: SurfaceGeometry, x: CycleClass, y: CycleClass) -> CycleClass:

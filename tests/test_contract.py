@@ -11,7 +11,9 @@ plain tuple of the value's fields (a value is a tuple too), and the call
 must raise the TypeError of _value._wrong_type naming that argument, before
 it reads a field.  Every argument annotated int is replaced in turn by the
 equal float, Fraction and by True, and the call must raise the TypeError of
-_value._require_int naming that type.  Without the checks a stand-in answers
+_value._require_int naming that type.  Every argument annotated Fraction or bool
+is replaced in turn by a float, None and a str, and the call must raise a
+TypeError that names the parameter and the refused type.  Without the checks a stand-in answers
 in floats: h1_end gave 1.5 for a stand-in type with parts (2.5, 0),
 jumping_count 3.5 for a stand-in bundle with c2 = 3.5, and
 endomorphism_growth 60.0 for a stand-in surface with e = 1.5.
@@ -44,6 +46,7 @@ B = BundleNumerics(G, 2, DivisorClass(2, 1), 3)  # balanced at a = 1
 # a valid argument for each annotation of a public parameter
 VALID = {
     "int": 1,
+    "bool": True,
     "Fraction": Fraction(1, 2),
     "tuple[int, ...]": (2, 0, -1),
     "tuple[DivisorClass, ...]": (DivisorClass(0, 0), DivisorClass(1, 0)),
@@ -80,9 +83,7 @@ def public_callables():
     """The functions, and the classes with a constructor, that the package exports."""
     for name in ruledsurf.__all__:
         obj = getattr(ruledsurf, name)
-        # GrrReport is a report grr_verify builds, not an input
-        if name != "GrrReport" and (inspect.isfunction(obj)
-                                    or inspect.isclass(obj) and "__new__" in vars(obj)):
+        if inspect.isfunction(obj) or inspect.isclass(obj) and "__new__" in vars(obj):
             yield obj
 
 
@@ -132,6 +133,16 @@ INT_CASES = [
 ]
 
 
+# a Fraction parameter takes an int or a Fraction, a bool parameter a bool only
+EXACT_CASES = [
+    pytest.param(f, replaced(args, i, wrong), p.name, type(wrong).__name__,
+                 id=f"{f.__name__}-{p.name}-{type(wrong).__name__}")
+    for f, args in TABLE
+    for i, p in enumerate(parameters(f)) if p.annotation in ("Fraction", "bool")
+    for wrong in (0.5, None, "1")
+]
+
+
 def test_every_valid_call_answers():
     for f, args in TABLE:
         f(*args)
@@ -147,4 +158,10 @@ def test_a_value_of_another_class_is_refused(f, args, text):
 @pytest.mark.parametrize("f, args, name", INT_CASES)
 def test_a_value_that_is_not_an_int_is_refused(f, args, name):
     with pytest.raises(TypeError, match=f" must be integers, got {name}$"):
+        f(*args)
+
+
+@pytest.mark.parametrize("f, args, name, kind", EXACT_CASES)
+def test_a_value_of_another_type_is_refused_by_name(f, args, name, kind):
+    with pytest.raises(TypeError, match=f"^{name} must be .*, got {kind}$"):
         f(*args)

@@ -326,12 +326,14 @@ def test_extension_call_structure(monkeypatch):
 
 def test_every_unchecked_build_in_bundles_is_a_counted_builder():
     # so the counts below see every value bundles builds, checked or not: each
-    # class's __new__ builds its own value, and the rest goes through _unchecked
+    # class's __new__ builds its own value (GrrReport's through _value._checked),
+    # and the rest goes through _unchecked
     source = inspect.getsource(bundles)
-    classes = [bundles.BundleNumerics, ExtensionData, bundles.GrrReport]
+    classes = [bundles.BundleNumerics, ExtensionData]
     assert source.count("tuple.__new__(") == len(classes)
     for cls in classes:
         assert "tuple.__new__(cls, " in inspect.getsource(cls.__new__)
+    assert "return _checked(cls, " in inspect.getsource(bundles.GrrReport.__new__)
     assert "object.__new__(" not in source
     assert bundles._unchecked is tuple.__new__
 
