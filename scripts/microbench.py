@@ -8,7 +8,8 @@ parent commit's and a change's.  Each tree is loaded in this one process
 under a package name of its own, so the two never share a module.  The
 cases are the primitives `intersect`, `cycle_mul`, `h_line` and
 `specializes`, one `theoremC` and one `extension` point, each built and
-checked exactly as `verify` builds and checks it, and what the value layout
+checked exactly as `verify` builds and checks it, the chi and GRR roads of
+the theoremC point alone, on its bundle built once, and what the value layout
 itself costs, for a DivisorClass and a BundleNumerics: a checked build, a
 build by the unchecked builder, four field reads, `!=` between two equal
 values that are distinct objects, and `hash`; and `json_report`, the CLI's
@@ -31,9 +32,9 @@ import timeit
 from pathlib import Path
 
 CASES = ("intersect", "cycle_mul", "h_line", "specializes", "theoremC_point",
-         "extension_point", "divisor_build", "divisor_unchecked", "divisor_reads",
-         "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked", "bundle_reads",
-         "bundle_ne", "bundle_hash", "json_report")
+         "extension_point", "chi_road", "grr_road", "divisor_build", "divisor_unchecked",
+         "divisor_reads", "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked",
+         "bundle_reads", "bundle_ne", "bundle_hash", "json_report")
 
 
 def load_tree(src: Path, name: str):
@@ -124,6 +125,8 @@ def cases(pkg) -> dict:
         "specializes": lambda: splitting.specializes(general, special),
         "theoremC_point": theorem_c_point,
         "extension_point": extension_point,
+        "chi_road": lambda: jumping_count_chi_oracle(bundle, a),
+        "grr_road": lambda: grr_verify(bundle, a),
         "divisor_build": lambda: DivisorClass(3, -1),
         "divisor_unchecked": divisor_unchecked,
         "divisor_reads": lambda: (d1.a, d1.b, d2.a, d2.b),

@@ -138,12 +138,10 @@ def _require_int(what: str, *values) -> None:
 
 def _checked(cls, classes: str, *fields):
     """The value of cls with fields, each refused unless it is exactly of its class in
-    classes, a space-separated list of bool, int and Fraction: an int as _require_int
-    words the refusal, any other as _wrong_type does.  It serves a class whose checked
-    build no grid makes, so it imports fractions on every call."""
-    from fractions import Fraction
-
-    known = {"bool": bool, "int": int, "Fraction": Fraction}
+    classes, a space-separated list of bool and int: an int as _require_int words the
+    refusal, a bool as _wrong_type does.  It serves a class whose checked build no grid
+    makes, and imports nothing."""
+    known = {"bool": bool, "int": int}
     for what, value, name in zip(cls._fields, fields, classes.split()):
         kind = known[name]
         if type(value) is not kind:

@@ -10,17 +10,18 @@ The jumping count deliberately travels four independent roads: the
 closed form, c2 of the normalizing twist, minus the Euler characteristic
 of the once-more twisted bundle, and grr_verify, which pushes the Chern
 character times the Todd class to the base (Grothendieck-Riemann-Roch).
-Every road runs in ints: each pairing is written out from the
-coefficients instead of building classes for intersect, and the GRR road
-writes ch * td out for the regime the jumping counts live in (genus zero,
-a normalized twist of fiber degree 0), where its halves drop out.  The
-twist formula lives in _twisted alone: twist wraps its ints in a new
-bundle, and the chi and GRR roads read them as they are, building no
-shifted class or bundle.  The public Fraction ring of geometry
-(chern_character, cycle_mul, pushforward_to_curve, curve_mul) and the
-class arithmetic these bodies replaced are their oracles in the tests.
-No road calls another to check itself; the verification grids and the
-tests compare them all.
+Every road runs in ints, each in its own frame and from the bundle's own
+fields: each pairing is written out from the coefficients instead of
+building classes for intersect.  twist writes c2 of the twist; the chi
+and GRR roads write ch2 of their twist by multiplicativity of the Chern
+character, ch(E(L)) = ch(E) ch(L), doubled so that its halves stay ints,
+and build no shifted class or bundle.  No road reads another's formula,
+so a fault in one moves that road alone; tests/test_road_independence.py
+traces them.  The public Fraction ring of geometry (chern_character,
+cycle_mul, todd_surface, pushforward_to_curve, curve_mul) and the class
+arithmetic these bodies replaced are their oracles in the tests.  No road
+calls another to check itself; the verification grids and the tests
+compare them all.
 
 Every public function refuses a bundle, extension or line of another
 class, with the TypeError of _value._wrong_type, before it reads a field;
@@ -31,8 +32,8 @@ unchecked, through _value._unchecked, from the ints of the checked values
 they were given (_value._Value has the rule).  In twist the unchecked build makes a
 theoremC point about an eighth faster in scripts/microbench.py.
 
-Only grr_verify's degree and slope are rationals, and the first of them
-built imports fractions, so the int-only operations load none.
+Only slope is rational, and it imports fractions on its first call, so
+the int-only operations load none.
 """
 
 from __future__ import annotations
@@ -97,30 +98,24 @@ def fiber_degree(bundle: BundleNumerics) -> int:
     return bundle.c1.a
 
 
-def _twisted(bundle: BundleNumerics, la: int, lb: int) -> tuple[int, int, int]:
-    """(c1.a, c1.b, c2) of bundle tensored by O(la*h + lb*f), as ints.
+def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
+    """Tensor by the line bundle O(line) = O(la*h + lb*f).
 
     c1 + r*L and c2 + (r-1) c1.L + r(r-1)/2 L.L, the pairings written out
     from the coefficients as in intersect.
     """
-    r, e, a, b = bundle.r, bundle.g.e, bundle.c1.a, bundle.c1.b
+    if type(bundle) is not BundleNumerics:
+        raise _wrong_type("bundle", BundleNumerics, bundle)
+    if type(line) is not DivisorClass:  # its coefficients are read as ints
+        raise _wrong_type("line", DivisorClass, line)
+    r, e, a, b, la, lb = bundle.r, bundle.g.e, bundle.c1.a, bundle.c1.b, line.a, line.b
     c2 = (
         bundle.c2
         + (r - 1) * (-e * a * la + a * lb + la * b)
         + (r * (r - 1) // 2) * (la * (2 * lb - e * la))
     )
-    return a + r * la, b + r * lb, c2
-
-
-def twist(bundle: BundleNumerics, line: DivisorClass) -> BundleNumerics:
-    """Tensor by the line bundle O(line): _twisted's ints as a new bundle."""
-    if type(bundle) is not BundleNumerics:
-        raise _wrong_type("bundle", BundleNumerics, bundle)
-    if type(line) is not DivisorClass:  # its coefficients are read as ints
-        raise _wrong_type("line", DivisorClass, line)
-    a, b, c2 = _twisted(bundle, line.a, line.b)
-    c1 = _unchecked(DivisorClass, (a, b))
-    return _unchecked(BundleNumerics, (bundle.g, bundle.r, c1, c2))
+    c1 = _unchecked(DivisorClass, (a + r * la, b + r * lb))
+    return _unchecked(BundleNumerics, (bundle.g, r, c1, c2))
 
 
 def _require_balanced_regime(bundle: BundleNumerics, a: int):
@@ -161,66 +156,72 @@ def pushforward_degree(bundle: BundleNumerics, a: int) -> int:
     return _pushforward_degree(bundle, a)
 
 
-def _euler_char(q: int, e: int, r: int, a: int, b: int, c2: int) -> int:
-    # c1.(c1 - K)/2 = ab - qa + a + b - e*a(a + 1)/2 for c1 = a*h + b*f; a(a + 1) is even
-    return r * (1 - q) + a * b - q * a + a + b - e * (a * (a + 1) // 2) - c2
-
-
 def euler_char_bundle(bundle: BundleNumerics) -> int:
     """Riemann-Roch on the surface: r(1-q) + c1.(c1 - K)/2 - c2, any genus."""
     if type(bundle) is not BundleNumerics:
         raise _wrong_type("bundle", BundleNumerics, bundle)
-    return _euler_char(bundle.g.q, bundle.g.e, bundle.r, bundle.c1.a, bundle.c1.b, bundle.c2)
+    q, e, a, b = bundle.g.q, bundle.g.e, bundle.c1.a, bundle.c1.b
+    # c1.(c1 - K)/2 = ab - qa + a + b - e*a(a + 1)/2 for c1 = a*h + b*f; a(a + 1) is even
+    return bundle.r * (1 - q) + a * b - q * a + a + b - e * (a * (a + 1) // 2) - bundle.c2
 
 
 def jumping_count_chi_oracle(bundle: BundleNumerics, a: int) -> int:
     """Jumping count via Euler characteristics.
 
-    After twisting by -(a+1)*h the general fiber type is (-1,...,-1), which
-    kills both direct images, so all of chi is the jumping torsion and
-    z = -chi, Riemann-Roch read from _twisted's ints.  Computed without
-    reference to the closed form.
+    After twisting by L = -(a+1)*h the general fiber type is (-1,...,-1),
+    which kills both direct images, so all of chi(E(L)) is the jumping
+    torsion and z = -chi.  ch(E(L)) = ch(E) ch(L) gives 2 ch2(E(L)) =
+    c1^2 - 2 c2 + 2 c1.L + r L^2, and Hirzebruch-Riemann-Roch in genus zero
+    chi = r + (c1(E(L)).(2h + (2+e)f) + 2 ch2(E(L)))/2, where c1(E(L)) has
+    h-part c1.a - r(a+1) and f-part c1.b.  Computed without reference to
+    the closed form or to twist.
     """
     _require_balanced_regime(bundle, a)
-    g = bundle.g
-    return -_euler_char(g.q, g.e, bundle.r, *_twisted(bundle, -(a + 1), 0))
+    e, r, c1a, c1b, t = bundle.g.e, bundle.r, bundle.c1.a, bundle.c1.b, a + 1
+    twice_ch2 = (c1a * (2 * c1b - e * c1a) - 2 * bundle.c2
+                 - 2 * t * (c1b - e * c1a) - e * r * t * t)
+    return -r - ((2 - e) * (c1a - r * t) + 2 * c1b + twice_ch2) // 2
 
 
 class GrrReport(_Value, fields=("rank_ok", "degree_ok", "lhs_degree", "rhs_degree")):
     """Comparison of the cycle-level pushforward degree against the closed form.
 
-    Built by hand, it refuses a field that is not of its annotated class;
+    Both degrees are ints, as 2 ch2 of grr_verify's twist is even.  Built
+    by hand, it refuses a field that is not of its annotated class;
     grr_verify builds its report unchecked.
     """
     __slots__ = ()
 
-    def __new__(cls, rank_ok: bool, degree_ok: bool, lhs_degree: Fraction, rhs_degree: int):
-        return _checked(cls, "bool bool Fraction int", rank_ok, degree_ok, lhs_degree, rhs_degree)
+    def __new__(cls, rank_ok: bool, degree_ok: bool, lhs_degree: int, rhs_degree: int):
+        return _checked(cls, "bool bool int int", rank_ok, degree_ok, lhs_degree, rhs_degree)
 
 
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
     """Push ch(twisted bundle) * td(surface) to the base and compare degrees.
 
-    The left side is ch * td of the normalized twist N = E(-a*h), whose
-    (c1.a, c1.b, c2) = (n_a, n_b, n_c2) are _twisted's ints, pushed along the
-    ruling and corrected by the inverse curve Todd class; in the balanced
-    regime the higher direct image vanishes, so its degree-0 part is the
-    rank and its degree-1 part the pushforward degree.  The h part of
-    ch * td maps onto the base and gives the rank r + n_a, which is r, as
-    the regime check makes n_a = 0.  It also makes q = 0, so c1(N) = n_b*f
-    squares to 0, ch(N) = r + n_b*f - n_c2[pt] and
-    td(S) = 1 + h + (e + 2)/2 f + [pt]; the point part r + n_b - n_c2 of
-    their product maps to a point, and todd_curve(0)^-1 = 1 - [pt] turns it
-    into the degree n_b - n_c2.  geometry's public cycle ring computes the
-    whole product in Fractions, in any genus and at any fiber degree, and is
-    the oracle for this one in the tests.  The right side is the closed form
-    of pushforward_degree, on the regime checked here.
+    The left side is ch * td of N = E(-a*h), pushed along the ruling and
+    corrected by the inverse curve Todd class; in the balanced regime the
+    higher direct image vanishes, so its degree-0 part is the rank and its
+    degree-1 part the pushforward degree.  The h part of ch * td maps onto
+    the base and gives the rank r + c1.a - r*a, which is r, as the regime
+    check makes c1.a = r*a.  It also makes q = 0, so c1(N) = c1.b*f,
+    td(S) = 1 + h + (e + 2)/2 f + [pt], and the point part r + c1.b + ch2(N)
+    of ch(N) td(S) maps to a point, where todd_curve(0)^-1 = 1 - [pt] turns
+    it into the degree c1.b + ch2(N).  ch(N) = ch(E) ch(O(-a*h)) gives
+    2 ch2(N) = c1^2 - 2 c2 - 2a c1.h - e r a^2, which is even: at c1.a = r*a
+    it is -e r(r - 1) a^2 + 2(r - 1) a c1.b - 2 c2.  geometry's public cycle
+    ring computes the whole product in Fractions, in any genus and at any
+    fiber degree, and is the oracle for this one in the tests.  The right
+    side is the closed form of pushforward_degree, on the regime checked
+    here.
     """
     _require_balanced_regime(bundle, a)
-    n_a, n_b, n_c2 = _twisted(bundle, -a, 0)
-    degree = n_b - n_c2
+    e, r, c1a, c1b = bundle.g.e, bundle.r, bundle.c1.a, bundle.c1.b
+    twice_ch2 = (c1a * (2 * c1b - e * c1a) - 2 * bundle.c2
+                 - 2 * a * (c1b - e * c1a) - e * r * a * a)
+    degree = c1b + twice_ch2 // 2
     rhs = _pushforward_degree(bundle, a)
-    return _unchecked(GrrReport, (n_a == 0, degree == rhs, _fraction(degree), rhs))
+    return _unchecked(GrrReport, (c1a == r * a, degree == rhs, degree, rhs))
 
 
 def extension_chern(ext: ExtensionData) -> BundleNumerics:
@@ -228,18 +229,19 @@ def extension_chern(ext: ExtensionData) -> BundleNumerics:
 
     A pullback of rank k and base degree d twisted by t*h has c1 = k*t*h + d*f
     and c2 = (k - 1)*t*d - e*t^2*k(k - 1)/2: the sub-piece has (k, t, d) =
-    (r - x, a, deg_sub), the quotient (x, a - 1, deg_quot).
+    (r - x, a, deg_sub), the quotient (x, a - 1, deg_quot).  With A = c1.a =
+    (r - x)a + x(a - 1), c2(sub) + c2(quot) + c1(sub).c1(quot) collects to
+    deg_sub (A - a) + deg_quot (A - a + 1) - e (A^2 - (r - x)a^2 - x(a - 1)^2)/2,
+    where the last bracket is even.
     """
     if type(ext) is not ExtensionData:
         raise _wrong_type("ext", ExtensionData, ext)
     g, r, x, a, sub_b, quot_b = ext.g, ext.r, ext.x, ext.a, ext.deg_sub, ext.deg_quot
-    e, rho, a1 = g.e, r - x, a - 1
-    sub_a, quot_a = rho * a, x * a1
-    # c2 = c2(sub) + c2(quot) + c1(sub).c1(quot), the pairing written out as in intersect
-    c2 = ((rho - 1) * a * sub_b - e * a * a * (rho * (rho - 1) // 2)
-          + (x - 1) * a1 * quot_b - e * a1 * a1 * (x * (x - 1) // 2)
-          - e * sub_a * quot_a + sub_a * quot_b + quot_a * sub_b)
-    c1 = _unchecked(DivisorClass, (sub_a + quot_a, sub_b + quot_b))
+    rho, a1 = r - x, a - 1
+    c1a = rho * a + x * a1
+    c2 = (sub_b * (c1a - a) + quot_b * (c1a - a1)
+          - g.e * ((c1a * c1a - rho * a * a - x * a1 * a1) // 2))
+    c1 = _unchecked(DivisorClass, (c1a, sub_b + quot_b))
     return _unchecked(BundleNumerics, (g, r, c1, c2))
 
 
@@ -257,25 +259,18 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
     r = bundle.r
     if not 0 < x < r:
         raise ValueError(f"need 0 < x < r, got x={x}, r={r}")
-    rho = r - x
-    expected_fiber = r * a - x
+    c1a = r * a - x
     c1 = bundle.c1
-    if c1.a != expected_fiber:
+    if c1.a != c1a:
         raise ValueError(
             f"c1 fiber part {c1.a} incompatible with (a={a}, x={x}): "
-            f"an extension of this shape forces {expected_fiber}"
+            f"an extension of this shape forces {c1a}"
         )
-    g = bundle.g
-    b = c1.b
-    alpha = (rho - 1) * a + x * (a - 1)
-    const = -g.e * (
-        a * a * (rho * (rho - 1) // 2)
-        + (a - 1) * (a - 1) * (x * (x - 1) // 2)
-        + rho * x * a * (a - 1)
-    )
-    deg_quot = (bundle.c2 - const) - alpha * b
-    deg_sub = b - deg_quot
-    return _unchecked(ExtensionData, (g, r, x, a, deg_sub, deg_quot))
+    g, b, a1 = bundle.g, c1.b, a - 1
+    # extension_chern's c2 = (A - a) b + deg_quot - e (A^2 - (r - x) a^2 - x a1^2)/2, A = c1.a
+    deg_quot = (bundle.c2 + g.e * ((c1a * c1a - (r - x) * a * a - x * a1 * a1) // 2)
+                - (c1a - a) * b)
+    return _unchecked(ExtensionData, (g, r, x, a, b - deg_quot, deg_quot))
 
 
 def slope(bundle: BundleNumerics, polarization: DivisorClass) -> Fraction:

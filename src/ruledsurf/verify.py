@@ -14,7 +14,7 @@ A counterexample holds library values (ints, DivisorClass, SplittingType
 and lists of them), not text: the CLI renders them as literals, with the
 same renderer as every other op, so this module never imports the CLI.
 The one exception is theoremC's `grr_degree`, already text: the str() of
-GrrReport.lhs_degree, a Fraction.
+GrrReport.lhs_degree, an int.
 
 SUITES holds the grids: `_suite(name)` registers a grid generator under
 its name, next to the bounds it accepts, which are the grid's parameters,
@@ -32,17 +32,29 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from ._value import _require_int, _Value
+from ._value import _require_int, _Value, _wrong_type
 
 # What a suite yields: None per counted point, then a counterexample if one fails.
 Grid = Iterator["dict | None"]
 
 
 class SuiteResult(_Value, fields=("suite", "points", "ok", "counterexample")):
-    """One suite's outcome: the points it counted and, if it failed, a counterexample."""
+    """One suite's outcome: the points it counted and, if it failed, a counterexample.
+
+    It refuses a field that is not of its annotated class, once per suite.
+    """
     __slots__ = ()
 
     def __new__(cls, suite: str, points: int, ok: bool, counterexample: dict | None = None):
+        if type(suite) is not str:
+            raise _wrong_type("suite", str, suite)
+        if type(points) is not int:
+            _require_int("points", points)
+        if type(ok) is not bool:
+            raise _wrong_type("ok", bool, ok)
+        if counterexample is not None and type(counterexample) is not dict:
+            raise TypeError("counterexample must be a dict or None, "
+                            f"got {type(counterexample).__name__}")
         return tuple.__new__(cls, (suite, points, ok, counterexample))
 
 

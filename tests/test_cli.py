@@ -583,6 +583,12 @@ COLD_REQUESTS = {
                      "--c2", "3"], ["z  m", "4  -4"],
                     {"ruledsurf.cohomology", "ruledsurf.splitting", "fractions", "decimal",
                      "argparse"}),
+    # the GRR degree is an int, so its report builds no rational
+    "bundle grr": (["bundle", "grr", "--e", "1", "--r", "2", "--a", "1", "--c1", "2*h+0*f",
+                    "--c2", "3"], ["rank_ok  degree_ok  lhs_degree  rhs_degree",
+                                   "true     true       -4          -4"],
+                   {"ruledsurf.cohomology", "ruledsurf.splitting", "fractions", "decimal",
+                    "argparse"}),
 }
 
 
@@ -1175,32 +1181,33 @@ def test_verify_table_leaves_the_counterexample_cell_of_an_ok_row_blank(capsys):
 
 
 def _twist_at_one_point(monkeypatch, wrong):
-    """Make bundles._twisted answer wrong(*twisted) for one theoremC bundle, truly elsewhere.
+    """Make bundles.twist answer wrong(twisted) for one theoremC bundle, truly elsewhere.
 
-    twist, the chi oracle and grr_verify all read their twist from
-    _twisted, so the lie reaches the grid's z_twist and both oracle roads.
+    The grid imports twist from bundles when it starts, so it calls the
+    patched one; the chi oracle and grr_verify write their own twists.
     """
-    real = bundles_mod._twisted
+    real = bundles_mod.twist
 
-    def patched(bundle, la, lb):
-        twisted = real(bundle, la, lb)
+    def patched(bundle, line):
+        twisted = real(bundle, line)
         if (bundle.g.e, bundle.r, bundle.c1.b, bundle.c2) == (1, 3, 2, -1):
-            return wrong(*twisted)
+            return wrong(twisted)
         return twisted
 
-    monkeypatch.setattr(bundles_mod, "_twisted", patched)
+    monkeypatch.setattr(bundles_mod, "twist", patched)
 
 
 def test_verify_lying_twist_gives_a_counterexample_row(capsys, monkeypatch):
-    # c2 one too many moves z_twist and z_chi by +1 and the GRR degree by -1;
-    # the closed form z and its m read no twist
-    _twist_at_one_point(monkeypatch, lambda c1_a, c1_b, c2: (c1_a, c1_b, c2 + 1))
+    # c2 one too many moves z_twist alone: the closed form, the chi oracle and
+    # the GRR degree share no twist with it
+    _twist_at_one_point(monkeypatch,
+                        lambda t: bundles_mod.BundleNumerics(t.g, t.r, t.c1, t.c2 + 1))
     code, out = _run(capsys, ["verify", "theoremC", "--format", "json"])
     assert code == 2
     assert json.loads(out)["results"] == [{
         "suite": "theoremC", "points": 3107, "ok": False, "counterexample": {
             "e": 1, "r": 3, "a": -2, "c1": "-6*h+2*f", "c2": -1, "z": 19, "z_twist": 20,
-            "z_chi": 20, "m": -17, "grr_degree": "-18"}}]
+            "z_chi": 19, "m": -17, "grr_degree": "-17"}}]
 
 
 def test_verify_rigid_renders_a_list_of_types(capsys, monkeypatch):
@@ -1216,7 +1223,7 @@ def test_verify_rigid_renders_a_list_of_types(capsys, monkeypatch):
 
 
 def test_verify_raising_twist_gives_an_exception_row(capsys, monkeypatch):
-    def raising(*twisted):
+    def raising(twisted):
         raise ArithmeticError("twist refused at one point")
 
     _twist_at_one_point(monkeypatch, raising)

@@ -44,9 +44,13 @@ pairings out in ints: `twist_by_classes` builds c1 + r*L as classes and
 pairs by intersect, `euler_char_bundle_pairing` builds K and c1 - K, and
 `jumping_count_section` and
 `pushforward_degree_section` pair c1 with SECTION; grr_verify's right side
-is checked against the last.  The chi road and grr_verify read their
-shifted Chern data from bundles._twisted's ints; `chi_road_by_twist` and
-`grr_verify_by_twist` build the shifted bundle with twist, as they did.
+is checked against the last.  The chi road and grr_verify write ch2 of
+their twists in ints, doubled; `chi_road_by_fraction_ring` and
+`grr_verify_by_fraction_ring` multiply geometry's Chern characters of the
+bundle and the line, then the Todd class, in Fractions, and the numbers
+the int roads halve are checked to be even.  extension_chern collects
+Whitney's formula into one expression; `extension_chern_by_whitney` adds
+the pieces' c2 and pairs their c1 by intersect.
 """
 
 import functools
@@ -62,8 +66,9 @@ import pytest
 
 from ruledsurf.bundles import (
     BundleNumerics,
-    GrrReport,
+    ExtensionData,
     euler_char_bundle,
+    extension_chern,
     grr_verify,
     jumping_count,
     jumping_count_chi_oracle,
@@ -90,13 +95,20 @@ from ruledsurf.geometry import (
     FIBER,
     SECTION,
     ZERO,
+    CurveCycle,
+    CycleClass,
     DivisorClass,
     SurfaceGeometry,
     canonical_class,
+    chern_character,
+    curve_mul,
+    cycle_mul,
     intersect,
     is_ample,
     is_good_polarization,
     min_good_twist,
+    pushforward_to_curve,
+    todd_surface,
 )
 from ruledsurf.splitting import (
     SplittingType,
@@ -981,7 +993,7 @@ def test_balanced_counts_match_section_pairing_on_small_grid():
         assert pushforward_degree(bundle, a) == degree, bundle
         report = grr_verify(bundle, a)
         assert report.rhs_degree == degree, bundle
-        assert type(report.lhs_degree) is Fraction
+        assert type(report.lhs_degree) is int
 
 
 SMALL_OR_HUGE = st.one_of(st.integers(-5, 5), DIGITS_5000, DIGITS_5000.map(lambda n: -n))
@@ -1022,41 +1034,97 @@ def test_balanced_counts_match_section_pairing_at_5000_digits(case):
     assert grr_verify(bundle, a).rhs_degree == degree
 
 
-def chi_road_by_twist(bundle: BundleNumerics, a: int) -> int:
-    """-chi of twist(bundle, -(a+1)*h), the shifted bundle built by twist."""
-    return -euler_char_bundle(twist(bundle, DivisorClass(-(a + 1), 0)))
-
-
-def grr_verify_by_twist(bundle: BundleNumerics, a: int) -> GrrReport:
-    """grr_verify with its normalization built by twist(bundle, -a*h)."""
+def twisted_character(bundle: BundleNumerics, t: int) -> CycleClass:
+    """ch(E(-t*h)) = ch(E) ch(O(-t*h)), in geometry's Fraction ring."""
     g = bundle.g
-    normalized = twist(bundle, DivisorClass(-a, 0))
-    c1 = normalized.c1
-    ch_r, ch_h, ch_f = 2 * normalized.r, 2 * c1.a, 2 * c1.b
-    ch_pt = c1.a * (2 * c1.b - g.e * c1.a) - 2 * normalized.c2
-    td_r, td_h, td_f, td_pt = 2, 2, g.e + 2 - 2 * g.q, 2 * (1 - g.q)
-    rank4 = ch_r * td_h + td_r * ch_h
-    pushed_pt4 = (ch_r * td_pt + td_r * ch_pt
-                  - g.e * ch_h * td_h + ch_h * td_f + td_h * ch_f)
-    degree4 = pushed_pt4 + (g.q - 1) * rank4
+    return cycle_mul(g, chern_character(g, bundle.r, bundle.c1, bundle.c2),
+                     chern_character(g, 1, DivisorClass(-t, 0), 0))
+
+
+def chi_road_by_fraction_ring(bundle: BundleNumerics, a: int) -> Fraction:
+    """-chi(E(-(a+1)*h)), the point part of ch * td(S) (Hirzebruch-Riemann-Roch)."""
+    g = bundle.g
+    return -cycle_mul(g, twisted_character(bundle, a + 1), todd_surface(g)).p2
+
+
+def grr_verify_by_fraction_ring(bundle: BundleNumerics, a: int) -> tuple:
+    """grr_verify's fields, ch(E(-a*h)) * td(S) pushed to the base times todd_curve(q)^-1."""
+    g = bundle.g
+    pushed = pushforward_to_curve(g, cycle_mul(g, twisted_character(bundle, a), todd_surface(g)))
+    lhs = curve_mul(pushed, CurveCycle(1, g.q - 1))
     rhs = pushforward_degree(bundle, a)
-    return GrrReport(rank4 == 4 * bundle.r, degree4 == 4 * rhs, Fraction(degree4, 4), rhs)
+    return lhs.r0 == bundle.r, lhs.p1 == rhs, lhs.p1, rhs
 
 
-def test_chi_and_grr_roads_match_their_twist_bodies_on_small_grid():
+def assert_roads_match_the_fraction_ring(bundle: BundleNumerics, a: int):
+    assert jumping_count_chi_oracle(bundle, a) == chi_road_by_fraction_ring(bundle, a), bundle
+    report = grr_verify(bundle, a)
+    assert (report.rank_ok, report.degree_ok, report.lhs_degree, report.rhs_degree) == (
+        grr_verify_by_fraction_ring(bundle, a)), bundle
+    assert type(report.lhs_degree) is int
+
+
+def test_chi_and_grr_roads_match_the_fraction_ring_on_small_grid():
     cases = 0
     for e, r, a, b, c2 in itertools.product(range(5), range(1, 5), range(-3, 4), range(-4, 5),
                                             range(-3, 4)):
-        bundle = BundleNumerics(SurfaceGeometry(0, e), r, DivisorClass(r * a, b), c2)
-        assert jumping_count_chi_oracle(bundle, a) == chi_road_by_twist(bundle, a), bundle
-        assert grr_verify(bundle, a) == grr_verify_by_twist(bundle, a), bundle
+        assert_roads_match_the_fraction_ring(
+            BundleNumerics(SurfaceGeometry(0, e), r, DivisorClass(r * a, b), c2), a)
         cases += 1
     assert cases == 5 * 4 * 7 * 9 * 7
 
 
 @settings(AT_5000_DIGITS, max_examples=100)
 @given(huge_balanced_bundles())
-def test_chi_and_grr_roads_match_their_twist_bodies_at_5000_digits(case):
+def test_chi_and_grr_roads_match_the_fraction_ring_at_5000_digits(case):
+    assert_roads_match_the_fraction_ring(*case)
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(huge_balanced_bundles(), RANKS)
+def test_what_each_road_halves_is_even_at_5000_digits(case, x):
+    """The numbers the int roads floor-divide by 2 are even, read off the Fraction ring.
+
+    grr_verify halves 2 ch2(E(-a*h)); the chi road halves 2 (chi - r) =
+    c1(F).c1(T) + 2 ch2(F) for F = E(-(a+1)*h), and not 2 ch2(F) alone,
+    which is odd when e and r are.  extension_chern and its inverse halve
+    A^2 - rho a^2 - x (a - 1)^2 for A = rho a + x (a - 1).
+    """
     bundle, a = case
-    assert jumping_count_chi_oracle(bundle, a) == chi_road_by_twist(bundle, a)
-    assert grr_verify(bundle, a) == grr_verify_by_twist(bundle, a)
+    g, r = bundle.g, bundle.r
+    grr = 2 * twisted_character(bundle, a).p2
+    chi_character = twisted_character(bundle, a + 1)
+    chi = 2 * (cycle_mul(g, chi_character, todd_surface(g)).p2 - r)
+    assert grr.denominator == chi.denominator == 1
+    assert grr.numerator % 2 == chi.numerator % 2 == 0
+    assert (2 * chi_character.p2).numerator % 2 == g.e * r % 2
+    fiber = r * a + x * (a - 1)
+    assert (fiber * fiber - r * a * a - x * (a - 1) * (a - 1)) % 2 == 0
+
+
+def extension_chern_by_whitney(ext: ExtensionData) -> BundleNumerics:
+    """c1 = c1(sub) + c1(quot), c2 = c2(sub) + c2(quot) + c1(sub).c1(quot) by intersect."""
+    g, x, a = ext.g, ext.x, ext.a
+    pieces = [(ext.r - x, DivisorClass((ext.r - x) * a, ext.deg_sub)),
+              (x, DivisorClass(x * (a - 1), ext.deg_quot))]
+    # a pullback of rank k with c1 = k*t*h + d*f has c2 = (k - 1) t d - e t^2 k(k - 1)/2,
+    # which is ((k - 1)/k) c1^2 / 2 = (k - 1) c1^2 / (2k)
+    c2 = sum((k - 1) * intersect(g, c1, c1) // (2 * k) for k, c1 in pieces)
+    sub, quot = (c1 for _, c1 in pieces)
+    return BundleNumerics(g, ext.r, sub + quot, c2 + intersect(g, sub, quot))
+
+
+def test_extension_chern_matches_whitney_on_small_grid():
+    for e, r, a, b, c in itertools.product(range(4), range(2, 6), range(-3, 4), range(-3, 4),
+                                           range(-3, 4)):
+        for x in range(1, r):
+            ext = ExtensionData(SurfaceGeometry(0, e), r, x, a, b, c)
+            assert extension_chern(ext) == extension_chern_by_whitney(ext), ext
+
+
+@settings(AT_5000_DIGITS, max_examples=100)
+@given(st.one_of(st.integers(0, 5), DIGITS_5000), RANKS, RANKS, SMALL_OR_HUGE, SMALL_OR_HUGE,
+       SMALL_OR_HUGE)
+def test_extension_chern_matches_whitney_at_5000_digits(e, rho, x, a, b, c):
+    ext = ExtensionData(SurfaceGeometry(0, e), rho + x, x, a, b, c)
+    assert extension_chern(ext) == extension_chern_by_whitney(ext)

@@ -25,9 +25,9 @@ def test_a_tiny_run_prints_every_case_per_tree(microbench, capsys, trees):
     assert (report["number"], report["repeat"], len(report["trees"])) == (3, 2, trees)
     assert list(report["ns_per_call"]) == list(microbench.CASES) == [
         "intersect", "cycle_mul", "h_line", "specializes", "theoremC_point", "extension_point",
-        "divisor_build", "divisor_unchecked", "divisor_reads", "divisor_ne", "divisor_hash",
-        "bundle_build", "bundle_unchecked", "bundle_reads", "bundle_ne", "bundle_hash",
-        "json_report"]
+        "chi_road", "grr_road", "divisor_build", "divisor_unchecked", "divisor_reads",
+        "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked", "bundle_reads",
+        "bundle_ne", "bundle_hash", "json_report"]
     assert all(len(ns) == trees and min(ns) > 0 for ns in report["ns_per_call"].values())
     assert ("change" in report) == (trees == 2)
 

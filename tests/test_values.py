@@ -46,9 +46,8 @@ CASES = [
     (ExtensionData, {"g": G, "r": 3, "x": 1, "a": 1, "deg_sub": 2, "deg_quot": -1},
      ("deg_quot", 0),
      "ExtensionData(g=SurfaceGeometry(q=0, e=1), r=3, x=1, a=1, deg_sub=2, deg_quot=-1)"),
-    (GrrReport, {"rank_ok": True, "degree_ok": False, "lhs_degree": Fraction(5, 4),
-                 "rhs_degree": 1}, ("degree_ok", True),
-     "GrrReport(rank_ok=True, degree_ok=False, lhs_degree=Fraction(5, 4), rhs_degree=1)"),
+    (GrrReport, {"rank_ok": True, "degree_ok": False, "lhs_degree": 5, "rhs_degree": 1},
+     ("degree_ok", True), "GrrReport(rank_ok=True, degree_ok=False, lhs_degree=5, rhs_degree=1)"),
     (CohomologyTable, {"h0": 3, "h1": 0, "h2": 0}, ("h1", 1),
      "CohomologyTable(h0=3, h1=0, h2=0)"),
     (SplitBundle, {"summands": (DivisorClass(0, 0), DivisorClass(1, 0))},
@@ -211,6 +210,21 @@ def test_a_suite_result_holding_a_counterexample_is_unhashable_like_its_dict():
     assert result.counterexample == {"e": 0, "D": DivisorClass(1, 2)}
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(result)
+
+
+@pytest.mark.parametrize("fields, error", [
+    ((1.5, 3, True), "suite must be a str, got float"),
+    (("serre", None, True), "points must be integers, got NoneType"),
+    (("serre", True, True), "points must be integers, got bool"),
+    (("serre", 3, "x"), "ok must be a bool, got str"),
+    (("serre", 3, 1), "ok must be a bool, got int"),
+    (("serre", 3, False, 3), "counterexample must be a dict or None, got int"),
+    (("serre", 3, False, [("e", 0)]), "counterexample must be a dict or None, got list"),
+])
+def test_a_suite_result_refuses_a_field_of_another_class(fields, error):
+    with pytest.raises(TypeError) as err:
+        SuiteResult(*fields)
+    assert str(err.value) == error
 
 
 @pytest.mark.parametrize(("cls", "fields", "other", "text"), CASES, ids=IDS)

@@ -116,7 +116,8 @@ INJECTED = {
     # the road that forgets todd_curve(0)^-1 reads r too many, at the first point
     "theoremC-grr": (
         lambda mp: _mutated(mp, bundles, "grr_verify",
-                            "degree = n_b - n_c2", "degree = bundle.r + n_b - n_c2"),
+                            "degree = c1b + twice_ch2 // 2",
+                            "degree = r + c1b + twice_ch2 // 2"),
         1, {"e": 0, "r": 2, "a": -2, "c1": "-4*h-5*f", "c2": -5, "z": -15, "z_twist": -15,
             "z_chi": -15, "m": 10, "grr_degree": "12"}),
     "dominance-oracle": (
@@ -301,8 +302,8 @@ def test_theorem_c_call_structure(monkeypatch):
 
     The jumping count is the grid's own: pushforward_degree is closed-form
     arithmetic.  The twist is the grid's z_twist: the chi oracle and
-    grr_verify read their shifts from bundles._twisted's ints, and
-    jumping_count does not twist.
+    grr_verify write their own shifts in ints, and jumping_count does not
+    twist.
     """
     calls = Counter()
     _count_calls(monkeypatch, calls, bundles, "jumping_count", "twist")
