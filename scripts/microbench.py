@@ -7,18 +7,19 @@ BASE_SRC and HEAD_SRC are the src directories of two checkouts, say the
 parent commit's and a change's.  Each tree is loaded in this one process
 under a package name of its own, so the two never share a module.  The
 cases are the primitives `intersect`, `cycle_mul`, `h_line` and
-`specializes`, one `theoremC` and one `extension` point, each built and
-checked exactly as `verify` builds and checks it, the chi and GRR roads of
-the theoremC point alone, on its bundle built once, and what the value layout
-itself costs, for a DivisorClass and a BundleNumerics: a checked build, a
-build by the unchecked builder, four field reads, `!=` between two equal
-values that are distinct objects, and `hash`; and `json_report`, the CLI's
-`render_report` of a one-row `bundle grr` report as JSON.  A repeat times `--number`
-calls of every case under every tree; with two trees, the tree that goes
-first alternates from one repeat to the next, so the machine's drift falls
-on both alike.  The script prints one JSON object: each case's best time
-per call, in ns, per tree, and with two trees the relative change of the
-second from the first (negative means faster).
+`specializes`; one point of the `theoremC` and of the `extension` grid, a
+step of verify's own generator, at bounds with a point for every step; the
+chi and GRR roads of a theoremC point alone, on its bundle built once; what
+the value layout itself costs, for a DivisorClass and a BundleNumerics: a
+checked build, a build by the unchecked builder, four field reads, `!=`
+between two equal values that are distinct objects, and `hash`; and
+`json_report`, the CLI's `render_report` of a one-row `bundle grr` report
+as JSON.  A repeat times `--number` calls of every case under every tree;
+with two trees, the tree that goes first alternates from one repeat to the
+next, so the machine's drift falls on both alike.  The script prints one
+JSON object: each case's best time per call, in ns, per tree, and with two
+trees the relative change of the second from the first (negative means
+faster).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import math
 import sys
 import timeit
 from pathlib import Path
@@ -45,7 +47,7 @@ def load_tree(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for layer in ("geometry", "cohomology", "splitting", "bundles"):
+    for layer in ("geometry", "cohomology", "splitting", "bundles", "verify"):
         importlib.import_module(f"{name}.{layer}")
     # cli imports the package by its own name, so that name is this tree's while it loads
     saved = sys.modules.get("ruledsurf")
@@ -60,8 +62,12 @@ def load_tree(src: Path, name: str):
     return package
 
 
-def cases(pkg) -> dict:
-    """Each case as a callable of no arguments, its inputs built once."""
+def cases(pkg, steps: int) -> dict:
+    """Each case as a callable of no arguments, its inputs built once.
+
+    A grid case steps its grid one point per call, for `steps` calls past
+    the one that checks it passes.
+    """
     geometry, cohomology, splitting, bundles = (
         pkg.geometry, pkg.cohomology, pkg.splitting, pkg.bundles)
     DivisorClass, SurfaceGeometry = geometry.DivisorClass, geometry.SurfaceGeometry
@@ -73,40 +79,20 @@ def cases(pkg) -> dict:
     general = splitting.SplittingType((1, 1, 1, 0))
     special = splitting.SplittingType((3, 1, 0, -1))
 
-    # one point of each grid: what verify._theorem_c and verify._extension run per point,
-    # with the classes they build once per row built here once
-    BundleNumerics, ExtensionData = bundles.BundleNumerics, bundles.ExtensionData
-    jumping_count, jumping_count_chi_oracle = (
-        bundles.jumping_count, bundles.jumping_count_chi_oracle)
-    twist, grr_verify = bundles.twist, bundles.grr_verify
-    extension_chern, extension_data_from_chern = (
-        bundles.extension_chern, bundles.extension_data_from_chern)
+    # verify's own grids, each yielding None per point and a dict after a point that
+    # fails; one bound grows from its default so that the grid has a point for every
+    # step: theoremC has 880 (2 c2_max + 1) points, extension 200 (2 deg_max + 1)^2
+    suites = pkg.verify.SUITES
+    theorem_c = suites["theoremC"][0](c2_max=max(5, steps // 1760 + 1))
+    extension = suites["extension"][0](deg_max=max(5, math.isqrt(steps // 200 + 1) // 2 + 1))
+    BundleNumerics, grr_verify = bundles.BundleNumerics, bundles.grr_verify
     r, a = 3, 1
-    shift, c1 = DivisorClass(-a, 0), DivisorClass(r * a, 2)
+    c1 = DivisorClass(r * a, 2)
 
-    def theorem_c_point():
-        bundle = BundleNumerics(g, r, c1, 4)
-        z = jumping_count(bundle, a)
-        z_twist = twist(bundle, shift).c2
-        z_chi = jumping_count_chi_oracle(bundle, a)
-        report = grr_verify(bundle, a)
-        m = report.rhs_degree
-        return z == z_twist == z_chi and report.rank_ok and report.lhs_degree == m
-
-    def extension_point():
-        ext = ExtensionData(g, 4, 2, a, -3, 2)
-        bundle = extension_chern(ext)
-        return not extension_data_from_chern(bundle, a, 2) != ext
-
-    # the value layout: the unchecked builder is _value._unchecked, which bundles
-    # imports, or in a tree with one builder per class, bundles' _divisor and _bundle
-    unchecked = getattr(bundles, "_unchecked", None)
-    if unchecked is None:
-        divisor_unchecked = lambda: bundles._divisor(3, -1)
-        bundle_unchecked = lambda: bundles._bundle(g, r, c1, 4)
-    else:
-        divisor_unchecked = lambda: unchecked(DivisorClass, (3, -1))
-        bundle_unchecked = lambda: unchecked(BundleNumerics, (g, r, c1, 4))
+    # the value layout, built through the unchecked builder bundles imports from _value
+    unchecked = bundles._unchecked
+    divisor_unchecked = lambda: unchecked(DivisorClass, (3, -1))
+    bundle_unchecked = lambda: unchecked(BundleNumerics, (g, r, c1, 4))
     bundle = BundleNumerics(g, r, c1, 4)
     bundle_twin = BundleNumerics(g, r, DivisorClass(r * a, 2), 4)
 
@@ -123,9 +109,9 @@ def cases(pkg) -> dict:
         "cycle_mul": lambda: geometry.cycle_mul(g, x, y),
         "h_line": lambda: cohomology.h_line(g, line),
         "specializes": lambda: splitting.specializes(general, special),
-        "theoremC_point": theorem_c_point,
-        "extension_point": extension_point,
-        "chi_road": lambda: jumping_count_chi_oracle(bundle, a),
+        "theoremC_point": lambda: next(theorem_c) is None,
+        "extension_point": lambda: next(extension) is None,
+        "chi_road": lambda: bundles.jumping_count_chi_oracle(bundle, a),
         "grr_road": lambda: grr_verify(bundle, a),
         "divisor_build": lambda: DivisorClass(3, -1),
         "divisor_unchecked": divisor_unchecked,
@@ -174,7 +160,8 @@ def main(argv=None) -> int:
     if args.number < 1 or args.repeat < 1:
         parser.error("--number and --repeat must be at least 1")
     srcs = [src.resolve() for src in args.src]
-    trees = [cases(load_tree(src, f"_microbench_tree{i}")) for i, src in enumerate(srcs)]
+    steps = args.number * args.repeat
+    trees = [cases(load_tree(src, f"_microbench_tree{i}"), steps) for i, src in enumerate(srcs)]
     best = measure(trees, args.number, args.repeat)
     report = {
         "number": args.number,

@@ -21,8 +21,9 @@ class _Value(tuple):
     `class DivisorClass(_Value, fields=("a", "b"))` with `__slots__ = ()`,
     and __init_subclass__ installs namedtuple's C-level getters for them.
     Its __new__ validates its arguments and returns
-    `tuple.__new__(cls, (a, b))`, the fields in declared order, or has
-    _checked do both from a list of the fields' classes.
+    `tuple.__new__(cls, (a, b))`, the fields in declared order.  A value
+    has no instance dict to assign to, and its getters are read-only, so
+    assigning or deleting any attribute raises AttributeError.
 
     A value may also be built unchecked, by _unchecked(cls, fields), which
     is tuple.__new__ itself, where every field is a field of a value whose
@@ -84,12 +85,6 @@ class _Value(tuple):
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def _repr_pretty_(self, p, cycle):
         # Pretty printers (hypothesis, IPython) render each field themselves:
         # an int past Python's str() digit limit shows in hex, where repr raises.
@@ -121,10 +116,9 @@ def _require_int(what: str, *values) -> None:
 
     The input values' public constructors and every public function check
     each int they take, most of them inline as `type(v) is int`, calling
-    this only to raise; one call per divisor made the extension grid about
-    a sixth slower.  tests/test_contract.py checks every int parameter, and
-    every parameter of a value class (refused by _wrong_type), read from the
-    signatures of the package's exports.  The list builders,
+    this only to raise.  tests/test_contract.py checks every int parameter,
+    and every parameter of a value class (refused by _wrong_type), read from
+    the signatures of the package's exports.  The list builders,
     splitting.enumerate_types and specialization_chain, and the extension
     round trip of bundles check their arguments once and build their
     results unchecked, as _Value describes.  It lives here rather than in
@@ -135,17 +129,3 @@ def _require_int(what: str, *values) -> None:
         if type(value) is not int:  # bool is a subclass of int, so no isinstance
             raise TypeError(f"{what} must be integers, got {type(value).__name__}")
 
-
-def _checked(cls, classes: str, *fields):
-    """The value of cls with fields, each refused unless it is exactly of its class in
-    classes, a space-separated list of bool and int: an int as _require_int words the
-    refusal, a bool as _wrong_type does.  It serves a class whose checked build no grid
-    makes, and imports nothing."""
-    known = {"bool": bool, "int": int}
-    for what, value, name in zip(cls._fields, fields, classes.split()):
-        kind = known[name]
-        if type(value) is not kind:
-            if kind is int:
-                _require_int(what, value)
-            raise _wrong_type(what, kind, value)
-    return tuple.__new__(cls, fields)

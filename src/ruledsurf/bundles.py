@@ -29,16 +29,15 @@ a stand-in with the same attributes would otherwise answer in floats.
 Behind those checks each value is checked once: twist, grr_verify,
 extension_chern and extension_data_from_chern build their results
 unchecked, through _value._unchecked, from the ints of the checked values
-they were given (_value._Value has the rule).  In twist the unchecked build makes a
-theoremC point about an eighth faster in scripts/microbench.py.
+they were given (_value._Value has the rule).
 
-Only slope is rational, and it imports fractions on its first call, so
-the int-only operations load none.
+Only slope is rational, and it imports fractions in its body, so the
+int-only operations load none.
 """
 
 from __future__ import annotations
 
-from ._value import _checked, _require_int, _unchecked, _Value, _wrong_type
+from ._value import _require_int, _unchecked, _Value, _wrong_type
 from .geometry import DivisorClass, SurfaceGeometry, intersect
 
 
@@ -76,19 +75,6 @@ class ExtensionData(_Value, fields=("g", "r", "x", "a", "deg_sub", "deg_quot")):
         if not 0 < x < r:
             raise ValueError(f"need 0 < x < r, got x={x}, r={r}")
         return tuple.__new__(cls, (g, r, x, a, deg_sub, deg_quot))
-
-
-def _fraction(numerator: int, denominator: int | None = None) -> Fraction:
-    """Fraction(numerator, denominator), importing fractions on the first call alone.
-
-    The first call rebinds this name to Fraction itself, so a request that
-    builds no rational loads no fractions, and later calls go straight to it.
-    """
-    global _fraction
-    from fractions import Fraction
-
-    _fraction = Fraction
-    return Fraction(numerator, denominator)
 
 
 def fiber_degree(bundle: BundleNumerics) -> int:
@@ -193,7 +179,15 @@ class GrrReport(_Value, fields=("rank_ok", "degree_ok", "lhs_degree", "rhs_degre
     __slots__ = ()
 
     def __new__(cls, rank_ok: bool, degree_ok: bool, lhs_degree: int, rhs_degree: int):
-        return _checked(cls, "bool bool int int", rank_ok, degree_ok, lhs_degree, rhs_degree)
+        if type(rank_ok) is not bool:
+            raise _wrong_type("rank_ok", bool, rank_ok)
+        if type(degree_ok) is not bool:
+            raise _wrong_type("degree_ok", bool, degree_ok)
+        if type(lhs_degree) is not int:
+            _require_int("lhs_degree", lhs_degree)
+        if type(rhs_degree) is not int:
+            _require_int("rhs_degree", rhs_degree)
+        return tuple.__new__(cls, (rank_ok, degree_ok, lhs_degree, rhs_degree))
 
 
 def grr_verify(bundle: BundleNumerics, a: int) -> GrrReport:
@@ -275,11 +269,13 @@ def extension_data_from_chern(bundle: BundleNumerics, a: int, x: int) -> Extensi
 
 def slope(bundle: BundleNumerics, polarization: DivisorClass) -> Fraction:
     """Mumford-Takemoto slope c1.R / rank as an exact rational."""
+    from fractions import Fraction
+
     if type(bundle) is not BundleNumerics:
         raise _wrong_type("bundle", BundleNumerics, bundle)
     if type(polarization) is not DivisorClass:
         raise _wrong_type("polarization", DivisorClass, polarization)
-    return _fraction(intersect(bundle.g, bundle.c1, polarization), bundle.r)
+    return Fraction(intersect(bundle.g, bundle.c1, polarization), bundle.r)
 
 
 def destabilizes(

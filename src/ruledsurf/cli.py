@@ -705,8 +705,8 @@ def run(argv: list[str]) -> int:
     args = _Args(ns)
     try:
         rows = rows_of(args)
-    except ValueError as exc:
-        return _emit(_input_error(ns, str(exc)), 1, ns)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a result too long to build
+        return _emit(_input_error(ns, str(exc) or "the result is too long to build"), 1, ns)
 
     violated = ns.group == "verify" and any(row.get("ok") is False for row in rows)
     status, code = ("property-violation", 2) if violated else ("ok", 0)

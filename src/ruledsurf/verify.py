@@ -171,12 +171,7 @@ def _theorem_c(
                         report = grr_verify(bundle, a)
                         m = report.rhs_degree  # pushforward_degree(bundle, a), in grr_verify
                         yield None
-                        ok = (
-                            z == z_twist == z_chi
-                            and report.rank_ok
-                            and report.lhs_degree == m
-                        )
-                        if not ok:
+                        if not (z == z_twist == z_chi and report.lhs_degree == m):
                             yield {
                                 "e": e,
                                 "r": r,

@@ -907,22 +907,38 @@ def test_growth_is_refused_exactly_when_its_sum_would_not_print(capsys, n, secti
 
 
 BIG = 10 ** 30  # past sys.maxsize, the longest sequence Python can build
+# 2**62 is below sys.maxsize, so each op starts building, and CPython refuses the
+# list or tuple with a MemoryError before it allocates anything
+UNALLOCATABLE = str(2 ** 62)
+UNALLOCATABLE_ERROR = "the result is too long to build"
 
-# ops whose output is a sequence of one flag's length, and that flag's name in the error
+
+def _past_maxsize(what):
+    return f"{what} must be at most {sys.maxsize}, the longest sequence Python can build, got {BIG}"
+
+
+# ops whose output is a sequence of one flag's length, and the error that refuses it
 TOO_LONG = {
-    "rigid": (["split", "rigid", "--r", str(BIG), "--d", "3"], "rank"),
-    "jumptype": (["split", "jumptype", "--r", str(BIG), "--a", "0"], "rank"),
+    "rigid": (["split", "rigid", "--r", str(BIG), "--d", "3"], _past_maxsize("rank")),
+    "jumptype": (["split", "jumptype", "--r", str(BIG), "--a", "0"], _past_maxsize("rank")),
     "enumerate": (["split", "enumerate", "--r", str(BIG), "--d", "0", "--max-spread", "0"],
-                  "rank"),
-    "lift": (["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", str(BIG)], "n_max"),
+                  _past_maxsize("rank")),
+    "lift": (["split", "lift", "--type", "(1,0)", "--t", "1", "--n-max", str(BIG)],
+             _past_maxsize("n_max")),
+    "rigid-unallocatable": (["split", "rigid", "--r", UNALLOCATABLE, "--d", "0"],
+                            UNALLOCATABLE_ERROR),
+    "jumptype-unallocatable": (["split", "jumptype", "--r", UNALLOCATABLE, "--a", "0"],
+                               UNALLOCATABLE_ERROR),
+    "enumerate-unallocatable": (["split", "enumerate", "--r", UNALLOCATABLE, "--d", "0",
+                                 "--max-spread", "0"], UNALLOCATABLE_ERROR),
+    "lift-unallocatable": (["split", "lift", "--type", "(1,0)", "--t", "1",
+                            "--n-max", UNALLOCATABLE], UNALLOCATABLE_ERROR),
 }
 
 
 @pytest.mark.parametrize("op", sorted(TOO_LONG))
 def test_a_sequence_longer_than_python_builds_is_an_input_error(capsys, tmp_path, op):
-    argv, what = TOO_LONG[op]
-    error = (f"{what} must be at most {sys.maxsize}, the longest sequence Python can build, "
-             f"got {BIG}")
+    argv, error = TOO_LONG[op]
     code, out = _run(capsys, argv)
     assert (code, out) == (1, f"status: input-error\nerror\n{error}\n")
     target = tmp_path / "report.json"
