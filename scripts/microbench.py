@@ -4,22 +4,24 @@
     PYTHONDONTWRITEBYTECODE=1 python3 scripts/microbench.py BASE_SRC [HEAD_SRC] --number 20000
 
 BASE_SRC and HEAD_SRC are the src directories of two checkouts, say the
-parent commit's and a change's.  Each tree is loaded in this one process
-under a package name of its own, so the two never share a module.  The
-cases are the primitives `intersect`, `cycle_mul`, `h_line` and
-`specializes`; one point of the `theoremC` and of the `extension` grid, a
-step of verify's own generator, at bounds with a point for every step; the
-chi and GRR roads of a theoremC point alone, on its bundle built once; what
-the value layout itself costs, for a DivisorClass and a BundleNumerics: a
-checked build, a build by the unchecked builder, four field reads, `!=`
-between two equal values that are distinct objects, and `hash`; and
-`json_report`, the CLI's `render_report` of a one-row `bundle grr` report
-as JSON.  A repeat times `--number` calls of every case under every tree;
-with two trees, the tree that goes first alternates from one repeat to the
-next, so the machine's drift falls on both alike.  The script prints one
-JSON object: each case's best time per call, in ns, per tree, and with two
-trees the relative change of the second from the first (negative means
-faster).
+parent commit's and a change's.  The cases are the primitives
+`intersect`, `cycle_mul`, `h_line` and `specializes`; one point of the
+`theoremC` and of the `extension` grid, a step of verify's own generator,
+at bounds with a point for every step; the chi and GRR roads of a theoremC
+point alone, on its bundle built once; what the value layout itself costs,
+for a DivisorClass and a BundleNumerics: a checked build, a build by the
+unchecked builder, four field reads, `!=` between two equal values that
+are distinct objects, and `hash`; and `json_report`, the CLI's
+`render_report` of a one-row `bundle grr` report as JSON.
+
+A repeat starts one process per tree, which loads that tree alone and
+times `--number` calls of every case; with two trees, the tree that goes
+first alternates from one repeat to the next, so the machine's drift falls
+on both alike.  Two trees loaded into one process read the second one
+slower, whichever it was, so no process loads both.  The script prints one
+JSON object: each case's best time per call over the repeats, in ns, per
+tree, and with two trees the relative change of the second from the first
+(negative means faster).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import importlib
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 import timeit
 from pathlib import Path
@@ -135,16 +138,36 @@ def cases(pkg, steps: int) -> dict:
     return found
 
 
-def measure(trees: list, number: int, repeat: int) -> list[dict]:
-    """Best ns per call of every case under every tree, the tree order alternating per repeat."""
-    best = [dict.fromkeys(CASES, float("inf")) for _ in trees]
+def time_tree(src: Path, number: int) -> dict:
+    """ns per call of every case under the tree at src, each timed once over `number` calls."""
+    found = cases(load_tree(src, "_microbench_tree"), number)
+    return {name: timeit.Timer(found[name]).timeit(number) / number * 1e9 for name in CASES}
+
+
+# what a timing process runs: this script's time_tree on one tree, its result as JSON
+_ONE_TREE = """
+import importlib.util, json, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("microbench", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+print(json.dumps(bench.time_tree(Path(sys.argv[2]), int(sys.argv[3]))))
+"""
+
+
+def measure(srcs: list[Path], number: int, repeat: int) -> list[dict]:
+    """Best ns per call of every case under every tree, one process per tree and repeat,
+    the tree order alternating per repeat."""
+    best = [dict.fromkeys(CASES, float("inf")) for _ in srcs]
     for rep in range(repeat):
-        order = list(range(len(trees)))
+        order = list(range(len(srcs)))
         if rep % 2:
             order.reverse()
         for i in order:
-            for name, call in trees[i].items():
-                ns = timeit.Timer(call).timeit(number) / number * 1e9
+            out = subprocess.run(
+                [sys.executable, "-c", _ONE_TREE, __file__, str(srcs[i]), str(number)],
+                check=True, stdout=subprocess.PIPE, text=True).stdout
+            for name, ns in json.loads(out).items():
                 best[i][name] = min(best[i][name], ns)
     return best
 
@@ -153,16 +176,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, nargs="+", help="one or two src directories")
     parser.add_argument("--number", type=int, default=20000, help="calls per timing")
-    parser.add_argument("--repeat", type=int, default=7, help="timings per case and tree")
+    parser.add_argument("--repeat", type=int, default=7,
+                        help="timing processes per tree, each timing every case once")
     args = parser.parse_args(argv)
     if len(args.src) > 2:
         parser.error("give one or two src directories")
     if args.number < 1 or args.repeat < 1:
         parser.error("--number and --repeat must be at least 1")
     srcs = [src.resolve() for src in args.src]
-    steps = args.number * args.repeat
-    trees = [cases(load_tree(src, f"_microbench_tree{i}"), steps) for i, src in enumerate(srcs)]
-    best = measure(trees, args.number, args.repeat)
+    best = measure(srcs, args.number, args.repeat)
     report = {
         "number": args.number,
         "repeat": args.repeat,

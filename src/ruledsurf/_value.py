@@ -28,14 +28,13 @@ class _Value(tuple):
     A value may also be built unchecked, by _unchecked(cls, fields), which
     is tuple.__new__ itself, where every field is a field of a value whose
     class was checked exactly (`type(v) is C`), an int checked in the same
-    call, or int arithmetic on those, and where the result is known to pass
-    the constructor's range checks.  _unchecked is the only unchecked build:
-    splitting's list builders use it for the types enumerate_types and
-    specialization_chain list, cohomology for the table h_line returns, and
-    bundles for the values twist, grr_verify, extension_chern and
-    extension_data_from_chern return.  tests/test_values.py checks that
-    its values equal, hash, print and refuse assignment as the checked ones
-    do.
+    call or yielded by range, or int arithmetic on those, and where the
+    result is known to pass the constructor's range checks.  _unchecked is
+    the only unchecked build.  Its users are splitting's enumerate_types and
+    specialization_chain, cohomology's h_line and h_split_end, bundles'
+    twist, grr_verify, extension_chern and extension_data_from_chern, and
+    verify's grids.  tests/test_values.py checks that its values equal,
+    hash, print and refuse assignment as the checked ones do.
 
     == and != test the class first: a value equals only a value of its own
     class, never a plain tuple or a value of another class with the same

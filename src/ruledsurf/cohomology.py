@@ -141,7 +141,8 @@ def _h_line_ints(e: int, a: int, b: int) -> tuple[int, int, int]:
 
 def h_line(g: SurfaceGeometry, d: DivisorClass) -> CohomologyTable:
     """Exact cohomology of the line bundle O(a*h + b*f) on a Hirzebruch surface."""
-    _require_genus_zero(g)
+    if type(g) is not SurfaceGeometry or g.q:
+        _require_genus_zero(g)
     if type(d) is not DivisorClass:
         raise _wrong_type("d", DivisorClass, d)
     # the kernel's ints, from the fields of the two values checked above
@@ -211,7 +212,8 @@ def h_split_end(
     distinct difference weighted by its multiplicity.  The sum is taken in
     ints, one call of h_line's kernel _h_line_ints per difference.
     """
-    _require_genus_zero(g)
+    if type(g) is not SurfaceGeometry or g.q:
+        _require_genus_zero(g)
     if type(twist) is not DivisorClass:
         raise _wrong_type("twist", DivisorClass, twist)
     e, ta, tb = g.e, twist.a, twist.b
@@ -221,7 +223,7 @@ def h_split_end(
         h0 += weight * x0
         h1 += weight * x1
         h2 += weight * x2
-    return CohomologyTable(h0, h1, h2)
+    return _unchecked(CohomologyTable, (h0, h1, h2))
 
 
 def moduli_dimension_split(g: SurfaceGeometry, bundle: SplitBundle) -> int:

@@ -17,8 +17,11 @@ The one exception is theoremC's `grr_degree`, already text: the str() of
 GrrReport.lhs_degree, an int.
 
 SUITES holds the grids: `_suite(name)` registers a grid generator under
-its name, next to the bounds it accepts, which are the grid's parameters,
-read from its code object; their defaults reproduce the documented grids.
+its name, next to the bounds it accepts (its parameters, read from its code
+object), whose defaults reproduce the documented grids.  A grid builds the
+values of its loops unchecked (_value._unchecked): their ints come from
+range or from checked values and keep to the constructors' range checks
+(e >= 0, r >= 2, 0 < x < r, t >= 1), so a check would only repeat them.
 
 Importing this module loads no library layer.  Each grid imports the names
 it calls once, at the top of its generator, and hands them to its helpers,
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from ._value import _require_int, _Value, _wrong_type
+from ._value import _require_int, _unchecked, _Value, _wrong_type
 
 # What a suite yields: None per counted point, then a counterexample if one fails.
 Grid = Iterator["dict | None"]
@@ -79,11 +82,11 @@ def _serre(e_max: int = 4, coeff_max: int = 8) -> Grid:
     from .geometry import DivisorClass, SurfaceGeometry, canonical_class
 
     for e in range(e_max + 1):
-        g = SurfaceGeometry(0, e)
+        g = _unchecked(SurfaceGeometry, (0, e))
         k = canonical_class(g)
         for a in range(-coeff_max, coeff_max + 1):
             for b in range(-coeff_max, coeff_max + 1):
-                d = DivisorClass(a, b)
+                d = _unchecked(DivisorClass, (a, b))
                 lhs = h_line(g, d)
                 dual_a, dual_b = k.a - a, k.b - b
                 # h_line answers for one of D and K - D = a'h + b'f from the other by
@@ -117,10 +120,10 @@ def _euler(e_max: int = 4, coeff_max: int = 8) -> Grid:
     from .geometry import DivisorClass, SurfaceGeometry
 
     for e in range(e_max + 1):
-        g = SurfaceGeometry(0, e)
+        g = _unchecked(SurfaceGeometry, (0, e))
         for a in range(-coeff_max, coeff_max + 1):
             for b in range(-coeff_max, coeff_max + 1):
-                d = DivisorClass(a, b)
+                d = _unchecked(DivisorClass, (a, b))
                 yield None
                 if h_line(g, d).euler() != euler_char(g, d):
                     yield {"e": e, "D": d}
@@ -133,12 +136,13 @@ def _conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
 
     # conormal_vanishing answers from its preconditions; h_line checks each power here
     for e in range(e_max + 1):
-        g = SurfaceGeometry(0, e)
+        g = _unchecked(SurfaceGeometry, (0, e))
         for t in range(1, t_max + 1):
             for s in range(e * t + 1, e * t + 5):
-                vanishes = conormal_vanishing(g, ConormalData(t, s), n_max)
+                vanishes = conormal_vanishing(g, _unchecked(ConormalData, (t, s)), n_max)
                 yield None
-                powers = (h_line(g, DivisorClass(n * t, n * s)) for n in range(1, n_max + 1))
+                powers = (h_line(g, _unchecked(DivisorClass, (n * t, n * s)))
+                          for n in range(1, n_max + 1))
                 if vanishes != all(h.h1 == h.h2 == 0 for h in powers):
                     yield {"e": e, "t": t, "s": s}
 
@@ -157,14 +161,14 @@ def _theorem_c(
     from .geometry import DivisorClass, SurfaceGeometry
 
     for e in range(e_max + 1):
-        g = SurfaceGeometry(0, e)
+        g = _unchecked(SurfaceGeometry, (0, e))
         for r in range(2, r_max + 1):
             for a in range(-a_max, a_max + 1):
-                shift = DivisorClass(-a, 0)
+                shift = _unchecked(DivisorClass, (-a, 0))
                 for b in range(-b_max, b_max + 1):
-                    c1 = DivisorClass(r * a, b)
+                    c1 = _unchecked(DivisorClass, (r * a, b))
                     for c2 in range(-c2_max, c2_max + 1):
-                        bundle = BundleNumerics(g, r, c1, c2)
+                        bundle = _unchecked(BundleNumerics, (g, r, c1, c2))
                         z = jumping_count(bundle, a)
                         z_twist = twist(bundle, shift).c2
                         z_chi = jumping_count_chi_oracle(bundle, a)
@@ -302,13 +306,13 @@ def _extension(e_max: int = 3, r_max: int = 5, a_max: int = 2, deg_max: int = 5)
     from .geometry import SurfaceGeometry
 
     for e in range(e_max + 1):
-        g = SurfaceGeometry(0, e)
+        g = _unchecked(SurfaceGeometry, (0, e))
         for r in range(2, r_max + 1):
             for x in range(1, r):
                 for a in range(-a_max, a_max + 1):
                     for deg_sub in range(-deg_max, deg_max + 1):
                         for deg_quot in range(-deg_max, deg_max + 1):
-                            ext = ExtensionData(g, r, x, a, deg_sub, deg_quot)
+                            ext = _unchecked(ExtensionData, (g, r, x, a, deg_sub, deg_quot))
                             bundle = extension_chern(ext)
                             yield None
                             if extension_data_from_chern(bundle, a, x) != ext:
@@ -364,7 +368,7 @@ def _growth(n_max: int = 10, y_max: int = 10) -> Grid:
         # layer n - 1 of the closed form against h_line at the twist (n - 1)*(t,s)
         layers = values[:1] + [v2 - v1 for v1, v2 in zip(values, values[1:])]
         for n, layer in enumerate(layers, 1):
-            h0 = h_split_end(g, bundle, DivisorClass((n - 1) * c.t, (n - 1) * c.s)).h0
+            h0 = h_split_end(g, bundle, _unchecked(DivisorClass, ((n - 1) * c.t, (n - 1) * c.s))).h0
             if layer != h0:
                 yield {"e": g.e, "rank": bundle.rank(), "n": n, "layer": layer, "h0": h0}
     yield None

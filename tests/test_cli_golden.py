@@ -19,7 +19,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from ruledsurf.cli import run
+from ruledsurf.cli import _leaf_flags, run
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
 OUT = "{out}"  # stands for the --out file in a stored argv
@@ -161,6 +161,50 @@ def test_golden_corpus_matches_fixture(monkeypatch, tmp_path):
     for entry in recorded:
         expected = {k: entry[k] for k in ("stdout", "code", "out")}
         assert run_recorded(entry["argv"], out_path) == expected, entry["argv"]
+
+
+
+def _split_output(argv):
+    """argv without its --format and --out pairs, and those pairs."""
+    rest, output = [], []
+    words = iter(argv)
+    for word in words:
+        if word in ("--format", "--out"):
+            output += [word, next(words)]
+        else:
+            rest.append(word)
+    return rest, output
+
+
+def _replay(report):
+    """The argv that a JSON report's inputs name: its group and op, then each input
+    under the positional or the flag that _leaf_flags maps its dest to."""
+    inputs = dict(report["inputs"])
+    group, op = report["subcommand"], inputs.pop("op")
+    options, positionals, _, _ = _leaf_flags(group, op)
+    flag_of = {dest: flag for flag, (dest, _) in options.items()}
+    argv = [group] if op == group else [group, op]
+    argv += [str(inputs.pop(dest)) for dest, _ in positionals]
+    for dest, value in inputs.items():
+        argv += [flag_of[dest], str(value)]
+    return argv
+
+
+def test_every_report_replays_from_its_inputs(tmp_path):
+    """Each entry that exits 0 or 2 and is not --help prints the same bytes again from
+    the argv its JSON report's inputs name, with the entry's own --format and --out."""
+    out_path = tmp_path / "report.out"
+    replayed = 0
+    for entry in json.loads(FIXTURE.read_text(encoding="utf-8")):
+        if entry["code"] not in (0, 2) or {"--help", "-h"} & set(entry["argv"]):
+            continue
+        rest, output = _split_output(entry["argv"])
+        report = json.loads(run_recorded(rest + ["--format", "json"], out_path)["stdout"])
+        expected = {k: entry[k] for k in ("stdout", "code", "out")}
+        assert run_recorded(_replay(report) + output, out_path) == expected, entry["argv"]
+        replayed += 1
+    # every op as a table and as JSON, and verify lifting with four bounds
+    assert replayed == 77
 
 
 if __name__ == "__main__":

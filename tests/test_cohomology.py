@@ -207,8 +207,8 @@ def test_growth_strictly_increasing():
 
 
 def test_h_line_and_euler_char_build_no_intermediate_values(monkeypatch):
-    """h_line builds its one table, unchecked, and no class, on both sides of
-    a = -2; euler_char builds nothing."""
+    """h_line and h_split_end build their one table, unchecked, and no class, on
+    both sides of a = -2, and refuse a positive genus; euler_char builds nothing."""
     built = Counter()
 
     for cls in (CohomologyTable, DivisorClass):
@@ -226,11 +226,21 @@ def test_h_line_and_euler_char_build_no_intermediate_values(monkeypatch):
     for q, e, a, b in [(0, 0, 3, 1), (0, 2, -1, 4), (0, 1, -2, 0), (0, 3, -7, -9),
                        (2, -1, -5, 3), (1, 4, 6, -2)]:
         g, d = SurfaceGeometry(q, e), DivisorClass(a, b)
+        bundle = SplitBundle((ZERO, d, d))
         built.clear()
         if q == 0:
             assert type(h_line(g, d)) is CohomologyTable
             assert built == {"unchecked CohomologyTable": 1}
             built.clear()
+            assert type(h_split_end(g, bundle, d)) is CohomologyTable
+            assert built == {"unchecked CohomologyTable": 1}
+            built.clear()
+        else:
+            with pytest.raises(PositiveGenusError):
+                h_line(g, d)
+            with pytest.raises(PositiveGenusError):
+                h_split_end(g, bundle, d)
+            assert built == {}
         assert type(euler_char(g, d)) is int
         assert built == {}
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ def microbench():
 
 @pytest.mark.parametrize("trees", [1, 2])
 def test_a_tiny_run_prints_every_case_per_tree(microbench, capsys, trees):
+    loaded = set(sys.modules)
     assert microbench.main([str(SRC)] * trees + ["--number", "3", "--repeat", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["number"], report["repeat"], len(report["trees"])) == (3, 2, trees)
@@ -30,6 +32,14 @@ def test_a_tiny_run_prints_every_case_per_tree(microbench, capsys, trees):
         "bundle_ne", "bundle_hash", "json_report"]
     assert all(len(ns) == trees and min(ns) > 0 for ns in report["ns_per_call"].values())
     assert ("change" in report) == (trees == 2)
+    # each tree is timed in processes of its own, never in this one
+    assert not [name for name in set(sys.modules) - loaded if name.startswith("_microbench")]
+
+
+def test_a_timing_process_times_every_case_once(microbench):
+    ns = microbench.time_tree(SRC, 2)
+    assert list(ns) == list(microbench.CASES)
+    assert min(ns.values()) > 0
 
 
 def test_each_tree_is_its_own_package(microbench):

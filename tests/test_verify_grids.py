@@ -6,9 +6,10 @@ reports: how many points it counted before it stopped, and the
 counterexample it stopped at, as the CLI renders the library values it
 holds.  The default grids passing, with their point counts, is pinned by
 test_acceptance.  The last tests pin what the runner reports for a grid
-that counts no point, and how often a theoremC or extension point calls
-into bundles and what values it builds; tests/test_cli.py pins what it
-reports for a grid that raises.
+that counts no point, how often a theoremC or extension point calls into
+bundles and what values it builds, and that the grids report the same
+results when they build their values checked; tests/test_cli.py pins what
+it reports for a grid that raises.
 """
 
 import inspect
@@ -338,12 +339,13 @@ def test_every_unchecked_build_in_bundles_is_a_counted_builder():
 
 
 def _count_builds(monkeypatch, builds, *classes):
-    """Count the values of each class built, by wrapping its __new__ and the builder.
+    """Count the values of each class built, by wrapping its __new__ and both builders.
 
-    A value built checked counts under its class's name, one that
-    bundles._unchecked made under "unchecked " and the name.  The class
-    itself stays bound under its name, since the constructors test
-    `type(x) is DivisorClass` and the like against that name.
+    A value built checked counts under its class's name; one that
+    bundles._unchecked or verify._unchecked made counts under the module's
+    name, "unchecked " and the class's name.  The class itself stays bound
+    under its name, since the constructors test `type(x) is DivisorClass`
+    and the like against that name.
     """
     for cls in classes:
         real = cls.__new__
@@ -354,30 +356,32 @@ def _count_builds(monkeypatch, builds, *classes):
 
         monkeypatch.setattr(cls, "__new__", counted)
 
-    def built(cls, fields, _real=bundles._unchecked):
-        if cls in classes:
-            builds["unchecked " + cls.__name__] += 1
-        return _real(cls, fields)
+    for module in (bundles, verify):
+        def built(cls, fields, _real=module._unchecked,
+                  _key=module.__name__.rpartition(".")[2] + " unchecked "):
+            if cls in classes:
+                builds[_key + cls.__name__] += 1
+            return _real(cls, fields)
 
-    monkeypatch.setattr(bundles, "_unchecked", built)
+        monkeypatch.setattr(module, "_unchecked", built)
 
 
 def _totals(builds):
     """The values built per class, checked and unchecked together."""
     totals = Counter()
     for name, count in builds.items():
-        totals[name.removeprefix("unchecked ")] += count
+        totals[name.rpartition(" ")[2]] += count
     return totals
 
 
 def test_theorem_c_builds_per_point(monkeypatch):
-    """Per theoremC point: no intersect, two bundles and about one divisor class.
+    """Per theoremC point: no intersect, two bundles and about one divisor class, none checked.
 
-    The grid's bundle is built checked, and the one twist's bundle with its
-    c1 unchecked, from the ints of the checked bundle and line it was given.
-    The grid's c1 is built once per b and its shift -a*h once per a, which
-    at r_max=2 makes 220 and 20 classes besides the 2420 twisted c1s; the
-    chi oracle and grr_verify build none.
+    The grid builds its bundle unchecked, and the one twist its bundle with
+    its c1, from the ints of the bundle and line it was given.  The grid's
+    c1 is built once per b and its shift -a*h once per a, which at r_max=2
+    makes 220 and 20 classes besides the 2420 twisted c1s; the chi oracle
+    and grr_verify build none.
     """
     builds = Counter()
     _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics)
@@ -385,22 +389,56 @@ def test_theorem_c_builds_per_point(monkeypatch):
     (result,) = verify.run_suite("theoremC", r_max=2)
     n = result.points
     assert (n, result.ok) == (2420, True)
-    assert builds == {"DivisorClass": 240, "BundleNumerics": n,
-                      "unchecked DivisorClass": n, "unchecked BundleNumerics": n}
+    assert builds == {"verify unchecked DivisorClass": 240, "verify unchecked BundleNumerics": n,
+                      "bundles unchecked DivisorClass": n, "bundles unchecked BundleNumerics": n}
     assert _totals(builds) == {"DivisorClass": 240 + n, "BundleNumerics": 2 * n}
 
 
 def test_extension_builds_per_point(monkeypatch):
     """Per extension point: the grid's ExtensionData, the middle term with its c1, the inverse.
 
-    The grid builds its value checked; extension_chern and its inverse build
-    theirs unchecked, from the ints of the checked value they were given.
+    The grid builds its value unchecked from its own ints; extension_chern
+    and its inverse build theirs unchecked, from the ints of the value they
+    were given.  Nothing is built checked.
     """
     builds = Counter()
     _count_builds(monkeypatch, builds, DivisorClass, bundles.BundleNumerics, ExtensionData)
     (result,) = verify.run_suite("extension", r_max=2)
     n = result.points
     assert (n, result.ok) == (2420, True)
-    assert builds == {"ExtensionData": n, "unchecked ExtensionData": n,
-                      "unchecked BundleNumerics": n, "unchecked DivisorClass": n}
+    assert builds == {"verify unchecked ExtensionData": n, "bundles unchecked ExtensionData": n,
+                      "bundles unchecked BundleNumerics": n, "bundles unchecked DivisorClass": n}
     assert _totals(builds) == {"DivisorClass": n, "BundleNumerics": n, "ExtensionData": 2 * n}
+
+
+@pytest.mark.parametrize("suite, bounds, inject", [
+    ("theoremC", {"r_max": 3, "b_max": 2, "c2_max": 2}, None),
+    ("extension", {"r_max": 3, "deg_max": 2}, None),
+    ("serre", {"e_max": 2, "coeff_max": 4}, None),
+    ("euler", {"e_max": 2, "coeff_max": 4}, None),
+    ("conormal", {"e_max": 2, "n_max": 3}, None),
+    ("growth", {"n_max": 4}, None),
+    # failing grids, whose counterexamples hold the values the grid built
+    ("serre", {}, "serre"),
+    ("theoremC", {}, "theoremC"),
+])
+def test_grids_built_checked_give_the_same_results(monkeypatch, suite, bounds, inject):
+    """A grid whose values go through their checked constructors reports what it reports
+    building them unchecked: the grid's ints meet every check those constructors make."""
+    if inject is not None:
+        INJECTED[inject][0](monkeypatch)
+    unchecked = verify.run_suite(suite, **bounds)
+    built = Counter()
+
+    def checked(cls, fields):
+        built[cls.__name__] += 1
+        return cls(*fields)
+
+    monkeypatch.setattr(verify, "_unchecked", checked)
+    assert verify.run_suite(suite, **bounds) == unchecked
+    assert built, "the grid built no value of its own"
+    (result,) = unchecked
+    if inject is None:
+        assert result.ok
+    else:
+        assert (result.points, cli._encode(result.counterexample)) == INJECTED[inject][1:]
