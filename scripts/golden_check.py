@@ -4,19 +4,17 @@
     python3 scripts/golden_check.py
 
 Every entry of tests/cli_golden.json is run in-process through `cli.run`,
-as tests/test_cli_golden.py runs it: at COLUMNS=80, with its --out file in
-a temporary directory.  Its stdout, exit code and --out text are compared
-with the entry's.  The script prints each argv that differs, as one JSON
-list a line, then a count, and exits 1 if any entry differs or the
-fixture's argv list is not the corpus.  It needs only the standard
-library, so it runs on a Python with no pytest; it imports ruledsurf from
-this checkout's src.
+as tests/test_cli_golden.py runs it, with its --out file in a temporary
+directory.  Its stdout, exit code and --out text are compared with the
+entry's.  The script prints each argv that differs, as one JSON list a
+line, then a count, and exits 1 if any entry differs or the fixture's argv
+list is not the corpus.  It needs only the standard library, so it runs on
+a Python with no pytest; it imports ruledsurf from this checkout's src.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +26,6 @@ from test_cli_golden import FIXTURE, corpus, run_recorded  # noqa: E402
 
 
 def main() -> int:
-    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     entries = json.loads(FIXTURE.read_text(encoding="utf-8"))
     if [entry["argv"] for entry in entries] != corpus():
         print(f"{FIXTURE} does not hold the argv list of the corpus")

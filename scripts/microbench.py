@@ -14,10 +14,11 @@ unchecked builder, four field reads, `!=` between two equal values that
 are distinct objects, and `hash`; and `json_report`, the CLI's
 `render_report` of a one-row `bundle grr` report as JSON.
 
-A repeat starts one process per tree, which loads that tree alone and
-times `--number` calls of every case; with two trees, the tree that goes
-first alternates from one repeat to the next, so the machine's drift falls
-on both alike.  Two trees loaded into one process read the second one
+A repeat starts one process per tree, which puts that tree's src first on
+sys.path, imports ruledsurf, refuses to time a ruledsurf from anywhere
+else, and times `--number` calls of every case; with two trees, the tree
+that goes first alternates from one repeat to the next, so the machine's
+drift falls on both alike.  Two trees loaded into one process read the second one
 slower, whichever it was, so no process loads both.  The script prints one
 JSON object: each case's best time per call over the repeats, in ns, per
 tree, and with two trees the relative change of the second from the first
@@ -27,8 +28,6 @@ tree, and with two trees the relative change of the second from the first
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import json
 import math
 import subprocess
@@ -42,27 +41,19 @@ CASES = ("intersect", "cycle_mul", "h_line", "specializes", "theoremC_point",
          "bundle_reads", "bundle_ne", "bundle_hash", "json_report")
 
 
-def load_tree(src: Path, name: str):
-    """The ruledsurf package under src, imported as `name`, with the layers the cases call."""
-    init = src / "ruledsurf" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    for layer in ("geometry", "cohomology", "splitting", "bundles", "verify"):
-        importlib.import_module(f"{name}.{layer}")
-    # cli imports the package by its own name, so that name is this tree's while it loads
-    saved = sys.modules.get("ruledsurf")
-    sys.modules["ruledsurf"] = package
-    try:
-        importlib.import_module(f"{name}.cli")
-    finally:
-        if saved is None:
-            del sys.modules["ruledsurf"]
-        else:
-            sys.modules["ruledsurf"] = saved
-    return package
+def load_tree(src: Path):
+    """The ruledsurf package under src, imported by its own name, with src first on sys.path.
+
+    A ruledsurf that comes from anywhere else is refused.  The package loads
+    each layer on its first use, which `cases` makes before any timing.
+    """
+    sys.path.insert(0, str(src))
+    import ruledsurf
+
+    package_dir = src.resolve() / "ruledsurf"
+    if Path(ruledsurf.__file__).resolve().parent != package_dir:
+        raise SystemExit(f"imported ruledsurf from {ruledsurf.__file__}, not {package_dir}")
+    return ruledsurf
 
 
 def cases(pkg, steps: int) -> dict:
@@ -140,7 +131,7 @@ def cases(pkg, steps: int) -> dict:
 
 def time_tree(src: Path, number: int) -> dict:
     """ns per call of every case under the tree at src, each timed once over `number` calls."""
-    found = cases(load_tree(src, "_microbench_tree"), number)
+    found = cases(load_tree(src), number)
     return {name: timeit.Timer(found[name]).timeit(number) / number * 1e9 for name in CASES}
 
 

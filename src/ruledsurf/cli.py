@@ -27,8 +27,10 @@ rendering loads no layer.
 Output is an aligned text table by default or a single JSON object with
 --format json, the bytes of json.dumps(report, indent=2), written in one
 pass by _json_report with json's C string escaper; a table loads json only
-for a list or dict cell.  --out writes the rendered report verbatim to a file first,
-then it is printed.  Exit codes: 0 ok, 1 input error, 2 property violation.
+for a list or dict cell.  Help is never wrapped, so identical argv gives
+identical bytes on every Python and in every terminal.  --out writes the
+rendered report verbatim to a file first, then it is printed.  Exit codes:
+0 ok, 1 input error, 2 property violation.
 An error argparse raises is an input error too, rendered in the requested
 --format and written to --out whenever those two flags parse, else as a
 table; so is an --out path that cannot be written.
@@ -77,6 +79,9 @@ def _parser_class():
             if action.type is int and not _INT.fullmatch(arg_string):
                 raise argparse.ArgumentError(action, f"invalid int value: {arg_string!r}")
             return super()._get_value(action, arg_string)
+
+        def _get_formatter(self):  # never wrap: identical argv, identical bytes
+            return argparse.HelpFormatter(self.prog, width=sys.maxsize)
 
     return _Parser
 

@@ -13,8 +13,6 @@ fails as empty, since a check of nothing is no pass.
 A counterexample holds library values (ints, DivisorClass, SplittingType
 and lists of them), not text: the CLI renders them as literals, with the
 same renderer as every other op, so this module never imports the CLI.
-The one exception is theoremC's `grr_degree`, already text: the str() of
-GrrReport.lhs_degree, an int.
 
 SUITES holds the grids: `_suite(name)` registers a grid generator under
 its name, next to the bounds it accepts (its parameters, read from its code
@@ -186,7 +184,7 @@ def _theorem_c(
                                 "z_twist": z_twist,
                                 "z_chi": z_chi,
                                 "m": m,
-                                "grr_degree": str(report.lhs_degree),
+                                "grr_degree": report.lhs_degree,
                             }
 
 

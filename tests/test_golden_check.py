@@ -10,8 +10,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_check.py"
 
 
 @pytest.fixture
-def golden_check(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # restored after the script sets it
+def golden_check():
     spec = importlib.util.spec_from_file_location("golden_check", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -21,7 +21,7 @@ def microbench():
 
 @pytest.mark.parametrize("trees", [1, 2])
 def test_a_tiny_run_prints_every_case_per_tree(microbench, capsys, trees):
-    loaded = set(sys.modules)
+    path = list(sys.path)
     assert microbench.main([str(SRC)] * trees + ["--number", "3", "--repeat", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["number"], report["repeat"], len(report["trees"])) == (3, 2, trees)
@@ -33,20 +33,21 @@ def test_a_tiny_run_prints_every_case_per_tree(microbench, capsys, trees):
     assert all(len(ns) == trees and min(ns) > 0 for ns in report["ns_per_call"].values())
     assert ("change" in report) == (trees == 2)
     # each tree is timed in processes of its own, never in this one
-    assert not [name for name in set(sys.modules) - loaded if name.startswith("_microbench")]
+    assert sys.path == path
 
 
-def test_a_timing_process_times_every_case_once(microbench):
+def test_a_timing_process_times_every_case_once(microbench, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
     ns = microbench.time_tree(SRC, 2)
     assert list(ns) == list(microbench.CASES)
     assert min(ns.values()) > 0
 
 
-def test_each_tree_is_its_own_package(microbench):
-    first, second = (microbench.load_tree(SRC, f"_microbench_test{i}") for i in range(2))
-    assert first.bundles is not second.bundles
-    assert first.bundles.BundleNumerics is not second.bundles.BundleNumerics
-    assert first.bundles.__name__ == "_microbench_test0.bundles"
+def test_a_ruledsurf_from_another_tree_is_refused(microbench, monkeypatch, tmp_path):
+    # tmp_path holds no ruledsurf, so the one imported comes from another directory
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit, match="not .*ruledsurf"):
+        microbench.load_tree(tmp_path)
 
 
 def test_more_than_two_trees_are_refused(microbench):

@@ -113,14 +113,14 @@ INJECTED = {
                            lambda b, a: (b.g.e, b.r, a, b.c2) == (0, 3, 1, 2),
                            lambda z: z + 1),
         976, {"e": 0, "r": 3, "a": 1, "c1": "3*h-5*f", "c2": 2, "z": 12, "z_twist": 12,
-              "z_chi": 13, "m": -17, "grr_degree": "-17"}),
+              "z_chi": 13, "m": -17, "grr_degree": -17}),
     # the road that forgets todd_curve(0)^-1 reads r too many, at the first point
     "theoremC-grr": (
         lambda mp: _mutated(mp, bundles, "grr_verify",
                             "degree = c1b + twice_ch2 // 2",
                             "degree = r + c1b + twice_ch2 // 2"),
         1, {"e": 0, "r": 2, "a": -2, "c1": "-4*h-5*f", "c2": -5, "z": -15, "z_twist": -15,
-            "z_chi": -15, "m": 10, "grr_degree": "12"}),
+            "z_chi": -15, "m": 10, "grr_degree": 12}),
     "dominance-oracle": (
         lambda mp: _lie_at(mp, splitting, "semicontinuity_oracle",
                            lambda s, t: (s, t) == (SplittingType((1, 0, -1)),
