@@ -6,13 +6,14 @@
 BASE_SRC and HEAD_SRC are the src directories of two checkouts, say the
 parent commit's and a change's.  The cases are the primitives
 `intersect`, `cycle_mul`, `h_line` and `specializes`; one point of the
-`theoremC` and of the `extension` grid, a step of verify's own generator,
-at bounds with a point for every step; the chi and GRR roads of a theoremC
-point alone, on its bundle built once; what the value layout itself costs,
-for a DivisorClass and a BundleNumerics: a checked build, a build by the
-unchecked builder, four field reads, `!=` between two equal values that
-are distinct objects, and `hash`; and `json_report`, the CLI's
-`render_report` of a one-row `bundle grr` report as JSON.
+`theoremC`, `extension`, `conormal` and `rigid` grids, a step of verify's
+own generator, at bounds with a point for every step; the chi and GRR
+roads of a theoremC point alone, on its bundle built once; what the value
+layout itself costs, for a DivisorClass and a BundleNumerics: a checked
+build, a build by the unchecked builder, four field reads, `!=` between
+two equal values that are distinct objects, and `hash`; and
+`json_report`, the CLI's `render_report` of a one-row `bundle grr`
+report as JSON.
 
 A repeat starts one process per tree, which puts that tree's src first on
 sys.path, imports ruledsurf, refuses to time a ruledsurf from anywhere
@@ -36,9 +37,10 @@ import timeit
 from pathlib import Path
 
 CASES = ("intersect", "cycle_mul", "h_line", "specializes", "theoremC_point",
-         "extension_point", "chi_road", "grr_road", "divisor_build", "divisor_unchecked",
-         "divisor_reads", "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked",
-         "bundle_reads", "bundle_ne", "bundle_hash", "json_report")
+         "extension_point", "conormal_point", "rigid_point", "chi_road", "grr_road",
+         "divisor_build", "divisor_unchecked", "divisor_reads", "divisor_ne", "divisor_hash",
+         "bundle_build", "bundle_unchecked", "bundle_reads", "bundle_ne", "bundle_hash",
+         "json_report")
 
 
 def load_tree(src: Path):
@@ -75,10 +77,13 @@ def cases(pkg, steps: int) -> dict:
 
     # verify's own grids, each yielding None per point and a dict after a point that
     # fails; one bound grows from its default so that the grid has a point for every
-    # step: theoremC has 880 (2 c2_max + 1) points, extension 200 (2 deg_max + 1)^2
+    # step: theoremC has 880 (2 c2_max + 1) points, extension 200 (2 deg_max + 1)^2,
+    # conormal 16 t_max and rigid at least 34 (2 d_max + 1)
     suites = pkg.verify.SUITES
     theorem_c = suites["theoremC"][0](c2_max=max(5, steps // 1760 + 1))
     extension = suites["extension"][0](deg_max=max(5, math.isqrt(steps // 200 + 1) // 2 + 1))
+    conormal = suites["conormal"][0](t_max=max(3, steps // 16 + 1))
+    rigid = suites["rigid"][0](d_max=max(4, steps // 68 + 1))
     BundleNumerics, grr_verify = bundles.BundleNumerics, bundles.grr_verify
     r, a = 3, 1
     c1 = DivisorClass(r * a, 2)
@@ -105,6 +110,8 @@ def cases(pkg, steps: int) -> dict:
         "specializes": lambda: splitting.specializes(general, special),
         "theoremC_point": lambda: next(theorem_c) is None,
         "extension_point": lambda: next(extension) is None,
+        "conormal_point": lambda: next(conormal) is None,
+        "rigid_point": lambda: next(rigid) is None,
         "chi_road": lambda: bundles.jumping_count_chi_oracle(bundle, a),
         "grr_road": lambda: grr_verify(bundle, a),
         "divisor_build": lambda: DivisorClass(3, -1),
@@ -121,7 +128,8 @@ def cases(pkg, steps: int) -> dict:
     }
     if not (divisor_unchecked() == d1 and bundle_unchecked() == bundle):
         raise SystemExit(f"the unchecked builder under {pkg.__name__} builds another value")
-    for name in ("specializes", "theoremC_point", "extension_point"):
+    for name in ("specializes", "theoremC_point", "extension_point", "conormal_point",
+                 "rigid_point"):
         if found[name]() is not True:
             raise SystemExit(f"{name} under {pkg.__name__} does not pass")
     if json.loads(found["json_report"]())["inputs"]["c1"] != "3*h+2*f":

@@ -8,7 +8,8 @@ None before it.  One runner, `run_suite`, drives every suite: it counts
 the Nones, stops at the first dict and builds the SuiteResult.  A grid
 that raises fails with the exception's type and message as its
 counterexample, after the points it counted; a grid that counts no point
-fails as empty, since a check of nothing is no pass.
+fails as empty, since a check of nothing is no pass.  A grid whose bounds
+leave its main family empty yields nothing, not its fixed trailing checks.
 
 A counterexample holds library values (ints, DivisorClass, SplittingType
 and lists of them), not text: the CLI renders them as literals, with the
@@ -20,6 +21,8 @@ object), whose defaults reproduce the documented grids.  A grid builds the
 values of its loops unchecked (_value._unchecked): their ints come from
 range or from checked values and keep to the constructors' range checks
 (e >= 0, r >= 2, 0 < x < r, t >= 1), so a check would only repeat them.
+`rigid` checks each distinct chain step (previous type, next type) once a
+run: the move test and `specializes` are pure, so a step passes every time.
 
 Importing this module loads no library layer.  Each grid imports the names
 it calls once, at the top of its generator, and hands them to its helpers,
@@ -32,6 +35,7 @@ calls.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from operator import sub
 
 from ._value import _require_int, _unchecked, _Value, _wrong_type
 
@@ -139,9 +143,12 @@ def _conormal(e_max: int = 3, t_max: int = 3, n_max: int = 6) -> Grid:
             for s in range(e * t + 1, e * t + 5):
                 vanishes = conormal_vanishing(g, _unchecked(ConormalData, (t, s)), n_max)
                 yield None
-                powers = (h_line(g, _unchecked(DivisorClass, (n * t, n * s)))
-                          for n in range(1, n_max + 1))
-                if vanishes != all(h.h1 == h.h2 == 0 for h in powers):
+                # h ends as the first power that does not vanish, else as the last
+                for n in range(1, n_max + 1):
+                    h = h_line(g, _unchecked(DivisorClass, (n * t, n * s)))
+                    if h.h1 or h.h2:
+                        break
+                if vanishes != (h.h1 == h.h2 == 0):
                     yield {"e": e, "t": t, "s": s}
 
 
@@ -230,22 +237,27 @@ def _dominance(r_max: int = 4, d_max: int = 4, spread: int = 4) -> Grid:
 
 
 def _is_elementary_move(before: SplittingType, after: SplittingType) -> bool:
-    moved = [bv - av for av, bv in zip(before.parts, after.parts) if bv != av]
+    moved = [*filter(None, map(sub, after.parts, before.parts))]
     return moved == [1, -1] or moved == [-1, 1]
 
 
 def _chain_fault(rigid: SplittingType, target: SplittingType, chain: list[SplittingType],
-                 specializes: Callable[[SplittingType, SplittingType], bool]) -> str | None:
-    """The first check the chain fails, start, end, move or order, or None if it passes."""
+                 specializes: Callable[[SplittingType, SplittingType], bool],
+                 passed: set[tuple[SplittingType, SplittingType]]) -> str | None:
+    """The first check the chain fails, start, end, move or order, or None if it passes.
+
+    A step in `passed` is not checked again; a step that passes is added to it."""
     if chain[0] != rigid:  # the rigid type of target's rank and degree
         return "start"
     if chain[-1] != target:
         return "end"
-    for prev, step in zip(chain, chain[1:]):
-        if not _is_elementary_move(prev, step):
-            return "move"
-        if not specializes(prev, step):
-            return "order"
+    for step in zip(chain, chain[1:]):
+        if step not in passed:
+            if not _is_elementary_move(*step):
+                return "move"
+            if not specializes(*step):
+                return "order"
+            passed.add(step)
     return None
 
 
@@ -260,6 +272,9 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
         specializes,
     )
 
+    if r_max < 1 or d_max < 0:  # the jumping checks below alone are no grid
+        return
+    passed = set()  # the chain steps that passed, each checked once a run
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             types = enumerate_types(r, d, r + 2)
@@ -272,7 +287,7 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
                 yield None
                 if not specializes(balanced, t):
                     yield {"r": r, "d": d, "unreachable": t}
-                fault = _chain_fault(balanced, t, specialization_chain(t), specializes)
+                fault = _chain_fault(balanced, t, specialization_chain(t), specializes, passed)
                 if fault is not None:
                     yield {"r": r, "d": d, "bad_chain_target": t, "failed_check": fault}
     for r in range(2, 7):
@@ -286,6 +301,8 @@ def _rigid(r_max: int = 4, d_max: int = 4) -> Grid:
 def _lifting(r_max: int = 6, d_max: int = 6, t_max: int = 3, n_max: int = 10) -> Grid:
     from .splitting import SplittingType, formal_lift_obstructions, rigid_type
 
+    if r_max < 1 or d_max < 0 or t_max < 1:  # the (1,-1) check below alone is no grid
+        return
     for r in range(1, r_max + 1):
         for d in range(-d_max, d_max + 1):
             balanced = rigid_type(r, d)

@@ -27,9 +27,9 @@ def test_a_tiny_run_prints_every_case_per_tree(microbench, capsys, trees):
     assert (report["number"], report["repeat"], len(report["trees"])) == (3, 2, trees)
     assert list(report["ns_per_call"]) == list(microbench.CASES) == [
         "intersect", "cycle_mul", "h_line", "specializes", "theoremC_point", "extension_point",
-        "chi_road", "grr_road", "divisor_build", "divisor_unchecked", "divisor_reads",
-        "divisor_ne", "divisor_hash", "bundle_build", "bundle_unchecked", "bundle_reads",
-        "bundle_ne", "bundle_hash", "json_report"]
+        "conormal_point", "rigid_point", "chi_road", "grr_road", "divisor_build",
+        "divisor_unchecked", "divisor_reads", "divisor_ne", "divisor_hash", "bundle_build",
+        "bundle_unchecked", "bundle_reads", "bundle_ne", "bundle_hash", "json_report"]
     assert all(len(ns) == trees and min(ns) > 0 for ns in report["ns_per_call"].values())
     assert ("change" in report) == (trees == 2)
     # each tree is timed in processes of its own, never in this one

@@ -7,7 +7,8 @@ counterexample it stopped at, as the CLI renders the library values it
 holds.  The default grids passing, with their point counts, is pinned by
 test_acceptance.  The last tests pin what the runner reports for a grid
 that counts no point, how often a theoremC or extension point calls into
-bundles and what values it builds, and that the grids report the same
+bundles and what values it builds, how often the conormal and rigid grids
+call h_line and specializes, and that the grids report the same
 results when they build their values checked; tests/test_cli.py pins what
 it reports for a grid that raises.
 """
@@ -276,8 +277,11 @@ def test_each_suite_accepts_the_parameters_of_its_grid():
 
 
 # theoremC at --r 1 and serre at --e-max -1 are pinned through the CLI in test_cli
+# rigid and lifting count their fixed trailing checks only after a main family
 @pytest.mark.parametrize("suite, bounds", [
     ("dominance", {"r_max": 0}), ("extension", {"r_max": 1}), ("conormal", {"t_max": 0}),
+    ("rigid", {"r_max": 0}), ("rigid", {"d_max": -1}), ("lifting", {"r_max": 0}),
+    ("lifting", {"d_max": -1}), ("lifting", {"t_max": 0}),
 ])
 def test_an_empty_grid_fails(suite, bounds):
     (result,) = verify.run_suite(suite, **bounds)
@@ -324,6 +328,34 @@ def test_extension_call_structure(monkeypatch):
     assert (result.points, result.ok) == (2420, True)
     assert calls["extension_chern"] == result.points
     assert calls["extension_data_from_chern"] == result.points
+
+
+def test_conormal_call_structure(monkeypatch):
+    """Per conormal point at the default bounds, six h_line powers: every power vanishes,
+    so none stops the walk early."""
+    calls = Counter()
+    _count_calls(monkeypatch, calls, cohomology, "h_line")
+    (result,) = verify.run_suite("conormal")
+    assert (result.points, result.ok) == (48, True)
+    assert calls["h_line"] == 6 * result.points == 288
+
+
+def test_rigid_checks_each_distinct_chain_step_once(monkeypatch):
+    """specializes runs once per type reached from the rigid type, and once per distinct
+    (previous, next) step of the chains: 249 distinct among the 662 steps of a run."""
+    targets, steps = 0, []
+    for r in range(1, 5):
+        for d in range(-4, 5):
+            for t in splitting.enumerate_types(r, d, r + 2):
+                targets += 1
+                chain = splitting.specialization_chain(t)
+                steps += zip(chain, chain[1:])
+    assert (targets, len(steps), len(set(steps))) == (285, 662, 249)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, splitting, "specializes")
+    (result,) = verify.run_suite("rigid")
+    assert (result.points, result.ok) == (356, True)
+    assert calls["specializes"] == 285 + 249
 
 
 def test_every_unchecked_build_in_bundles_is_a_counted_builder():
